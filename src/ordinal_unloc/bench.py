@@ -65,8 +65,8 @@ class ExperimentConfig:
         if self.kind != "rss":
             if len(self.noise_grid) == 0:
                 raise ConfigError("noise grid must be non-empty")
-            if any(v < 0 for v in self.noise_grid):
-                raise ConfigError("noise values must be nonnegative")
+            if not all(np.isfinite(v) and v >= 0 for v in self.noise_grid):
+                raise ConfigError("noise values must be finite and nonnegative")
             if self.kind == "toa" and any(v <= 0 for v in self.noise_grid):
                 raise ConfigError("normalized TOA variances must be positive")
         object.__setattr__(self, "anchor_counts", tuple(int(m) for m in self.anchor_counts))

@@ -84,12 +84,22 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad number list {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise ConfigError(f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise ConfigError(f"expected an integer >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--seed", type=_positive_int, default=None)
+        p.add_argument("--seed", type=_nonnegative_int, default=None)
         p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
         p.add_argument("--restarts", type=_positive_int, default=8)
 
@@ -152,7 +162,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         "g_range": _float_list,
         "targets": _positive_int,
         "trials": _positive_int,
-        "seed": _positive_int,
+        "seed": _nonnegative_int,
         "threads": _positive_int,
         "restarts": _positive_int,
         "field_side": float,

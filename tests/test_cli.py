@@ -145,6 +145,38 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert manifest["seed"] == 11
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0.1,nan"])
+def test_nonfinite_sigma_exit_code_1(tmp_path, capsys, sigma):
+    out = tmp_path / "run"
+    code = _run(["simulate", "--anchors", "5", "--sigma", sigma, "--out", str(out)] + FAST)
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, value", [("threads", "0"), ("restarts", "0"), ("trials", "0"), ("targets", "-1"), ("seed", "-5")]
+)
+def test_out_of_range_integers_exit_code_1(tmp_path, capsys, source, key, value):
+    argv = ["simulate", "--anchors", "5", "--sigma", "0.0", "--out", str(tmp_path / "run")]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 1
+    assert f"expected an integer >= {0 if key == 'seed' else 1}" in capsys.readouterr().err
+
+
+def test_seed_zero_accepted(tmp_path):
+    out = tmp_path / "run"
+    argv = ["simulate", "--anchors", "5", "--sigma", "0.0", "--out", str(out)]
+    assert _run(argv + ["--trials", "2", "--threads", "1", "--restarts", "4", "--seed", "0"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus=1\n")
@@ -240,6 +272,21 @@ def test_localize_sample_mode_rows(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "localize"
     assert manifest["config"]["aggregator"] == "sample"
+
+
+def test_localize_nan_rssi_exit_code_2(tmp_path, capsys):
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    lines = path.read_text().split("\n")
+    first_record = lines.index("---") + 2  # past the separator and the record header
+    lines[first_record] = lines[first_record].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines))
+    code = _run(
+        ["localize", str(path), "--aggregator", "median", "--keep-fraction", "1.0",
+         "--out", str(tmp_path / "o"), "--seed", "3", "--threads", "1"]
+    )
+    assert code == 2
+    assert "is not finite" in capsys.readouterr().err
 
 
 def test_localize_field_override_mismatch(tmp_path, capsys):
