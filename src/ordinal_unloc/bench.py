@@ -16,14 +16,15 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ConfigError, DistanceMatrix, InputError
 from .ordinal import ComparisonNoiseModel, SignalMatrix, tensor_from_distances, tensor_from_signals
-from .pipeline import localize_from_tensor
+from .pipeline import estimate_from_tensor
 from .signals import MIN_LINK_DISTANCE, RssModel, rss_power
-from .unfold import SolverOptions, unloc_localize, with_seed
+from .unfold import SolverOptions, UnfoldingProblem, column_problems, solve_unfolding
 
 EXPERIMENT_KINDS = ("ordinal", "rss", "toa")
 _EXPERIMENT_IDS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
@@ -146,6 +147,17 @@ def _symmetric_draws(n, draw, rng):
     return out
 
 
+class _MethodSolves(NamedTuple):
+    """One method's unfolding problems at a grid point, with what scoring
+    needs: the distance estimates whose columns tau compares, the true
+    targets and the true anchor-to-target distances."""
+
+    problems: list[UnfoldingProblem | None]
+    estimates: np.ndarray
+    targets: np.ndarray
+    true_yx: np.ndarray
+
+
 def _position_error_and_tau(results, d_hat, targets, d_true_yx):
     """Mean squared position error and mean tau over target columns."""
     errs, taus = [], []
@@ -163,6 +175,11 @@ def _position_error_and_tau(results, d_hat, targets, d_true_yx):
     return float(np.mean(errs)), float(np.mean(taus)), flagged
 
 
+def _direct_problems(anchors, d_est, seed):
+    """Baseline solves from direct distance estimates, one per target."""
+    return [UnfoldingProblem(anchors, d_est[:, j] ** 2, seed, j) for j in range(d_est.shape[1])]
+
+
 def _ordinal_grid_point(config, m, sigma, rng):
     n = config.n_targets
     side = config.field_side
@@ -172,11 +189,9 @@ def _ordinal_grid_point(config, m, sigma, rng):
     points = np.vstack([anchors, targets])
     d_full = _distances(points)
     tensor = tensor_from_distances(DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
-    results, d_hat = localize_from_tensor(tensor, anchors, with_seed(config.solver, solver_seed))
-    err, tau, flagged = _position_error_and_tau(
-        results, d_hat.values, targets, d_full[:m, m:]
-    )
-    return np.array([err]), np.array([tau]), np.array([flagged])
+    d_hat = estimate_from_tensor(tensor, anchors)
+    problems = column_problems(anchors, d_hat, solver_seed)
+    return [_MethodSolves(problems, d_hat.values, targets, d_full[:m, m:])]
 
 
 def _rss_grid_point(config, m, rng):
@@ -203,33 +218,18 @@ def _rss_grid_point(config, m, rng):
 
     # (i) ordinal pipeline directly on raw powers
     sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
-    tensor = tensor_from_signals(sig)
-    results, d_hat = localize_from_tensor(tensor, anchors, with_seed(config.solver, seeds[0]))
-    err_o, tau_o, flag_o = _position_error_and_tau(results, d_hat.values, targets, d_true_yx)
+    d_hat = estimate_from_tensor(tensor_from_signals(sig), anchors)
+    problems = column_problems(anchors, d_hat, seeds[0])
+    methods = [_MethodSolves(problems, d_hat.values, targets, d_true_yx)]
 
     # (ii) fixed calibration exponent, (iii) genie-aided per-link exponent
-    outs = []
     for method_idx, exps in enumerate(
         (np.full((m, n), config.calibration_exponent), exponents[:m, m:])
     ):
-        errs, taus = [], []
-        flagged = False
         d_est = (model.transmit_power * model.hardware_gain / power[:m, m:]) ** (1.0 / exps)
-        for j in range(n):
-            res = unloc_localize(
-                anchors, d_est[:, j] ** 2, with_seed(config.solver, seeds[1 + method_idx]), column=j
-            )
-            if not res.converged:
-                flagged = True
-            errs.append(((res.position - targets[j]) ** 2).sum())
-            taus.append(kendall_tau(d_est[:, j], d_true_yx[:, j]))
-        outs.append((float(np.mean(errs)), float(np.mean(taus)), flagged))
-
-    return (
-        np.array([err_o, outs[0][0], outs[1][0]]),
-        np.array([tau_o, outs[0][1], outs[1][1]]),
-        np.array([flag_o, outs[0][2], outs[1][2]]),
-    )
+        problems = _direct_problems(anchors, d_est, seeds[1 + method_idx])
+        methods.append(_MethodSolves(problems, d_est, targets, d_true_yx))
+    return methods
 
 
 def _toa_grid_point(config, m, normalized_variance, rng):
@@ -248,32 +248,21 @@ def _toa_grid_point(config, m, normalized_variance, rng):
     toa = d_full / c + noise
 
     sig = SignalMatrix(toa, increasing_with_distance=True, n_anchors=m)
-    tensor = tensor_from_signals(sig)
-    results, d_hat = localize_from_tensor(tensor, anchors, with_seed(config.solver, seeds[0]))
-    err_o, tau_o, flag_o = _position_error_and_tau(results, d_hat.values, targets, d_true_yx)
-
+    d_hat = estimate_from_tensor(tensor_from_signals(sig), anchors)
     d_est = c * toa[:m, m:]
-    errs, taus = [], []
-    flagged = False
-    for j in range(n):
-        res = unloc_localize(anchors, d_est[:, j] ** 2, with_seed(config.solver, seeds[1]), column=j)
-        if not res.converged:
-            flagged = True
-        errs.append(((res.position - targets[j]) ** 2).sum())
-        taus.append(kendall_tau(d_est[:, j], d_true_yx[:, j]))
-
-    return (
-        np.array([err_o, float(np.mean(errs))]),
-        np.array([tau_o, float(np.mean(taus))]),
-        np.array([flag_o, flagged]),
-    )
+    return [
+        _MethodSolves(column_problems(anchors, d_hat, seeds[0]), d_hat.values, targets, d_true_yx),
+        _MethodSolves(_direct_problems(anchors, d_est, seeds[1]), d_est, targets, d_true_yx),
+    ]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     """One Monte-Carlo trial covering every grid point.
 
     Deterministic given (config.seed, config.kind, trial_index); each grid
-    point consumes an independent child stream.
+    point consumes an independent child stream.  The grid points are drawn
+    and estimated in grid order, then every unfolding problem of the trial
+    goes to the solver in one batch, then the grid points are scored.
     """
     grid = config.grid()
     n_methods = len(config.methods)
@@ -284,15 +273,23 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
         entropy=config.seed, spawn_key=(_EXPERIMENT_IDS[config.kind], trial_index)
     )
     children = root.spawn(len(grid))
-    for g, ((m, noise), child) in enumerate(zip(grid, children)):
+    solves = []
+    for (m, noise), child in zip(grid, children):
         rng = np.random.default_rng(child)
         if config.kind == "ordinal":
-            e, t, f = _ordinal_grid_point(config, m, noise, rng)
+            solves.append(_ordinal_grid_point(config, m, noise, rng))
         elif config.kind == "rss":
-            e, t, f = _rss_grid_point(config, m, rng)
+            solves.append(_rss_grid_point(config, m, rng))
         else:
-            e, t, f = _toa_grid_point(config, m, noise, rng)
-        sq_err[g], tau[g], flagged[g] = e, t, f
+            solves.append(_toa_grid_point(config, m, noise, rng))
+    problems = [p for methods in solves for method in methods for p in method.problems]
+    results = iter(solve_unfolding(problems, config.solver))
+    for g, methods in enumerate(solves):
+        for k, method in enumerate(methods):
+            method_results = [next(results) for _ in method.problems]
+            sq_err[g, k], tau[g, k], flagged[g, k] = _position_error_and_tau(
+                method_results, method.estimates, method.targets, method.true_yx
+            )
     return TrialOutcome(sq_err, tau, flagged)
 
 

@@ -44,6 +44,7 @@ from .pipeline import localize_from_tensor
 from .unfold import SolverOptions
 
 DEFAULT_TOA_NOISE_GRID = tuple(float(v) for v in np.logspace(-2, 2, 7))
+_REPORTED_PARSE_ERRORS = 5  # malformed rows named on stderr and in the manifest
 
 _EPILOG = (
     "results.csv columns: " + ",".join(CSV_COLUMNS) + ". "
@@ -291,6 +292,14 @@ def cmd_localize(args) -> int:
     if not (0 < args.keep_fraction <= 1):
         raise ConfigError(f"keep-fraction must be in (0, 1], got {args.keep_fraction}")
     ms = parse_measurements(args.measurements)
+    parse_errors = ms.parse_errors
+    if parse_errors:
+        lines = ", ".join(str(e.line) for e in parse_errors[:_REPORTED_PARSE_ERRORS])
+        print(
+            f"warning: skipped {len(parse_errors)} malformed measurement row(s), "
+            f"first at line(s) {lines}",
+            file=sys.stderr,
+        )
     field = ms.field
     if args.field is not None:
         override = read_sensor_field(args.field)
@@ -336,6 +345,15 @@ def cmd_localize(args) -> int:
         "restarts": args.restarts,
     }
     manifest = _manifest_stub("localize", config, seed)
+    manifest["diagnostics"] = {
+        "parse_errors": {
+            "count": len(parse_errors),
+            "first": [
+                {"line": e.line, "message": e.message}
+                for e in parse_errors[:_REPORTED_PARSE_ERRORS]
+            ],
+        }
+    }
     _write_outputs(
         Path(args.out),
         {"positions.csv": _positions_csv(field, estimates_per_target, labels)},

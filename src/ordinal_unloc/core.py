@@ -141,6 +141,10 @@ class DistanceMatrix:
             raise InputError(f"distance matrix must be square, got shape {v.shape}")
         if not (0 <= self.n_anchors <= v.shape[0]):
             raise InputError("anchor count out of range for distance matrix")
+        bad = np.argwhere(~np.isfinite(v))
+        if bad.size:
+            i, j = bad[0]
+            raise InputError(f"distance {v[i, j]} between sensors ({i}, {j}) is not finite")
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -167,7 +171,12 @@ class ComparisonTensor:
         v = np.asarray(self.values)
         if v.ndim != 3 or len(set(v.shape)) != 1:
             raise InputError(f"comparison tensor must be N x N x N, got shape {v.shape}")
-        object.__setattr__(self, "values", _frozen(v, dtype=np.int8))
+        # a read-only int8 array that owns its data (as the tensor builders
+        # hand over) is kept without a copy; anything a caller could still
+        # write to is copied
+        if v.dtype != np.int8 or v.flags.writeable or v.base is not None:
+            v = _frozen(v, dtype=np.int8)
+        object.__setattr__(self, "values", v)
 
     @property
     def order(self) -> int:

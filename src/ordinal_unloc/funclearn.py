@@ -77,35 +77,47 @@ class EstimatedDistanceMatrix:
         return int((self.values < 0).sum())
 
 
-def fit_linear_map(psi, d) -> LinearMap:
-    """Least squares of d on psi constrained to positive slope.
+def _fit_columns(psi, d):
+    """Least squares of each column of d on the same column of psi,
+    constrained to positive slope; psi and d are (points, columns).
 
     The 1-D constrained optimum is the unconstrained slope when positive,
     otherwise the clamp SLOPE_FLOOR with the intercept recomputed at the
-    clamped slope.
+    clamped slope.  Returns (offsets, slopes); a column whose slope is not
+    a number keeps it, and callers treat it as a failed fit.  Means are
+    taken over contiguous rows of the transposes and products are BLAS dot
+    products, so each column gets the same bytes as a fit of it alone.
     """
+    psi_t = np.ascontiguousarray(psi.T)
+    d_t = np.ascontiguousarray(d.T)
+    psi_mean = psi_t.mean(axis=1)
+    d_mean = d_t.mean(axis=1)
+    psi_c = psi_t - psi_mean[:, None]
+    var = np.matmul(psi_c[:, None, :], psi_c[:, :, None])[:, 0, 0]
+    cov = np.matmul(psi_c[:, None, :], (d_t - d_mean[:, None])[:, :, None])[:, 0, 0]
+    degenerate = var == 0.0
+    for k in np.flatnonzero(degenerate):
+        if not np.allclose(d_t[k], d_mean[k]):
+            warnings.warn(
+                "constant proximities with varying distances; slope clamped",
+                DegenerateFitWarning,
+                stacklevel=3,
+            )
+    slope = np.divide(cov, var, out=np.full_like(var, SLOPE_FLOOR), where=~degenerate)
+    slope[slope <= 0] = SLOPE_FLOOR
+    return d_mean - slope * psi_mean, slope
+
+
+def fit_linear_map(psi, d) -> LinearMap:
+    """Least squares of d on psi constrained to positive slope."""
     psi = np.asarray(psi, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     if psi.shape != d.shape:
         raise InputError(f"length mismatch: {psi.shape} vs {d.shape}")
     if psi.size < 2:
         raise UnderdeterminedFit(f"need at least 2 points, got {psi.size}")
-    psi_c = psi - psi.mean()
-    var = float(psi_c @ psi_c)
-    if var == 0.0:
-        if not np.allclose(d, d.mean()):
-            warnings.warn(
-                "constant proximities with varying distances; slope clamped",
-                DegenerateFitWarning,
-                stacklevel=2,
-            )
-        slope = SLOPE_FLOOR
-    else:
-        slope = float(psi_c @ (d - d.mean())) / var
-        if slope <= 0:
-            slope = SLOPE_FLOOR
-    offset = float(d.mean() - slope * psi.mean())
-    return LinearMap(offset, slope)
+    (offset,), (slope,) = _fit_columns(psi[:, None], d[:, None])
+    return LinearMap(float(offset), float(slope))
 
 
 def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistanceMatrix:
@@ -113,6 +125,8 @@ def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDis
 
     Anchor k's map is fit on the m points (psi^Y_k, d^Y_k), including the
     self pair (psi_kk, 0), then applied to the target entries of slice k.
+    An anchor whose fit fails (its slope is not a number) is flagged and
+    gets the mean of the other anchors' estimates.
     """
     m = psi.n_anchors
     d_y = np.asarray(d_y, dtype=float)
@@ -120,25 +134,16 @@ def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDis
         raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
     if d_y.shape != (m, m):
         raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
-    psi_y = psi.block("Y")
+    offset, slope = _fit_columns(psi.block("Y"), d_y)
     psi_xy = psi.block("XY")  # target rows, anchor slices
-    n = psi_xy.shape[0]
-    estimates = np.empty((m, n))
-    flagged = []
-    for k in range(m):
-        try:
-            g = fit_linear_map(psi_y[:, k], d_y[:, k])
-        except OrdinalUnlocError:
-            flagged.append(k)
-            estimates[k] = np.nan
-            continue
-        estimates[k] = g(psi_xy[:, k])
+    estimates = offset[:, None] + slope[:, None] * psi_xy.T
+    failed = ~(slope > 0)
+    flagged = tuple(int(k) for k in np.flatnonzero(failed))
     if flagged:
         if len(flagged) == m:
             raise UnderdeterminedFit("every anchor fit failed")
-        ok = [k for k in range(m) if k not in flagged]
-        estimates[flagged] = estimates[ok].mean(axis=0)
-    return EstimatedDistanceMatrix(estimates, "preliminary", tuple(flagged))
+        estimates[failed] = estimates[~failed].mean(axis=0)
+    return EstimatedDistanceMatrix(estimates, "preliminary", flagged)
 
 
 def recalibrate(psi: ProximityMatrix, d_tilde: EstimatedDistanceMatrix) -> EstimatedDistanceMatrix:
@@ -147,11 +152,14 @@ def recalibrate(psi: ProximityMatrix, d_tilde: EstimatedDistanceMatrix) -> Estim
     m = psi.n_anchors
     if d_tilde.n_anchors != m or psi.order != m + d_tilde.n_targets:
         raise InputError("proximity and estimate shapes disagree")
+    if m < 2 and d_tilde.n_targets:
+        raise UnderdeterminedFit(f"need at least 2 points, got {m}")
     psi_yx = psi.block("YX")  # anchor rows, target slices
-    out = np.empty_like(d_tilde.values)
-    for j in range(d_tilde.n_targets):
-        g = fit_linear_map(psi_yx[:, j], d_tilde.values[:, j])
-        out[:, j] = g(psi_yx[:, j])
+    offset, slope = _fit_columns(psi_yx, d_tilde.values)
+    failed = np.flatnonzero(~(slope > 0))
+    if failed.size:
+        raise InputError(f"slope must be positive, got {slope[failed[0]]}")
+    out = offset + slope * psi_yx
     return EstimatedDistanceMatrix(out, "recalibrated", d_tilde.flagged_anchors)
 
 

@@ -73,8 +73,10 @@ def compare_ordinal(d: float, d_prime: float, xi: float) -> int:
 
 
 # Tensor entries filled per block of reference slices.  Temporaries scale
-# with the block, not with N^3; up to N = 101 the tensor is one block.
-_BLOCK_ELEMENTS = 1 << 20
+# with the block, not with N^3; up to N = 64 the tensor is one block, and
+# at N = 200 the float temporaries of a block stay near a quarter of the
+# tensor's own bytes.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def _slice_blocks(n):
@@ -117,6 +119,7 @@ def tensor_from_distances(
         flat[:, upper] = sign
         # IEEE negation is exact, so sgn(-a - x) == -sgn(a + x)
         flat[:, lower] = -sign
+    z.flags.writeable = False  # handed over without a copy
     return ComparisonTensor(z, D.n_anchors)
 
 
@@ -162,4 +165,5 @@ def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
                 SliceCoverageWarning,
                 stacklevel=2,
             )
+    z.flags.writeable = False  # handed over without a copy
     return ComparisonTensor(z, S.n_anchors)

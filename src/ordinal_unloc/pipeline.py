@@ -20,6 +20,14 @@ def anchor_distance_block(anchors: np.ndarray) -> np.ndarray:
     return d
 
 
+def estimate_from_tensor(tensor, anchors: np.ndarray) -> EstimatedDistanceMatrix:
+    """Rank aggregation and function learning: the recalibrated
+    anchor-to-target distance estimates of a comparison tensor."""
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    psi = aggregate_proximities(tensor)
+    return estimate_distances(psi, anchor_distance_block(anchors))
+
+
 def localize_from_tensor(
     tensor,
     anchors: np.ndarray,
@@ -31,8 +39,5 @@ def localize_from_tensor(
     anchor-to-target distance estimates.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    psi = aggregate_proximities(tensor)
-    d_y = anchor_distance_block(anchors)
-    d_hat = estimate_distances(psi, d_y)
-    results = localize_all(anchors, d_hat, opts)
-    return results, d_hat
+    d_hat = estimate_from_tensor(tensor, anchors)
+    return localize_all(anchors, d_hat, opts), d_hat

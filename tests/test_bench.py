@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinal_unloc import bench
 from ordinal_unloc.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -18,6 +20,7 @@ from ordinal_unloc.bench import (
 )
 from ordinal_unloc.core import ConfigError, InputError
 from ordinal_unloc.unfold import SolverOptions
+from reference_solvers import reference_localize
 
 FAST_SOLVER = SolverOptions(restarts=4)
 
@@ -185,3 +188,25 @@ def test_json_payload():
     assert set(payload["curves"]) == {"ordinal_unloc", "unloc"}
     assert len(payload["curves"]["unloc"]["rmse"]) == len(payload["grid"])
     assert any("anchor-to-target" in note for note in payload["notes"])
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
+def test_trial_batch_matches_problems_solved_alone(monkeypatch, kind):
+    """One batched solve per trial gives the bytes of every problem solved
+    on its own by the per-problem reference solver."""
+    config = _small(kind, anchor_counts=(3, 5, 8), n_targets=2)
+    batched = [run_trial(config, t) for t in range(3)]
+
+    def one_at_a_time(problems, opts):
+        return [
+            None if p is None
+            else reference_localize(p.anchors, p.delta, replace(opts, seed=p.seed), p.column)
+            for p in problems
+        ]  # fmt: skip
+
+    monkeypatch.setattr(bench, "solve_unfolding", one_at_a_time)
+    for t, outcome in enumerate(batched):
+        alone = run_trial(config, t)
+        assert outcome.sq_err.tobytes() == alone.sq_err.tobytes()
+        assert outcome.tau.tobytes() == alone.tau.tobytes()
+        assert outcome.flagged.tobytes() == alone.flagged.tobytes()

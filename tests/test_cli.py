@@ -297,3 +297,40 @@ def test_localize_field_override_mismatch(tmp_path, capsys):
     code = _run(["localize", str(path), "--field", str(override), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "anchor ids" in capsys.readouterr().err
+
+
+def test_localize_reports_parse_errors(tmp_path, capsys):
+    clean = tmp_path / "clean.csv"
+    _synthetic_measurement_file(clean)
+    lines = clean.read_text().split("\n")
+    first_record = lines.index("---") + 2
+    malformed = [
+        "a1,zz,1,-40.0",  # unknown sensor id
+        "a1,a1,2,-40.0",  # self link
+        "a1,a2,banana,-40.0",  # non-numeric
+        "a1,a2,3",  # wrong field count
+        "a2,a3,4,-41.0,7",  # wrong field count
+        "a3,a3,5,-40.0",  # self link
+    ]
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("\n".join(lines[:first_record] + malformed + lines[first_record:]))
+    args = ["--aggregator", "median", "--keep-fraction", "1.0", "--seed", "3", "--threads", "1"]
+    assert _run(["localize", str(clean), "--out", str(tmp_path / "a"), *args]) == 0
+    capsys.readouterr()
+    assert _run(["localize", str(dirty), "--out", str(tmp_path / "b"), *args]) == 0
+    err = capsys.readouterr().err
+    numbers = [first_record + 1 + k for k in range(6)]
+    assert "6 malformed" in err
+    assert ", ".join(str(n) for n in numbers[:5]) in err
+    assert str(numbers[5]) not in err
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    record = manifest["diagnostics"]["parse_errors"]
+    assert record["count"] == 6
+    assert [e["line"] for e in record["first"]] == numbers[:5]
+    assert "unknown sensor id" in record["first"][0]["message"]
+    # malformed rows are skipped, so the positions do not change
+    assert (tmp_path / "a" / "positions.csv").read_bytes() == (
+        tmp_path / "b" / "positions.csv"
+    ).read_bytes()
+    clean_manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert clean_manifest["diagnostics"]["parse_errors"] == {"count": 0, "first": []}

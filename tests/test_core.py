@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordinal_unloc.core import (
+    ComparisonTensor,
     DistanceMatrix,
     GroundTruthUnavailable,
     IllPosedWarning,
@@ -144,3 +145,31 @@ def test_matrices_are_immutable():
     d = pairwise_distances(SensorField(2, [(0, 0), (3, 4), (1, 1)]))
     with pytest.raises(ValueError):
         d.values[0, 1] = 7.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distance_matrix_rejects_non_finite(bad):
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    d[1, 2] = d[2, 1] = bad
+    with pytest.raises(InputError, match=r"\(1, 2\) is not finite"):
+        DistanceMatrix(d, 2)
+
+
+def test_comparison_tensor_copies_caller_arrays():
+    a = np.zeros((3, 3, 3), dtype=np.int8)
+    tensor = ComparisonTensor(a, 2)
+    a[0, 1, 2] = 1
+    assert tensor.values[0, 1, 2] == 0
+    # a read-only view of a writeable array is copied too
+    view = a.view()
+    view.flags.writeable = False
+    tensor = ComparisonTensor(view, 2)
+    a[0, 1, 2] = -1
+    assert tensor.values[0, 1, 2] == 1
+    assert not tensor.values.flags.writeable
+
+
+def test_comparison_tensor_keeps_read_only_int8_array():
+    a = np.zeros((3, 3, 3), dtype=np.int8)
+    a.flags.writeable = False
+    assert ComparisonTensor(a, 2).values is a

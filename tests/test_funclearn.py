@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from ordinal_unloc.funclearn import (
 )
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
 from ordinal_unloc.rank import aggregate_proximities
+from reference_solvers import reference_fit, reference_preliminary, reference_recalibrate
 
 
 def test_fit_exact_line():
@@ -153,3 +156,70 @@ def test_shape_mismatches_rejected():
     bad_psi = ProximityMatrix(np.zeros((4, 4)), 3)
     with pytest.raises(InputError):
         recalibrate(bad_psi, prelim)
+
+
+# -- column-wise fits against the per-column reference loops ---------------
+
+
+def _with_degenerate_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sum(w.category is DegenerateFitWarning for w in caught)
+
+
+def _assert_same_estimates(got, expected):
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.flagged_anchors == expected.flagged_anchors
+    assert got.stage == expected.stage
+
+
+@pytest.mark.parametrize("case", ["plain", "constant", "negative", "all-constant", "nan-anchor"])
+def test_columnwise_fits_match_reference(case):
+    rng = np.random.default_rng(len(case))
+    for m, n, sigma in [(5, 1, 0.0), (10, 3, 0.1), (20, 1, 0.5), (21, 2, 3.0), (2, 1, 0.0)]:
+        d, psi = _pipeline_inputs(rng, m=m, n=n, sigma=sigma)
+        values = psi.values.copy()
+        d_y = d.block("Y").copy()
+        if case == "constant":
+            values[:, rng.integers(m)] = 0.25  # constant proximity column
+        elif case == "negative":
+            k = rng.integers(m)
+            values[:m, k] = -values[:m, k]  # fit slope comes out negative
+        elif case == "all-constant":
+            values[:] = 0.5
+        elif case == "nan-anchor" and m > 2:
+            d_y[:, 1] = np.nan  # the anchor's fit fails and it is flagged
+        psi = ProximityMatrix(values, m)
+        prelim, warned = _with_degenerate_warnings(preliminary_distances, psi, d_y)
+        expected, expected_warned = _with_degenerate_warnings(reference_preliminary, psi, d_y)
+        _assert_same_estimates(prelim, expected)
+        assert warned == expected_warned
+        if case in ("constant", "all-constant"):
+            assert warned >= 1
+        final, warned = _with_degenerate_warnings(recalibrate, psi, prelim)
+        expected, expected_warned = _with_degenerate_warnings(reference_recalibrate, psi, prelim)
+        _assert_same_estimates(final, expected)
+        assert warned == expected_warned
+        if case == "nan-anchor" and m > 2:
+            assert prelim.flagged_anchors == (1,)
+
+
+def test_degenerate_warning_counts_per_column():
+    rng = np.random.default_rng(31)
+    d, psi = _pipeline_inputs(rng, m=6, n=1)
+    values = psi.values.copy()
+    values[:, [1, 4]] = 0.0
+    broken = ProximityMatrix(values, psi.n_anchors)
+    _, warned = _with_degenerate_warnings(preliminary_distances, broken, d.block("Y"))
+    _, expected = _with_degenerate_warnings(reference_preliminary, broken, d.block("Y"))
+    assert warned == expected == 2
+
+
+def test_fit_linear_map_matches_reference():
+    rng = np.random.default_rng(32)
+    for size in (2, 3, 7, 8, 9, 20, 21, 380):
+        psi = rng.normal(size=size)
+        for d in (1.5 + 0.7 * psi + 0.1 * rng.normal(size=size), 2.0 - psi, np.full(size, 0.3)):
+            got, expected = fit_linear_map(psi, d), reference_fit(psi, d)
+            assert (got.offset, got.slope) == (expected.offset, expected.slope)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -274,3 +275,34 @@ def test_tensor_from_signals_matches_dense_oracle(monkeypatch, n, block_slices, 
         assert z.dtype == np.int8 and z.shape == (n, n, n)
         assert z.tobytes() == expected.tobytes()
         assert messages == expected_messages
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        tensor = build()
+        return tracemalloc.get_traced_memory()[1], tensor
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_tensor_from_distances_peak_memory(sigma):
+    rng = np.random.default_rng(40)
+    pts = rng.uniform(size=(200, 2))
+    d = DistanceMatrix(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)), 180)
+    peak, tensor = _peak_bytes(
+        lambda: tensor_from_distances(d, ComparisonNoiseModel(sigma), np.random.default_rng(1))
+    )
+    # the int8 tensor is handed over without a copy, and block temporaries
+    # stay well below the tensor's own bytes
+    assert peak < 1.6 * tensor.values.nbytes
+    assert not tensor.values.flags.writeable
+
+
+def test_tensor_from_signals_peak_memory():
+    rng = np.random.default_rng(41)
+    values = rng.normal(size=(200, 200))
+    S = SignalMatrix(values + values.T, increasing_with_distance=True, n_anchors=180)
+    peak, tensor = _peak_bytes(lambda: tensor_from_signals(S))
+    assert peak < 1.6 * tensor.values.nbytes

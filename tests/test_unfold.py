@@ -1,19 +1,25 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinal_unloc import unfold
 from ordinal_unloc.core import ConfigError, IllPosedWarning, InputError
 from ordinal_unloc.funclearn import EstimatedDistanceMatrix
 from ordinal_unloc.unfold import (
     LocalizationResult,
     SolverOptions,
+    UnfoldingProblem,
     localize_all,
+    solve_unfolding,
     unfolding_cost,
     unfolding_gradient,
     unloc_localize,
-    with_seed,
 )
+from reference_solvers import reference_localize
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -127,23 +133,11 @@ def test_input_validation():
         SolverOptions(gradient_tolerance=0.0)
 
 
-def test_with_seed_replaces_only_seed():
-    opts = with_seed(SolverOptions(restarts=5), 42)
-    assert opts.seed == 42 and opts.restarts == 5
-
-
 def test_localize_all_squares_by_default():
     x_true = np.array([0.4, 0.8])
     d = np.sqrt(_delta(SQUARE, x_true))
     est = EstimatedDistanceMatrix(d[:, None], "recalibrated")
     (result,) = localize_all(SQUARE, est)
-    np.testing.assert_allclose(result.position, x_true, atol=1e-7)
-
-
-def test_localize_all_raw_variant():
-    x_true = np.array([0.4, 0.8])
-    est = EstimatedDistanceMatrix(_delta(SQUARE, x_true)[:, None], "recalibrated")
-    (result,) = localize_all(SQUARE, est, square_distances=False)
     np.testing.assert_allclose(result.position, x_true, atol=1e-7)
 
 
@@ -169,3 +163,160 @@ def test_result_arrays_immutable():
     assert isinstance(result, LocalizationResult)
     with pytest.raises(ValueError):
         result.position[0] = 0.0
+
+
+# -- batched solver against the per-problem reference ----------------------
+
+
+def _assert_same(result, expected):
+    assert result.position.tobytes() == expected.position.tobytes()
+    assert result.restart_costs.tobytes() == expected.restart_costs.tobytes()
+    assert np.float64(result.cost).tobytes() == np.float64(expected.cost).tobytes()
+    assert result.iterations == expected.iterations
+    assert result.winning_restart == expected.winning_restart
+    assert result.converged == expected.converged
+    assert result.well_posed == expected.well_posed
+
+
+def _reference(problem, opts):
+    return reference_localize(
+        problem.anchors, problem.delta, replace(opts, seed=problem.seed), problem.column
+    )
+
+
+def _random_problems(rng, anchor_counts, noise, q=2):
+    problems = []
+    for k, m in enumerate(anchor_counts):
+        anchors = rng.uniform(0, 1, (m, q))
+        delta = _delta(anchors, rng.uniform(0, 1, q))
+        delta = delta + rng.normal(0.0, noise, m) if noise else delta
+        problems.append(UnfoldingProblem(anchors, delta, int(rng.integers(2**63)), k % 3))
+    return problems
+
+
+_OPTIONS = {
+    "default": SolverOptions(),
+    "one-restart": SolverOptions(restarts=1),
+    "capped": SolverOptions(max_iterations=3),
+}
+
+
+@pytest.mark.filterwarnings("ignore::ordinal_unloc.core.IllPosedWarning")
+@pytest.mark.parametrize("options", list(_OPTIONS))
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 20])
+def test_batched_solver_matches_reference(m, noise, options):
+    opts = _OPTIONS[options]
+    rng = np.random.default_rng(1000 * m + int(10 * noise))
+    problems = _random_problems(rng, [m] * 12, noise)
+    results = solve_unfolding(problems, opts)
+    for problem, result in zip(problems, results):
+        _assert_same(result, _reference(problem, opts))
+    if options == "capped" and m >= 3:
+        # the cap is reached, so rows are still active when the loop ends
+        assert max(r.iterations for r in results) == opts.max_iterations
+
+
+@pytest.mark.filterwarnings("ignore::ordinal_unloc.core.IllPosedWarning")
+def test_mixed_batch_matches_each_problem_alone():
+    rng = np.random.default_rng(21)
+    counts = [5, 20, 3, 5, 2, 20, 3, 10, 5, 1]
+    problems = _random_problems(rng, counts, 0.1) + _random_problems(rng, counts, 0.0, q=3)
+    problems.insert(4, None)
+    opts = SolverOptions(restarts=4)
+    results = solve_unfolding(problems, opts)
+    assert results[4] is None
+    for problem, result in zip(problems, results):
+        if problem is None:
+            continue
+        (alone,) = solve_unfolding([problem], opts)
+        _assert_same(result, alone)
+        _assert_same(result, _reference(problem, opts))
+
+
+def test_wide_batch_matches_reference():
+    rng = np.random.default_rng(22)
+    problems = _random_problems(rng, [380] * 4, 0.05)
+    for problem, result in zip(problems, solve_unfolding(problems)):
+        _assert_same(result, _reference(problem, SolverOptions()))
+
+
+def test_unloc_localize_matches_reference():
+    rng = np.random.default_rng(23)
+    anchors = rng.uniform(0, 1, (7, 2))
+    delta = rng.uniform(0, 1.5, 7)
+    opts = SolverOptions(seed=5)
+    _assert_same(
+        unloc_localize(anchors, delta, opts, column=2),
+        reference_localize(anchors, delta, opts, column=2),
+    )
+
+
+def _ill_posed_warnings(solve):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = solve()
+    return results, sum(w.category is IllPosedWarning for w in caught)
+
+
+def test_ill_posed_warning_once_per_problem():
+    rng = np.random.default_rng(24)
+    anchors = rng.uniform(0, 1, (2, 2))
+    d = np.sqrt(_delta(anchors, rng.uniform(0, 1, 2)))[:, None] * [1.0, 1.1, 0.9]
+    est = EstimatedDistanceMatrix(d, "recalibrated")
+    results, count = _ill_posed_warnings(lambda: localize_all(anchors, est, SolverOptions(seed=3)))
+    expected, expected_count = _ill_posed_warnings(
+        lambda: [
+            reference_localize(anchors, d[:, j] ** 2, SolverOptions(seed=3), j) for j in range(3)
+        ]
+    )
+    assert count == expected_count == 3
+    for result, reference in zip(results, expected):
+        _assert_same(result, reference)
+
+
+def test_localize_all_non_finite_column_gives_none():
+    rng = np.random.default_rng(25)
+    anchors = rng.uniform(0, 1, (5, 2))
+    d = np.sqrt(np.stack([_delta(anchors, rng.uniform(0, 1, 2)) for _ in range(3)], axis=1))
+    d[2, 1] = 1e200  # finite estimate whose square overflows
+    est = EstimatedDistanceMatrix(d, "recalibrated")
+    results = localize_all(anchors, est, SolverOptions(seed=4))
+    assert results[1] is None
+    for j in (0, 2):
+        expected = reference_localize(anchors, d[:, j] ** 2, SolverOptions(seed=4), j)
+        _assert_same(results[j], expected)
+
+
+def test_singular_step_falls_back_per_problem():
+    eye = np.eye(2)
+    systems = np.stack([eye, 2 * eye, np.ones((2, 2)), eye])
+    grad = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 1.0], [5.0, 6.0]])
+    owner = np.array([0, 0, 1, 1])
+    step = unfold._lstsq_fallback(systems, grad, owner)
+    # problem 0 solves normally; problem 1 has a singular row, so all its
+    # rows take least-squares steps
+    solved = np.linalg.solve(systems[:2], -grad[:2, :, None])[:, :, 0]
+    np.testing.assert_array_equal(step[:2], solved)
+    for i in (2, 3):
+        expected = np.linalg.lstsq(systems[i], -grad[i], rcond=None)[0]
+        assert step[i].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e6])
+def test_polish_gradient_norms_match_single_vector_norm(tolerance):
+    # the polish and the converged flag compare np.linalg.norm of one
+    # gradient vector (a BLAS dot), which differs in the last bit from
+    # norm(axis=1) on about one 2-vector in twelve
+    rng = np.random.default_rng(26)
+    anchors = rng.uniform(0, 1, (3, 6, 2))
+    delta = rng.uniform(0, 1, (3, 6))
+    owner = np.repeat(np.arange(3), 100)
+    x = rng.uniform(-1, 2, (300, 2))
+    opts = SolverOptions(gradient_tolerance=tolerance)
+    cost = np.array([unfolding_cost(p, anchors[o], delta[o]) for p, o in zip(x, owner)])
+    points, costs, gnorm = unfold._newton_polish(anchors, delta, owner, x, cost, opts)
+    for p, c, g, o in zip(points, costs, gnorm, owner):
+        expected = np.linalg.norm(unfolding_gradient(p, anchors[o], delta[o]))
+        assert g.tobytes() == expected.tobytes()
+        assert c == unfolding_cost(p, anchors[o], delta[o])
