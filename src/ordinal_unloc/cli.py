@@ -31,7 +31,7 @@ from .bench import (
     run_benchmark,
     toa_comparison_suite,
 )
-from .core import ConfigError, InputError, OrdinalUnlocError, read_sensor_field
+from .core import ConfigError, InputError, OrdinalUnlocError, SensorField, read_sensor_field
 from .ingest import (
     DEFAULT_KEEP_FRACTION,
     measurement_signal_matrix,
@@ -40,8 +40,8 @@ from .ingest import (
     select_strong_links,
 )
 from .ordinal import tensor_from_signals
-from .pipeline import localize_from_tensor
-from .unfold import SolverOptions
+from .pipeline import estimate_from_tensor
+from .unfold import SolverOptions, column_problems, solve_unfolding
 
 DEFAULT_TOA_NOISE_GRID = tuple(float(v) for v in np.logspace(-2, 2, 7))
 _REPORTED_PARSE_ERRORS = 5  # malformed rows named on stderr and in the manifest
@@ -286,13 +286,30 @@ def _positions_csv(field, estimates_per_target, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _override_field(field, override):
+    """The ``--field`` anchor coordinates in roster order, under the
+    roster's ids; the override must name the roster's anchors and targets."""
+    if set(override.anchor_ids) != set(field.anchor_ids):
+        raise InputError("--field anchor ids do not match the measurement roster")
+    if set(override.target_ids) != set(field.target_ids):
+        raise InputError("--field target ids do not match the measurement roster")
+    row = {sensor_id: k for k, sensor_id in enumerate(override.anchor_ids)}
+    return SensorField(
+        override.dimension,
+        override.anchors[[row[sensor_id] for sensor_id in field.anchor_ids]],
+        declared_targets=field.n,
+        anchor_ids=field.anchor_ids,
+        target_ids=field.target_ids,
+    )
+
+
 def cmd_localize(args) -> int:
     if args.aggregator not in ("median", "mean", "sample"):
         raise ConfigError(f"unknown aggregator {args.aggregator!r}")
     if not (0 < args.keep_fraction <= 1):
         raise ConfigError(f"keep-fraction must be in (0, 1], got {args.keep_fraction}")
-    ms = parse_measurements(args.measurements)
-    parse_errors = ms.parse_errors
+    parsed = parse_measurements(args.measurements)
+    parse_errors = parsed.parse_errors
     if parse_errors:
         lines = ", ".join(str(e.line) for e in parse_errors[:_REPORTED_PARSE_ERRORS])
         print(
@@ -300,15 +317,12 @@ def cmd_localize(args) -> int:
             f"first at line(s) {lines}",
             file=sys.stderr,
         )
-    field = ms.field
+    field = parsed.field
     if args.field is not None:
-        override = read_sensor_field(args.field)
-        if set(override.anchor_ids) != set(field.anchor_ids):
-            raise InputError("--field anchor ids do not match the measurement roster")
-        field = override
+        field = _override_field(field, read_sensor_field(args.field))
     if field.m < 2:
         raise InputError(f"need at least 2 anchors, roster has {field.m}")
-    ms = select_strong_links(ms, args.keep_fraction)
+    ms = select_strong_links(parsed, args.keep_fraction)
     seed = args.resolved_seed
     opts = SolverOptions(restarts=args.restarts, seed=seed)
 
@@ -325,15 +339,17 @@ def cmd_localize(args) -> int:
         matrices = [measurement_signal_matrix(ms, args.aggregator)]
         labels = [args.aggregator]
 
-    estimates_per_target = [[] for _ in range(field.n)]
-    any_failed = False
+    # every sample's problems in one solver batch; restart streams are keyed
+    # by (seed, column), so each result is the one a per-sample solve gives
+    problems = []
     for sig in matrices:
-        results, _ = localize_from_tensor(tensor_from_signals(sig), field.anchors, opts)
-        for t, res in enumerate(results):
-            if res is None:
-                any_failed = True
-                continue
-            estimates_per_target[t].append(res.position)
+        d_hat = estimate_from_tensor(tensor_from_signals(sig), field.anchors)
+        problems += column_problems(field.anchors, d_hat, seed)
+    results = solve_unfolding(problems, opts)
+    estimates_per_target = [[] for _ in range(field.n)]
+    for k, res in enumerate(results):
+        if res is not None:
+            estimates_per_target[k % field.n].append(res.position)
     if any(len(rows) == 0 for rows in estimates_per_target):
         raise OrdinalUnlocError("localization failed for at least one target")
 
@@ -344,6 +360,9 @@ def cmd_localize(args) -> int:
         "aggregator": args.aggregator,
         "restarts": args.restarts,
     }
+    missing = matrices[0].missing
+    links = missing.shape[0] * (missing.shape[0] - 1)
+    missing_links = int(missing.sum()) - missing.shape[0]
     manifest = _manifest_stub("localize", config, seed)
     manifest["diagnostics"] = {
         "parse_errors": {
@@ -352,14 +371,21 @@ def cmd_localize(args) -> int:
                 {"line": e.line, "message": e.message}
                 for e in parse_errors[:_REPORTED_PARSE_ERRORS]
             ],
-        }
+        },
+        "records": {
+            "parsed": len(parsed.records),
+            "kept": len(ms.records),
+            "pooled_links": (links - missing_links) // 2,
+            "missing_link_frac": missing_links / links,
+            "samples": len(matrices),
+        },
     }
     _write_outputs(
         Path(args.out),
         {"positions.csv": _positions_csv(field, estimates_per_target, labels)},
         manifest,
     )
-    return 3 if any_failed else 0
+    return 3 if any(res is None for res in results) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

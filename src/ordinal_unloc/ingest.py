@@ -11,13 +11,22 @@ out of scope.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+import csv
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import InputError, SensorField, _iter_csv_rows, _parse_sensor_rows, _roster_to_field
+from .core import (
+    InputError,
+    SensorField,
+    _frozen,
+    _iter_csv_rows,
+    _parse_sensor_rows,
+    _roster_to_field,
+)
 from .ordinal import SignalMatrix
 
 SEPARATOR = "---"
@@ -40,27 +49,103 @@ class RowError:
     message: str
 
 
-@dataclass(frozen=True)
+# MeasurementSet columns and their dtypes
+_COLUMNS = (
+    ("tx", np.intp),
+    ("rx", np.intp),
+    ("timestamp_ms", float),
+    ("rssi_dbm", float),
+    ("line", np.intp),
+)
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Roster plus RSSI records; malformed rows live in ``parse_errors``."""
+    """Roster plus RSSI records held as columns; malformed rows live in
+    ``parse_errors``.
+
+    Entry k of each column belongs to the k-th record in file order:
+    ``tx`` and ``rx`` index ``sensor_ids`` (anchors first) and ``line`` is
+    the record's line number.  ``records`` shows the same records as
+    ``MeasurementRecord`` objects.
+    """
 
     field: SensorField
-    records: tuple[MeasurementRecord, ...]
+    tx: np.ndarray
+    rx: np.ndarray
+    timestamp_ms: np.ndarray
+    rssi_dbm: np.ndarray
+    line: np.ndarray
     parse_errors: tuple[RowError, ...] = ()
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS:
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        shapes = {getattr(self, name).shape for name, _ in _COLUMNS}
+        if len(shapes) != 1 or self.line.ndim != 1:
+            raise InputError("measurement columns must be 1-D and of equal length")
 
     @property
     def sensor_ids(self) -> tuple[str, ...]:
         return self.field.anchor_ids + self.field.target_ids
 
-    def index_of(self, sensor_id: str) -> int:
-        return self.sensor_ids.index(sensor_id)
+    @property
+    def records(self) -> Sequence[MeasurementRecord]:
+        return _RecordView(self)
+
+    def _take(self, rows: np.ndarray) -> MeasurementSet:
+        columns = {name: getattr(self, name)[rows] for name, _ in _COLUMNS}
+        return MeasurementSet(self.field, parse_errors=self.parse_errors, **columns)
+
+
+class _RecordView(Sequence):
+    """Read-only ``MeasurementRecord`` sequence over a set's columns; its
+    length costs nothing and records are built only when read."""
+
+    def __init__(self, ms: MeasurementSet):
+        self._ms = ms
+
+    def __len__(self) -> int:
+        return self._ms.line.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        ms, k = self._ms, operator.index(k)
+        ids = ms.sensor_ids
+        return MeasurementRecord(
+            ids[ms.tx[k]],
+            ids[ms.rx[k]],
+            float(ms.timestamp_ms[k]),
+            float(ms.rssi_dbm[k]),
+            int(ms.line[k]),
+        )
+
+    def __iter__(self):
+        ms = self._ms
+        ids = ms.sensor_ids
+        columns = (ms.tx, ms.rx, ms.timestamp_ms, ms.rssi_dbm, ms.line)
+        for tx, rx, ts, rssi, line in zip(*(c.tolist() for c in columns)):
+            yield MeasurementRecord(ids[tx], ids[rx], ts, rssi, line)
 
 
 def parse_measurements(path) -> MeasurementSet:
-    """Parse a measurement file; raises InputError on structural problems,
-    collects malformed record rows with line numbers instead of aborting."""
+    """Parse a measurement file; raises InputError on structural problems
+    and on non-finite readings, collects malformed record rows with line
+    numbers instead of aborting."""
     text = Path(path).read_text(encoding="utf-8")
     return parse_measurement_text(text)
+
+
+def _record_rows(lines, first_line):
+    """(line_no, cells) for non-blank, non-comment lines, as
+    ``core._iter_csv_rows`` yields them.  Without a quote character the csv
+    reader's cells are the comma-separated pieces, so only quoted lines go
+    through it."""
+    for line_no, line in enumerate(lines, first_line):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, next(csv.reader([line])) if '"' in line else line.split(",")
 
 
 def parse_measurement_text(text: str) -> MeasurementSet:
@@ -78,35 +163,55 @@ def parse_measurement_text(text: str) -> MeasurementSet:
     entries, q = _parse_sensor_rows(roster_rows[1:], dimension_hint=len(header) - 2)
     # anchors-first ordering regardless of file order
     field = _roster_to_field(entries, q)
-    known = set(field.anchor_ids) | set(field.target_ids)
+    index = {s: k for k, s in enumerate(field.anchor_ids + field.target_ids)}
 
-    record_rows = list(_iter_csv_rows("\n".join(lines[sep_at + 1 :]), first_line=sep_at + 2))
-    records: list[MeasurementRecord] = []
+    rows = _record_rows(lines[sep_at + 1 :], first_line=sep_at + 2)
+    tx, rx, stamps, powers, line_nos = [], [], [], [], []
     errors: list[RowError] = []
-    if record_rows:
-        line_no, cells = record_rows[0]
+    first = next(rows, None)
+    if first is not None:
+        line_no, cells = first
         if tuple(c.strip().lower() for c in cells) != RECORD_HEADER:
             raise InputError(f"line {line_no}: expected header {','.join(RECORD_HEADER)}")
-        for line_no, cells in record_rows[1:]:
-            cells = [c.strip() for c in cells]
-            if len(cells) != 4:
-                errors.append(RowError(line_no, "expected 4 fields"))
-                continue
-            tx, rx = cells[0], cells[1]
-            bad = next((s for s in (tx, rx) if s not in known), None)
-            if bad is not None:
-                errors.append(RowError(line_no, f"unknown sensor id {bad!r}"))
-                continue
-            if tx == rx:
-                errors.append(RowError(line_no, "self link"))
-                continue
-            try:
-                ts, rssi = float(cells[2]), float(cells[3])
-            except ValueError:
-                errors.append(RowError(line_no, "non-numeric field"))
-                continue
-            records.append(MeasurementRecord(tx, rx, ts, rssi, line_no))
-    return MeasurementSet(field, tuple(records), tuple(errors))
+    for line_no, cells in rows:
+        if len(cells) != 4:
+            errors.append(RowError(line_no, "expected 4 fields"))
+            continue
+        tx_id, rx_id = cells[0].strip(), cells[1].strip()
+        i, j = index.get(tx_id), index.get(rx_id)
+        if i is None or j is None:
+            bad = tx_id if i is None else rx_id
+            errors.append(RowError(line_no, f"unknown sensor id {bad!r}"))
+            continue
+        if i == j:
+            errors.append(RowError(line_no, "self link"))
+            continue
+        try:
+            ts, rssi = float(cells[2].strip()), float(cells[3].strip())
+        except ValueError:
+            errors.append(RowError(line_no, "non-numeric field"))
+            continue
+        tx.append(i)
+        rx.append(j)
+        stamps.append(ts)
+        powers.append(rssi)
+        line_nos.append(line_no)
+    ms = MeasurementSet(field, tx, rx, stamps, powers, line_nos, tuple(errors))
+    # a NaN compares false both ways and would corrupt the selection order
+    finite = np.isfinite(ms.timestamp_ms) & np.isfinite(ms.rssi_dbm)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        name = "rssi_dbm" if np.isfinite(ms.timestamp_ms[k]) else "timestamp_ms"
+        raise InputError(f"line {ms.line[k]}: {name} {getattr(ms, name)[k]} is not finite")
+    return ms
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a sorted array."""
+    change = np.ones(keys.size, dtype=bool)
+    change[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.diff(starts, append=keys.size)
 
 
 def select_strong_links(ms: MeasurementSet, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> MeasurementSet:
@@ -114,38 +219,31 @@ def select_strong_links(ms: MeasurementSet, keep_fraction: float = DEFAULT_KEEP_
     RSSI (ties resolved by timestamp order); record order is preserved."""
     if not 0 < keep_fraction <= 1:
         raise InputError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    by_link: dict[tuple[str, str], list[int]] = {}
-    for idx, rec in enumerate(ms.records):
-        by_link.setdefault((rec.tx, rec.rx), []).append(idx)
-    kept: set[int] = set()
-    for indices in by_link.values():
-        n_keep = math.ceil(keep_fraction * len(indices))
-        # stable sort on descending RSSI preserves timestamp order for ties
-        ordered = sorted(indices, key=lambda i: -ms.records[i].rssi_dbm)
-        kept.update(ordered[:n_keep])
-    retained = tuple(rec for idx, rec in enumerate(ms.records) if idx in kept)
-    return replace(ms, records=retained)
+    link = ms.tx * len(ms.sensor_ids) + ms.rx
+    # stable: within a link, strongest first and equal RSSI in record order
+    order = np.lexsort((-ms.rssi_dbm, link))
+    starts, counts = _runs(link[order])
+    n_keep = np.ceil(keep_fraction * counts)  # the float64 product math.ceil would round
+    rank = np.arange(order.size) - np.repeat(starts, counts)
+    return ms._take(np.sort(order[rank < np.repeat(n_keep, counts)]))
 
 
 def _pooled_links(ms: MeasurementSet):
-    """Records pooled per unordered pair, ordered by (timestamp, line)."""
-    pools: dict[tuple[int, int], list[MeasurementRecord]] = {}
-    index = {s: i for i, s in enumerate(ms.sensor_ids)}
-    for rec in ms.records:
-        i, j = index[rec.tx], index[rec.rx]
-        key = (min(i, j), max(i, j))
-        pools.setdefault(key, []).append(rec)
-    for pool in pools.values():
-        pool.sort(key=lambda r: (r.timestamp_ms, r.line))
-    return pools
+    """Records pooled per unordered pair (i < j), each pool ordered by
+    (timestamp, line): the permutation ``order`` of the records and, per
+    pool, its start in ``order``, its length and its pair."""
+    lo, hi = np.minimum(ms.tx, ms.rx), np.maximum(ms.tx, ms.rx)
+    pair = lo * len(ms.sensor_ids) + hi
+    order = np.lexsort((ms.line, ms.timestamp_ms, pair))
+    starts, counts = _runs(pair[order])
+    heads = order[starts]
+    return order, starts, counts, lo[heads], hi[heads]
 
 
 def min_link_sample_count(ms: MeasurementSet) -> int:
     """Smallest pooled record count over links that have any records."""
-    pools = _pooled_links(ms)
-    if not pools:
-        return 0
-    return min(len(pool) for pool in pools.values())
+    _, _, counts, _, _ = _pooled_links(ms)
+    return int(counts.min()) if counts.size else 0
 
 
 def measurement_signal_matrix(
@@ -159,31 +257,33 @@ def measurement_signal_matrix(
     pooled link's ``sample_index``-th record (1-based) and errors if any
     link has fewer.  Links without records are masked.
     """
-    if not ms.records:
+    if not ms.line.size:
         raise InputError("measurement set has no records")
     if aggregator not in ("median", "mean", "sample"):
         raise InputError(f"unknown aggregator {aggregator!r}")
     n = len(ms.sensor_ids)
+    order, starts, counts, i, j = _pooled_links(ms)
+    rssi = ms.rssi_dbm[order]
+    if aggregator == "sample":
+        if sample_index is None or sample_index < 1:
+            raise InputError("sample mode needs a 1-based sample_index")
+        short = np.flatnonzero(counts < sample_index)
+        if short.size:
+            # name the short pool whose first record comes first in the file
+            p = short[np.argmin(np.minimum.reduceat(order, starts)[short])]
+            raise InputError(
+                f"link {ms.sensor_ids[i[p]]}-{ms.sensor_ids[j[p]]} has only "
+                f"{counts[p]} retained records, needed {sample_index}"
+            )
+        pooled = rssi[starts + (sample_index - 1)]
+    else:
+        # one reduction per pool: a segmented sum could round differently
+        reduce = np.median if aggregator == "median" else np.mean
+        pooled = [reduce(rssi[s : s + c]) for s, c in zip(starts.tolist(), counts.tolist())]
     values = np.zeros((n, n))
     missing = np.ones((n, n), dtype=bool)
-    pools = _pooled_links(ms)
-    for (i, j), pool in pools.items():
-        rssi = [rec.rssi_dbm for rec in pool]
-        if aggregator == "median":
-            value = float(np.median(rssi))
-        elif aggregator == "mean":
-            value = float(np.mean(rssi))
-        else:
-            if sample_index is None or sample_index < 1:
-                raise InputError("sample mode needs a 1-based sample_index")
-            if len(rssi) < sample_index:
-                raise InputError(
-                    f"link {ms.sensor_ids[i]}-{ms.sensor_ids[j]} has only "
-                    f"{len(rssi)} retained records, needed {sample_index}"
-                )
-            value = rssi[sample_index - 1]
-        values[i, j] = values[j, i] = value
-        missing[i, j] = missing[j, i] = False
+    values[i, j] = values[j, i] = pooled
+    missing[i, j] = missing[j, i] = False
     return SignalMatrix(
         values, increasing_with_distance=False, n_anchors=ms.field.m, missing=missing
     )

@@ -334,3 +334,57 @@ def test_localize_reports_parse_errors(tmp_path, capsys):
     ).read_bytes()
     clean_manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert clean_manifest["diagnostics"]["parse_errors"] == {"count": 0, "first": []}
+
+
+def _localize_args(path, out, *extra):
+    return [
+        "localize", str(path), "--keep-fraction", "1.0", "--out", str(out),
+        "--seed", "3", "--restarts", "8", "--threads", "1", *extra,
+    ]
+
+
+def test_localize_field_override_matched_by_id(tmp_path):
+    # the same anchors listed in reverse order must not mirror the answer
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    override = tmp_path / "field.csv"
+    override.write_text(
+        "id,role,x,y\na4,anchor,0,5\na3,anchor,4,5\na2,anchor,4,0\na1,anchor,0,0\nt1,target,,\n"
+    )
+    assert _run(_localize_args(path, tmp_path / "plain")) == 0
+    assert _run(_localize_args(path, tmp_path / "over", "--field", str(override))) == 0
+    assert (tmp_path / "plain" / "positions.csv").read_bytes() == (
+        tmp_path / "over" / "positions.csv"
+    ).read_bytes()
+
+
+def test_localize_field_override_without_targets(tmp_path, capsys):
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    override = tmp_path / "field.csv"
+    override.write_text("id,role,x,y\na1,anchor,0,0\na2,anchor,4,0\na3,anchor,4,5\na4,anchor,0,5\n")
+    code = _run(_localize_args(path, tmp_path / "o", "--field", str(override)))
+    assert code == 2
+    assert "target ids" in capsys.readouterr().err
+
+
+def test_localize_manifest_records_counts(tmp_path):
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    lines = path.read_text().split("\n")
+    # drop every read of the a1-t1 pair: 54 of 60 records remain, 9 of 10 links
+    kept = [line for line in lines if not line.startswith(("a1,t1,", "t1,a1,"))]
+    path.write_text("\n".join(kept))
+    out = tmp_path / "o"
+    assert _run(_localize_args(path, out, "--keep-fraction", "0.5")) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # ceil(0.5 * 3) = 2 reads kept per directed link, so 4 samples per pair
+    assert manifest["diagnostics"]["records"] == {
+        "parsed": 54,
+        "kept": 36,
+        "pooled_links": 9,
+        "missing_link_frac": 0.1,
+        "samples": 4,
+    }
+    labels = [line.split(",")[1] for line in (out / "positions.csv").read_text().split("\n")[1:-1]]
+    assert labels == ["1", "2", "3", "4", "average"]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import reference_ingest as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordinal_unloc.core import InputError, SensorField
 from ordinal_unloc.ingest import (
@@ -192,4 +195,121 @@ def test_write_round_trip_with_target_coords(tmp_path):
     write_measurement_file(path, field, [])
     again = parse_measurements(path)
     np.testing.assert_allclose(again.field.targets, [[0.25, 0.5]])
-    assert again.records == ()
+    assert len(again.records) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["timestamp_ms", "rssi_dbm"])
+def test_non_finite_reading_rejected_naming_its_line(column, value):
+    # a NaN among a link's reads used to reorder the strong-link selection
+    rows = ["a1,a2,0,-60", "a1,a2,1,-40", "a1,zz,2,-50", "a1,a2,3,-50"]
+    cells = rows[1].split(",")
+    cells[2 if column == "timestamp_ms" else 3] = value
+    rows[1] = ",".join(cells)
+    text = _text(records="\n".join(["tx_id,rx_id,timestamp_ms,rssi_dbm", *rows]))
+    with pytest.raises(InputError, match=f"^line 9: {column} {value} is not finite$"):
+        parse_measurement_text(text)
+
+
+def test_first_non_finite_record_in_file_order_is_named():
+    rows = ["a1,a2,0,-60", "a1,a2,inf,-40", "a1,a2,2,nan"]
+    text = _text(records="\n".join(["tx_id,rx_id,timestamp_ms,rssi_dbm", *rows]))
+    with pytest.raises(InputError, match="^line 9: timestamp_ms inf is not finite$"):
+        parse_measurement_text(text)
+
+
+def test_records_view_matches_columns():
+    ms = parse_measurement_text(_text())
+    records = ms.records
+    assert len(records) == ms.line.size == 6
+    assert records[-1] == MeasurementRecord("t1", "a3", 25.0, -47.0, 13)
+    assert records[1:3] == (records[1], records[2])
+    assert list(records) == [records[k] for k in range(6)]
+    assert [r.line for r in records] == ms.line.tolist()
+    with pytest.raises(IndexError):
+        records[6]
+    with pytest.raises(ValueError):
+        ms.rssi_dbm[0] = 0.0
+
+
+_IDS = ["a1", "a2", "a3", "t1", "t2"]
+_ROSTER = "id,role,x,y\nt1,target,,\na1,anchor,0,0\na2,anchor,4,0\nt2,target,,\na3,anchor,4,5"
+_NUMBERS = ["0", "1", "2.5", "1e-3", "1_0", "-0.0", "-40", "-40.0", "-4e1", "-4_0", "-41.5"]
+_BAD_NUMBERS = ["", "x", "1__0", "1,5", "-"]
+
+
+def _cell(text):
+    pad = st.sampled_from([""] * 6 + [" ", "\t", "\u00a0"])
+    quoted = st.sampled_from([False] * 5 + [True])
+    return st.tuples(pad, text, pad, quoted).map(
+        lambda t: t[0] + ('"' + t[1].replace('"', '""') + '"' if t[3] else t[1]) + t[2]
+    )
+
+
+def _row(*cells):
+    return st.tuples(*cells).map(",".join)
+
+
+_SENSOR = _cell(st.sampled_from(_IDS))
+_NUMBER = _cell(st.sampled_from(_NUMBERS))
+_GOOD = _row(_SENSOR, _SENSOR, _NUMBER, _NUMBER)
+_ANY_SENSOR = _cell(st.sampled_from(_IDS + ["zz", "a1,a2", "A1", ""]))
+_ANY_NUMBER = _cell(st.sampled_from(_NUMBERS + _BAD_NUMBERS))
+_BAD = st.one_of(
+    _row(_ANY_SENSOR, _ANY_SENSOR, _ANY_NUMBER, _ANY_NUMBER),
+    st.lists(_ANY_NUMBER, min_size=1, max_size=6).map(",".join),
+)
+_OTHER = st.sampled_from(["", "   ", "\t", "# note", "  # a1,a2,0,-40", "#,,,"])
+_LINE = st.one_of(*[_GOOD] * 6, _BAD, _OTHER)
+_HEADER = st.sampled_from(
+    ["tx_id,rx_id,timestamp_ms,rssi_dbm"] * 5
+    + [
+        " TX_ID , rx_id,timestamp_ms,RSSI_dbm ",
+        '"tx_id",rx_id,timestamp_ms,rssi_dbm',
+        "tx_id,rx_id,timestamp_ms",
+    ]
+)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        sig = fn(*args, **kwargs)
+    except InputError as exc:
+        return str(exc)
+    return sig.values.tobytes(), sig.missing.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.lists(st.sampled_from(["", "# comment", "  "]), max_size=2),
+    header=_HEADER,
+    body=st.integers(0, 60).flatmap(lambda n: st.lists(_LINE, min_size=n, max_size=n)),
+    tail=st.sampled_from(["", "\n", "\n\n  \n"]),
+)
+def test_columnar_ingest_matches_record_oracle(lead, header, body, tail):
+    text = _ROSTER + "\n---\n" + "\n".join([*lead, header, *body]) + tail
+    try:
+        expected = ref.parse_measurement_text(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            parse_measurement_text(text)
+        assert str(got.value) == str(exc)
+        return
+    ms = parse_measurement_text(text)
+    assert ms.sensor_ids == expected.sensor_ids
+    assert list(ms.records) == list(expected.records)
+    assert ms.parse_errors == expected.parse_errors
+    for keep in (0.2, 0.5, 1.0):
+        kept, kept_ref = select_strong_links(ms, keep), ref.select_strong_links(expected, keep)
+        assert list(kept.records) == list(kept_ref.records)
+        assert kept.parse_errors == kept_ref.parse_errors
+        assert min_link_sample_count(kept) == ref.min_link_sample_count(kept_ref)
+        for aggregator in ("median", "mean"):
+            assert _outcome(measurement_signal_matrix, kept, aggregator) == _outcome(
+                ref.measurement_signal_matrix, kept_ref, aggregator
+            )
+        longest = max((len(p) for p in ref._pooled_links(kept_ref).values()), default=0)
+        for k in [None, *range(longest + 2)]:
+            assert _outcome(measurement_signal_matrix, kept, "sample", sample_index=k) == _outcome(
+                ref.measurement_signal_matrix, kept_ref, "sample", sample_index=k
+            )
