@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, DistanceMatrix, InputError
+from .core import ConfigError, DistanceMatrix, InputError, point_distances
 from .ordinal import ComparisonNoiseModel, SignalMatrix, tensor_from_distances, tensor_from_signals
 from .pipeline import estimate_from_tensor
-from .signals import MIN_LINK_DISTANCE, RssModel, rss_power
+from .signals import MIN_LINK_DISTANCE, RssModel
 from .unfold import SolverOptions, UnfoldingProblem, column_problems, solve_unfolding
 
 EXPERIMENT_KINDS = ("ordinal", "rss", "toa")
@@ -115,7 +115,9 @@ class ExperimentResult:
 def kendall_tau(u, v) -> float:
     """Tau-a rank correlation: (concordant - discordant) / (L(L-1)/2).
 
-    Tied pairs in either vector contribute zero to the numerator.
+    Tied pairs in either vector contribute zero to the numerator.  The
+    full sign-product matrix counts every pair twice; its entries are small
+    integers, so the sum is exact and the doubled ratio is the same float.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -126,15 +128,7 @@ def kendall_tau(u, v) -> float:
         raise InputError(f"Kendall tau undefined for length {length}")
     du = np.sign(u[:, None] - u[None, :])
     dv = np.sign(v[:, None] - v[None, :])
-    iu = np.triu_indices(length, k=1)
-    return float((du * dv)[iu].sum() / (length * (length - 1) / 2))
-
-
-def _distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return d
+    return float((du * dv).sum() / (length * (length - 1)))
 
 
 def _symmetric_draws(n, draw, rng):
@@ -175,9 +169,9 @@ def _position_error_and_tau(results, d_hat, targets, d_true_yx):
     return float(np.mean(errs)), float(np.mean(taus)), flagged
 
 
-def _direct_problems(anchors, d_est, seed):
+def _direct_problems(anchors, d_est):
     """Baseline solves from direct distance estimates, one per target."""
-    return [UnfoldingProblem(anchors, d_est[:, j] ** 2, seed, j) for j in range(d_est.shape[1])]
+    return [UnfoldingProblem(anchors, d_est[:, j] ** 2) for j in range(d_est.shape[1])]
 
 
 def _ordinal_grid_point(config, m, sigma, rng):
@@ -185,12 +179,12 @@ def _ordinal_grid_point(config, m, sigma, rng):
     side = config.field_side
     anchors = rng.uniform(0, side, size=(m, 2))
     targets = rng.uniform(0, side, size=(n, 2))
-    solver_seed = int(rng.integers(2**63))
+    rng.integers(2**63)  # unused; keeps the later draws of the stream in place
     points = np.vstack([anchors, targets])
-    d_full = _distances(points)
+    d_full = point_distances(points)
     tensor = tensor_from_distances(DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
     d_hat = estimate_from_tensor(tensor, anchors)
-    problems = column_problems(anchors, d_hat, solver_seed)
+    problems = column_problems(anchors, d_hat)
     return [_MethodSolves(problems, d_hat.values, targets, d_full[:m, m:])]
 
 
@@ -206,29 +200,24 @@ def _rss_grid_point(config, m, rng):
         exponent_high=config.exponent_high,
     )
     points = np.vstack([anchors, targets])
-    d_full = _distances(points)
+    d_full = point_distances(points)
     d_true_yx = d_full[:m, m:]
     n_sensors = m + n
     exponents = _symmetric_draws(
         n_sensors, lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
     )
-    seeds = [int(rng.integers(2**63)) for _ in range(3)]
     d_safe = np.maximum(d_full, MIN_LINK_DISTANCE)
     power = model.transmit_power * model.hardware_gain * d_safe ** (-exponents)
 
     # (i) ordinal pipeline directly on raw powers
     sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
     d_hat = estimate_from_tensor(tensor_from_signals(sig), anchors)
-    problems = column_problems(anchors, d_hat, seeds[0])
-    methods = [_MethodSolves(problems, d_hat.values, targets, d_true_yx)]
+    methods = [_MethodSolves(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx)]
 
     # (ii) fixed calibration exponent, (iii) genie-aided per-link exponent
-    for method_idx, exps in enumerate(
-        (np.full((m, n), config.calibration_exponent), exponents[:m, m:])
-    ):
+    for exps in (np.full((m, n), config.calibration_exponent), exponents[:m, m:]):
         d_est = (model.transmit_power * model.hardware_gain / power[:m, m:]) ** (1.0 / exps)
-        problems = _direct_problems(anchors, d_est, seeds[1 + method_idx])
-        methods.append(_MethodSolves(problems, d_est, targets, d_true_yx))
+        methods.append(_MethodSolves(_direct_problems(anchors, d_est), d_est, targets, d_true_yx))
     return methods
 
 
@@ -240,10 +229,10 @@ def _toa_grid_point(config, m, normalized_variance, rng):
     anchors = rng.uniform(0, side, size=(m, 2))
     targets = rng.uniform(0, side, size=(n, 2))
     points = np.vstack([anchors, targets])
-    d_full = _distances(points)
+    d_full = point_distances(points)
     d_true_yx = d_full[:m, m:]
     n_sensors = m + n
-    seeds = [int(rng.integers(2**63)) for _ in range(2)]
+    rng.integers(2**63, size=2)  # unused; keeps the noise draws in place
     noise = _symmetric_draws(n_sensors, lambda r, k: r.normal(0.0, sigma_t, k), rng)
     toa = d_full / c + noise
 
@@ -251,8 +240,8 @@ def _toa_grid_point(config, m, normalized_variance, rng):
     d_hat = estimate_from_tensor(tensor_from_signals(sig), anchors)
     d_est = c * toa[:m, m:]
     return [
-        _MethodSolves(column_problems(anchors, d_hat, seeds[0]), d_hat.values, targets, d_true_yx),
-        _MethodSolves(_direct_problems(anchors, d_est, seeds[1]), d_est, targets, d_true_yx),
+        _MethodSolves(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx),
+        _MethodSolves(_direct_problems(anchors, d_est), d_est, targets, d_true_yx),
     ]
 
 

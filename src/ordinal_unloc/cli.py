@@ -113,7 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=_nonnegative_int, default=None)
         p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
-        p.add_argument("--restarts", type=_positive_int, default=8)
+        p.add_argument(
+            "--restarts",
+            type=_positive_int,
+            default=8,
+            help="validated but unused: the unfolding solver is exact",
+        )
 
     sim = sub.add_parser("simulate", help="ordinal-noise Monte-Carlo grid", epilog=_EPILOG)
     common(sim)
@@ -339,12 +344,11 @@ def cmd_localize(args) -> int:
         matrices = [measurement_signal_matrix(ms, args.aggregator)]
         labels = [args.aggregator]
 
-    # every sample's problems in one solver batch; restart streams are keyed
-    # by (seed, column), so each result is the one a per-sample solve gives
+    # every sample's problems in one solver batch
     problems = []
     for sig in matrices:
         d_hat = estimate_from_tensor(tensor_from_signals(sig), field.anchors)
-        problems += column_problems(field.anchors, d_hat, seed)
+        problems += column_problems(field.anchors, d_hat)
     results = solve_unfolding(problems, opts)
     estimates_per_target = [[] for _ in range(field.n)]
     for k, res in enumerate(results):

@@ -209,6 +209,15 @@ class ProximityMatrix:
         return _block_slice(self.values, self.n_anchors, which, transpose_xy=False)
 
 
+def point_distances(points) -> np.ndarray:
+    """Euclidean distances between the rows of ``points``, zero diagonal."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    diff = points[:, None, :] - points[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=-1))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def pairwise_distances(field: SensorField) -> DistanceMatrix:
     """Exact Euclidean distance matrix of a field with known coordinates."""
     if field.n > 0 and field.targets is None:
@@ -219,10 +228,7 @@ def pairwise_distances(field: SensorField) -> DistanceMatrix:
         pts = np.vstack([field.anchors, field.targets])
     else:
         pts = field.anchors
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(d, field.m)
+    return DistanceMatrix(point_distances(pts), field.m)
 
 
 def block_view(matrix: DistanceMatrix | ProximityMatrix, which: str) -> np.ndarray:

@@ -6,18 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import point_distances
 from .funclearn import EstimatedDistanceMatrix, estimate_distances
 from .rank import aggregate_proximities
 from .unfold import LocalizationResult, SolverOptions, localize_all
-
-
-def anchor_distance_block(anchors: np.ndarray) -> np.ndarray:
-    """Anchor-to-anchor distances from known coordinates."""
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    diff = anchors[:, None, :] - anchors[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def estimate_from_tensor(tensor, anchors: np.ndarray) -> EstimatedDistanceMatrix:
@@ -25,7 +17,7 @@ def estimate_from_tensor(tensor, anchors: np.ndarray) -> EstimatedDistanceMatrix
     anchor-to-target distance estimates of a comparison tensor."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     psi = aggregate_proximities(tensor)
-    return estimate_distances(psi, anchor_distance_block(anchors))
+    return estimate_distances(psi, point_distances(anchors))
 
 
 def localize_from_tensor(

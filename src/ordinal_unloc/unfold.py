@@ -1,14 +1,36 @@
 """Unfolding localization: recover a point from squared distances to anchors.
 
-The cost J(x) = sum_i (||x - y_i||^2 - delta_i)^2 is a quartic with
-possible local minima, so the solver runs a damped-Newton descent from
-multiple starts (anchor centroid plus uniform samples in the anchor
-bounding box) and keeps the best terminal point.
+The cost J(x) = sum_i (||x - y_i||^2 - delta_i)^2 is the squared-range
+least-squares (SR-LS) cost of Beck, Stoica & Li, "Exact and approximate
+solutions of source localization problems", IEEE Trans. Signal
+Processing 56(5), 2008.  With z = (x, ||x||^2), rows A_i = [-2 y_i^T, 1]
+and b_i = delta_i - ||y_i||^2, J = ||Az - b||^2 under the constraint
+z^T D z + 2 f^T z = 0 (D = diag(1, ..., 1, 0), f = (0, ..., 0, -1/2)):
+a generalized trust-region subproblem (More, Optim. Methods Softw. 1993)
+whose global minimum is z(lam) = (A^T A + lam D)^-1 (A^T b - lam f) at
+the root of a decreasing function of lam, phi(lam) = ||x(lam)||^2 - t(lam),
+on the interval where A^T A + lam D is positive definite.
 
-Every entry point goes through ``solve_unfolding``, which runs all
-(problem x restart) rows of the problems that share an anchor shape in
-one batch.  Each row gets the same arithmetic as its problem solved
-alone, so no result depends on what else shares its batch.
+With the anchors centred on their centroid, A^T A is block diagonal, 4 Y^T Y
+for x and m for t, so diagonalising Y^T Y = V diag(s) V^T diagonalises the
+pair (A^T A, D).  In the shifted variable u = lam + 4 min(s) > 0, and with
+e = 4 (s - min(s)) and beta = -2 V^T Y^T b,
+
+    x~(u) = beta / (u + e),   t(u) = ((u - 4 min(s)) / 2 + sum(b)) / m,
+    phi(u) = ||x~(u)||^2 - t(u),
+
+which is convex and decreasing, so safeguarded Newton steps find its
+root.  Singular Y^T Y (fewer than q + 1 anchors, collinear anchors) only
+moves the interval's end to u = 0.  When phi has no sign change there
+(the "hard case", beta vanishing on the eigenvectors of min(s) and
+phi <= 0 at u = 0), the solution is x~ at u = 0 plus a null-vector
+component that meets the constraint.  One Newton step on J itself then
+removes the roundoff that forming A^T A leaves with near-collinear anchors.
+
+Every problem reduces to these q-vectors whatever its anchor count, so
+``solve_unfolding`` solves all problems of a call in one batch.  Each
+problem's arithmetic touches only its own rows, so a result does not
+depend on what else shares its batch.
 """
 
 from __future__ import annotations
@@ -21,13 +43,25 @@ import numpy as np
 from .core import ConfigError, IllPosedWarning, InputError, _frozen
 from .funclearn import EstimatedDistanceMatrix
 
+# relative size below which an eigenvalue gap (or a curvature in the
+# Newton polish) counts as zero, and below which the component of beta on
+# the smallest eigenvalue's eigenvectors does (the hard case)
+_GAP_TOLERANCE = 1e-12
+_HARD_CASE_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """``max_iterations`` caps the root-finder's Newton steps, and the root
+    is accepted once ||grad J|| <= gradient_tolerance * (1 + J).
+
+    ``restarts`` and ``seed`` are validated but do not affect results: the
+    solver is exact and draws no random numbers.
+    """
+
     restarts: int = 8
     max_iterations: int = 500
     gradient_tolerance: float = 1e-9  # relative: ||grad|| <= tol * (1 + |J|)
-    initial_damping: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -35,12 +69,16 @@ class SolverOptions:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if not (self.gradient_tolerance > 0 and self.initial_damping > 0):
+        if not self.gradient_tolerance > 0:
             raise ConfigError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
 class LocalizationResult:
+    """``iterations`` counts the root-finder's steps (0 in the hard case),
+    ``converged`` says the root met its tolerance, ``winning_restart`` is
+    always 0 and ``restart_costs`` holds the one cost."""
+
     position: np.ndarray
     cost: float
     iterations: int
@@ -56,13 +94,10 @@ class LocalizationResult:
 
 @dataclass(frozen=True)
 class UnfoldingProblem:
-    """One target: anchors (m x q), squared-distance targets delta (m,),
-    and the (seed, column) key of its restart stream."""
+    """One target: anchors (m x q) and squared-distance targets delta (m,)."""
 
     anchors: np.ndarray
     delta: np.ndarray
-    seed: int = 0
-    column: int = 0
 
     def __post_init__(self):
         anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
@@ -106,196 +141,160 @@ def unfolding_gradient(x, anchors, delta) -> np.ndarray:
     return 4.0 * (r[:, None] * u).sum(axis=0)
 
 
-def _residuals(x, anchors, delta):
-    """Per-row offsets, residuals and cost; anchors and delta are per row."""
-    u = x[:, None, :] - anchors
-    r = (u**2).sum(axis=2) - delta
-    return u, r, (r**2).sum(axis=1)
+def _secular(u, beta, e, m, shift, sum_b):
+    """x~(u), ||x~(u)||^2, phi(u) and the next iterate per problem.
 
-
-def _gradients(u, r):
-    return 4.0 * (r[:, :, None] * u).sum(axis=1)
-
-
-def _hessians(u, r, eye):
-    return 4.0 * r.sum(axis=1)[:, None, None] * eye + 8.0 * np.matmul(u.transpose(0, 2, 1), u)
-
-
-def _row_norms(v):
-    """``np.linalg.norm(v, axis=1)``, by the formula it uses for real rows."""
-    return np.sqrt((v * v).sum(axis=1))
-
-
-def _dot_norms(v):
-    """Row norms as ``np.linalg.norm`` computes them for one vector (a BLAS
-    dot product), which can differ in the last bit from ``norm(axis=1)``."""
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
-
-
-def _lstsq_fallback(systems, grad, owner):
-    """Steps after a stacked solve met a singular matrix.  Each problem is
-    solved on its own rows, so a singular problem cannot change its
-    batch-mates; a problem with a singular row takes least-squares steps
-    on all its rows."""
-    step = np.empty_like(grad)
-    for p in np.unique(owner):
-        rows = owner == p
-        try:
-            step[rows] = np.linalg.solve(systems[rows], -grad[rows][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step[rows] = [
-                np.linalg.lstsq(a, -g, rcond=None)[0] for a, g in zip(systems[rows], grad[rows])
-            ]
-    return step
-
-
-def _descend(anchors, delta, owner, x, opts):
-    """Damped-Newton (Levenberg-style) descent over (problem x restart) rows.
-
-    ``owner`` maps each row to its problem in ``anchors`` (P, m, q) and
-    ``delta`` (P, m).  A row leaves the working arrays once its gradient
-    meets the relative tolerance or it stalls; it never changes after
-    that.  Returns final positions and costs per row, and per problem the
-    number of passes in which it had an active row.
+    Two Newton steps are taken and the larger kept.  One is on phi, which
+    is convex and decreasing.  The other solves 1/||x~|| = 1/sqrt(t), the
+    same root for t > 0, which is concave and increasing, and nearly linear
+    near a pole where phi grows like 1/u^2 (More & Sorensen's device for
+    trust-region equations).  From either side of the root, each step
+    lands at or left of it, so the larger is the better lower bound.
     """
-    x = np.array(x, dtype=float)
-    x_out, cost_out = np.empty_like(x), np.empty(x.shape[0])
-    iterations = np.zeros(anchors.shape[0], dtype=int)
-    rows = np.arange(x.shape[0])
-    a, d = anchors[owner], delta[owner]
-    eye = np.eye(x.shape[1])
-    lam = np.full(rows.size, opts.initial_damping)
-    # stalled restarts (no representable progress) are frozen so one bad
-    # start cannot pin its problem at the iteration cap
-    frozen = np.zeros(rows.size, dtype=bool)
-    u, r, cost = _residuals(x, a, d)
+    pole = u[:, None] + e
+    xt = beta / pole
+    sq = xt * xt
+    norm2 = sq.sum(axis=1)
+    t = ((u - shift) / 2.0 + sum_b) / m
+    phi = norm2 - t
+    slope = (sq / pole).sum(axis=1)  # -phi'(u) / 2 - 1 / (4 m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = 1.0 / np.sqrt(norm2) - 1.0 / np.sqrt(t)
+        dpsi = slope / norm2**1.5 + 0.25 / (m * t**1.5)
+        step = np.fmax(phi / (2.0 * slope + 0.5 / m), -psi / dpsi)
+    return xt, norm2, phi, u + step
+
+
+def _find_roots(beta, e, s, m, shift, sum_b, sum_bb, lo, hi, opts):
+    """Safeguarded Newton on phi over u in (lo, hi), all problems at once.
+
+    Starts at lam = 0 (the unconstrained least-squares point, which is the
+    root for noiseless data) when that lies in the bracket, else at hi.  A
+    step that leaves the bracket is replaced by its midpoint.  A problem
+    stops once the gradient of J at its iterate, 4 m phi x, meets the
+    tolerance, or when its iterate stops moving; a stopped problem's u no
+    longer changes.  Returns u, the step counts and the convergence flags.
+    """
+    u = np.where((shift > lo) & (shift < hi), shift, hi)
+    active = np.ones(u.shape, dtype=bool)
+    iterations = np.zeros(u.shape, dtype=int)
     for _ in range(opts.max_iterations):
-        grad = _gradients(u, r)
-        gnorm = _row_norms(grad)
-        active = ~frozen & (gnorm > opts.gradient_tolerance * (1.0 + np.abs(cost)))
-        if not active.all():
-            x_out[rows[~active]] = x[~active]
-            cost_out[rows[~active]] = cost[~active]
-            rows, x, lam, u, r, cost, a, d, grad = (
-                v[active] for v in (rows, x, lam, u, r, cost, a, d, grad)
-            )
-            if rows.size == 0:
-                break
-        # repeated indices add once: a problem counts each pass in which
-        # any of its rows is active
-        iterations[owner[rows]] += 1
-        hess = _hessians(u, r, eye)
-        scale = 1.0 + np.abs(hess).max(axis=(1, 2))
-        systems = hess + (lam * scale)[:, None, None] * eye
-        try:
-            step = np.linalg.solve(systems, -grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = _lstsq_fallback(systems, grad, owner[rows])
-        trial = x + step
-        trial_u, trial_r, trial_cost = _residuals(trial, a, d)
-        accept = trial_cost < cost
-        improvement = cost - trial_cost
-        step_norm = _row_norms(step)
-        frozen = accept & (
-            (improvement <= 1e-14 * (1.0 + np.abs(cost)))
-            | (step_norm <= 1e-12 * (1.0 + _row_norms(x)))
+        xt, norm2, phi, newton = _secular(u, beta, e, m, shift, sum_b)
+        # J at the iterate from the per-problem sums (centred coordinates)
+        cost = (
+            m * norm2 * norm2 - 2.0 * norm2 * sum_b + sum_bb
+            + 4.0 * (s * xt * xt).sum(axis=1) - 2.0 * (beta * xt).sum(axis=1)
+        )  # fmt: skip
+        done = 4.0 * m * np.abs(phi) * np.sqrt(norm2) <= opts.gradient_tolerance * (
+            1.0 + np.abs(cost)
         )
-        np.copyto(x, trial, where=accept[:, None])
-        np.copyto(u, trial_u, where=accept[:, None, None])
-        np.copyto(r, trial_r, where=accept[:, None])
-        np.copyto(cost, trial_cost, where=accept)
-        lam = np.where(accept, np.maximum(lam * 0.3, 1e-12), lam * 10.0)
-        frozen |= ~accept & (lam > 1e12)
-    x_out[rows] = x
-    cost_out[rows] = cost
-    return x_out, cost_out, iterations
-
-
-def _newton_polish(anchors, delta, owner, x, cost, opts):
-    """Drive the gradient down by pure Newton steps once cost decreases are
-    no longer representable; at most 8 per row, accepted only while the
-    cost does not rise and the gradient norm falls.  A singular Hessian
-    stops its row.  Returns positions, costs and gradient norms per row."""
-    x, cost = x.copy(), cost.copy()
-    a, d = anchors[owner], delta[owner]
-    eye = np.eye(x.shape[1])
-    u, r, _ = _residuals(x, a, d)
-    grad = _gradients(u, r)
-    gnorm = _dot_norms(grad)
-    live = ~(gnorm <= opts.gradient_tolerance * (1.0 + np.abs(cost)))
-    rows = np.flatnonzero(live)
-    u, r, grad, a, d = u[live], r[live], grad[live], a[live], d[live]
-    for _ in range(8):
-        if rows.size == 0:
+        iterations += active
+        left = phi > 0
+        lo = np.where(left, u, lo)
+        hi = np.where(left, hi, u)
+        step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        active &= ~done & (step != u)
+        if not active.any():
             break
-        hess = _hessians(u, r, eye)
-        solved = np.ones(rows.size, dtype=bool)
-        try:
-            step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.zeros_like(grad)
-            for i in range(rows.size):
-                try:
-                    step[i] = np.linalg.solve(hess[i], -grad[i])
-                except np.linalg.LinAlgError:
-                    solved[i] = False
-        trial = x[rows] + step
-        u, r, trial_cost = _residuals(trial, a, d)
-        grad = _gradients(u, r)
-        trial_gnorm = _dot_norms(grad)
-        c = cost[rows]
-        # ulp-level cost increases are rounding noise at this resolution
-        accept = solved & ~(
-            (trial_cost > c + 1e-12 * (1.0 + np.abs(c))) | (trial_gnorm >= gnorm[rows])
+        u = np.where(active, step, u)
+    return u, iterations, done
+
+
+def _cost_terms(positions, anchors, delta, counts, starts):
+    """Per-row offsets x - y_i and residuals, and per-problem costs."""
+    u = np.repeat(positions, counts, axis=0) - anchors
+    r = (u * u).sum(axis=1) - delta
+    return u, r, np.add.reduceat(r * r, starts)
+
+
+def _newton_polish(positions, anchors, delta, counts, starts):
+    """One Newton step on J itself, kept where it lowers the cost.
+
+    The secular equation is formed from A^T A, which squares the condition
+    number of the anchor layout; near-collinear anchors then leave a
+    roundoff error that one Newton step on J, whose Hessian does not
+    square it, removes.  Directions of (near-)zero curvature are left
+    alone, so a singular Hessian needs no special case.
+    """
+    u, r, costs = _cost_terms(positions, anchors, delta, counts, starts)
+    grad = np.add.reduceat(r[:, None] * u, starts)  # grad J / 4
+    hess = 2.0 * np.add.reduceat(u[:, :, None] * u[:, None, :], starts)
+    hess += np.add.reduceat(r, starts)[:, None, None] * np.eye(u.shape[1])  # Hessian / 4
+    h, w = np.linalg.eigh(hess)
+    curved = h > _GAP_TOLERANCE * np.abs(h).max(axis=1, keepdims=True)
+    along = np.divide((w * grad[:, :, None]).sum(axis=1), h, out=np.zeros_like(h), where=curved)
+    trial = positions - (w * along[:, None, :]).sum(axis=2)
+    _, _, trial_costs = _cost_terms(trial, anchors, delta, counts, starts)
+    better = trial_costs < costs
+    return np.where(better[:, None], trial, positions), np.where(better, trial_costs, costs)
+
+
+def _solve_dimension(problems, opts):
+    """Problems of one dimension q, any anchor counts, in one batch."""
+    counts = np.array([p.anchors.shape[0] for p in problems])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    anchors = np.concatenate([p.anchors for p in problems])
+    delta = np.concatenate([p.delta for p in problems])
+    m = counts.astype(float)
+
+    # per-problem moments of the centred anchors, each summed over its own rows
+    centroid = np.add.reduceat(anchors, starts) / m[:, None]
+    y = anchors - np.repeat(centroid, counts, axis=0)
+    b = delta - (y * y).sum(axis=1)
+    scatter = np.add.reduceat(y[:, :, None] * y[:, None, :], starts)
+    yb = np.add.reduceat(y * b[:, None], starts)
+    sum_b = np.add.reduceat(b, starts)
+    sum_bb = np.add.reduceat(b * b, starts)
+
+    s, vectors = np.linalg.eigh(scatter)  # ascending, so s[:, 0] is the smallest
+    beta = -2.0 * (vectors * yb[:, :, None]).sum(axis=1)
+    e = 4.0 * (s - s[:, :1])
+    shift = 4.0 * s[:, 0]  # u at lam = 0
+    t0 = (sum_b - shift / 2.0) / m  # t at u = 0
+
+    # the hard case: beta (numerically) zero where e is, and phi <= 0 at u = 0
+    at_pole = e <= _GAP_TOLERANCE * e[:, -1:]
+    beta_pole = np.where(at_pole, beta, 0.0)
+    beta_sq = (beta * beta).sum(axis=1)
+    xt0 = np.divide(beta, e, out=np.zeros_like(beta), where=~at_pole)  # x~ at u = 0
+    phi0 = (xt0 * xt0).sum(axis=1) - t0
+    hard = ((beta_pole * beta_pole).sum(axis=1) <= _HARD_CASE_TOLERANCE**2 * beta_sq) & (
+        phi0 <= 0
+    )
+
+    u = np.zeros(len(problems))
+    iterations = np.zeros(len(problems), dtype=int)
+    converged = hard.copy()
+    soft = ~hard
+    if soft.any():
+        # the root has t(u) = ||x~||^2 >= 0, so it lies right of t's zero;
+        # phi(u) <= ||beta||^2 / u^2 - t(u) is negative from hi on
+        lo = np.maximum(0.0, -2.0 * m * t0)[soft]
+        hi = 2.0 * np.maximum(4.0 * m * np.abs(t0), np.cbrt(4.0 * m * beta_sq))[soft]
+        u[soft], iterations[soft], converged[soft] = _find_roots(
+            beta[soft], e[soft], s[soft], m[soft], shift[soft], sum_b[soft], sum_bb[soft],
+            lo, hi, opts,
+        )  # fmt: skip
+
+    pole = u[:, None] + e
+    free = ~(hard[:, None] & at_pole)
+    xt = np.divide(beta, pole, out=np.zeros_like(beta), where=free)
+    xt[hard, 0] = np.copysign(np.sqrt(-phi0[hard]), beta[hard, 0])
+
+    positions = centroid + (vectors * xt[:, None, :]).sum(axis=2)
+    positions, costs = _newton_polish(positions, anchors, delta, counts, starts)
+    return [
+        LocalizationResult(
+            position=positions[i],
+            cost=float(costs[i]),
+            iterations=int(iterations[i]),
+            winning_restart=0,
+            converged=bool(converged[i]),
+            well_posed=problem.well_posed,
+            restart_costs=costs[i : i + 1],
         )
-        done = rows[accept]
-        x[done], cost[done], gnorm[done] = trial[accept], trial_cost[accept], trial_gnorm[accept]
-        keep = accept & ~(
-            trial_gnorm <= opts.gradient_tolerance * (1.0 + np.abs(trial_cost))
-        )
-        rows, u, r, grad, a, d = rows[keep], u[keep], r[keep], grad[keep], a[keep], d[keep]
-    return x, cost, gnorm
-
-
-def _starting_points(anchors, opts, rng):
-    centroid = anchors.mean(axis=0)
-    lo = anchors.min(axis=0)
-    hi = anchors.max(axis=0)
-    extra = rng.uniform(lo, hi, size=(opts.restarts - 1, anchors.shape[1]))
-    return np.vstack([centroid[None, :], extra])
-
-
-def _solve_group(problems, opts):
-    """Problems sharing one anchor shape, all rows in one batch."""
-    n_restarts = opts.restarts
-    anchors = np.stack([p.anchors for p in problems])
-    delta = np.stack([p.delta for p in problems])
-    starts = np.concatenate([
-        _starting_points(p.anchors, opts, np.random.default_rng([p.seed, p.column]))
-        for p in problems
-    ])  # fmt: skip
-    owner = np.repeat(np.arange(len(problems)), n_restarts)
-    x, cost, iterations = _descend(anchors, delta, owner, starts, opts)
-    x, cost, gnorm = _newton_polish(anchors, delta, owner, x, cost, opts)
-    results = []
-    for i, problem in enumerate(problems):
-        rows = slice(i * n_restarts, (i + 1) * n_restarts)
-        costs = cost[rows]
-        winner = int(np.argmin(costs))  # ties break to the lowest restart index
-        best = float(costs[winner])
-        converged = gnorm[rows][winner] <= opts.gradient_tolerance * (1.0 + abs(best))
-        results.append(
-            LocalizationResult(
-                position=x[rows][winner],
-                cost=best,
-                iterations=int(iterations[i]),
-                winning_restart=winner,
-                converged=bool(converged),
-                well_posed=problem.well_posed,
-                restart_costs=costs,
-            )
-        )
-    return results
+        for i, problem in enumerate(problems)
+    ]
 
 
 def solve_unfolding(
@@ -303,20 +302,18 @@ def solve_unfolding(
 ) -> list[LocalizationResult | None]:
     """Minimize the unfolding cost of many problems in one batched run.
 
-    Problems are grouped by anchor shape (never padded), and each group
-    runs the descent and the Newton polish over all its (problem x
-    restart) rows at once.  Every result is the one the problem gets when
-    solved alone.  ``opts.seed`` is not used: each problem carries the
-    seed of its restart stream.  None entries come back as None.
+    Problems of any anchor count share one batch; a call that mixes
+    dimensions solves one batch per dimension.  None entries come back as
+    None.
     """
     opts = opts or SolverOptions()
     results: list[LocalizationResult | None] = [None] * len(problems)
-    groups: dict[tuple[int, int], list[int]] = {}
+    by_dimension: dict[int, list[int]] = {}
     for i, problem in enumerate(problems):
         if problem is not None:
-            groups.setdefault(problem.anchors.shape, []).append(i)
-    for members in groups.values():
-        solved = _solve_group([problems[i] for i in members], opts)
+            by_dimension.setdefault(problem.anchors.shape[1], []).append(i)
+    for members in by_dimension.values():
+        solved = _solve_dimension([problems[i] for i in members], opts)
         for i, result in zip(members, solved):
             results[i] = result
     return results
@@ -328,19 +325,16 @@ def unloc_localize(
     opts: SolverOptions | None = None,
     column: int = 0,
 ) -> LocalizationResult:
-    """Minimize the unfolding cost over multiple restarts.
+    """Minimize the unfolding cost of one problem.
 
-    ``column`` keys the restart RNG stream so multi-target solves have
-    independent but reproducible starts.
+    ``column`` is accepted for callers that number their targets; it does
+    not affect the result.
     """
-    opts = opts or SolverOptions()
-    (result,) = solve_unfolding([UnfoldingProblem(anchors, delta, opts.seed, column)], opts)
+    (result,) = solve_unfolding([UnfoldingProblem(anchors, delta)], opts)
     return result
 
 
-def column_problems(
-    anchors, d_hat: EstimatedDistanceMatrix, seed: int = 0
-) -> list[UnfoldingProblem | None]:
+def column_problems(anchors, d_hat: EstimatedDistanceMatrix) -> list[UnfoldingProblem | None]:
     """One problem per target column of an estimated distance matrix.
 
     Distance entries are squared to form delta; negative estimates become
@@ -355,7 +349,7 @@ def column_problems(
     problems: list[UnfoldingProblem | None] = []
     for j in range(d_hat.n_targets):
         try:
-            problems.append(UnfoldingProblem(anchors, d_hat.values[:, j] ** 2, seed, j))
+            problems.append(UnfoldingProblem(anchors, d_hat.values[:, j] ** 2))
         except InputError:
             problems.append(None)
     return problems
@@ -370,5 +364,4 @@ def localize_all(
 
     A failed column yields None without aborting the others.
     """
-    opts = opts or SolverOptions()
-    return solve_unfolding(column_problems(anchors, d_hat, opts.seed), opts)
+    return solve_unfolding(column_problems(anchors, d_hat), opts)

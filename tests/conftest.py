@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ordinal_unloc.core import DistanceMatrix, IllPosedWarning
+from ordinal_unloc.core import DistanceMatrix, IllPosedWarning, point_distances
 
 
 @pytest.fixture(autouse=True)
@@ -18,8 +18,4 @@ def random_field_distances(rng, m, n, side=1.0):
     """Random anchors/targets in a square plus the exact distance matrix."""
     anchors = rng.uniform(0, side, size=(m, 2))
     targets = rng.uniform(0, side, size=(n, 2))
-    points = np.vstack([anchors, targets])
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return anchors, targets, DistanceMatrix(d, m)
+    return anchors, targets, DistanceMatrix(point_distances(np.vstack([anchors, targets])), m)

@@ -1,11 +1,14 @@
-"""Per-problem reference implementations kept as oracles for the batched
-solver in ``unfold`` and the column-wise fits in ``funclearn``.
+"""Per-problem reference implementations kept as oracles for the exact
+unfolding solver in ``unfold`` and the column-wise fits in ``funclearn``.
 
-``reference_localize`` solves one unfolding problem: a damped-Newton
-descent vectorized over its restarts only, then a Newton polish one
-restart at a time.  ``reference_preliminary`` and ``reference_recalibrate``
-fit one linear map per column in a Python loop.  The production code must
-match these byte for byte.
+``reference_localize`` solves one unfolding problem by local descent: a
+damped-Newton descent vectorized over its restarts, then a Newton polish
+one restart at a time.  ``reference_grid`` evaluates the cost on nested
+grids.  Neither is guaranteed to find the global minimum, but both return
+a point and its cost, so the exact solver's cost must not be above the
+smaller of the two (``oracle_bound``).  ``reference_preliminary`` and
+``reference_recalibrate`` fit one linear map per column in a Python loop;
+the column-wise fits must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from ordinal_unloc.unfold import (
 )
 
 
+_INITIAL_DAMPING = 1e-3
+
+
 def _descend(anchors, delta, starts, opts):
     """Damped-Newton (Levenberg-style) descent, vectorized over restarts.
 
@@ -39,7 +45,7 @@ def _descend(anchors, delta, starts, opts):
     x = np.array(starts, dtype=float)
     n_restarts, q = x.shape
     eye = np.eye(q)
-    lam = np.full(n_restarts, opts.initial_damping)
+    lam = np.full(n_restarts, _INITIAL_DAMPING)
     # stalled restarts (no representable progress) are frozen so one bad
     # start cannot pin the whole batch at the iteration cap
     frozen = np.zeros(n_restarts, dtype=bool)
@@ -174,6 +180,43 @@ def reference_localize(
         well_posed=well_posed,
         restart_costs=costs,
     )
+
+
+def reference_grid(anchors, delta):
+    """Brute-force minimum of the unfolding cost: the best point of a grid
+    over the anchors' bounding box widened by the largest target distance,
+    then of seven finer grids, each around the best point so far.  Returns
+    (x, cost)."""
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    delta = np.asarray(delta, dtype=float).ravel()
+    q = anchors.shape[1]
+    n = 81 if q <= 2 else 33  # points per axis
+    reach = np.sqrt(max(float(delta.max()), 0.0)) + 0.1 * np.ptp(anchors, axis=0).max() + 1e-3
+    lo, hi = anchors.min(axis=0) - reach, anchors.max(axis=0) + reach
+    best_x, best_cost = None, np.inf
+    for _ in range(8):
+        axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, q)
+        for chunk in np.array_split(grid, max(1, grid.shape[0] * anchors.shape[0] // 500_000)):
+            r = ((chunk[:, None, :] - anchors) ** 2).sum(axis=2) - delta
+            costs = (r**2).sum(axis=1)
+            k = int(np.argmin(costs))
+            if costs[k] < best_cost:
+                best_x, best_cost = chunk[k], float(costs[k])
+        cell = (hi - lo) / (n - 1)
+        lo, hi = best_x - 2 * cell, best_x + 2 * cell
+    return best_x, unfolding_cost(best_x, anchors, delta)
+
+
+def oracle_bound(anchors, delta) -> float:
+    """The highest cost the exact solver may return: the lower of the
+    multi-start and grid oracles' costs, plus 1e-9 of it, plus a roundoff
+    floor for problems whose minimum is zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllPosedWarning)
+        descent = reference_localize(anchors, delta).cost
+    best = min(descent, reference_grid(anchors, delta)[1])
+    return best * (1.0 + 1e-9) + 1e-24 * (1.0 + float((np.asarray(delta) ** 2).sum()))
 
 
 def reference_fit(psi, d) -> LinearMap:

@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 
 from conftest import random_field_distances
 from ordinal_unloc.bench import kendall_tau
+from ordinal_unloc.core import point_distances
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
-from ordinal_unloc.pipeline import anchor_distance_block, localize_from_tensor
+from ordinal_unloc.pipeline import localize_from_tensor
 from ordinal_unloc.unfold import SolverOptions
 
 
 def test_anchor_distance_block():
-    d = anchor_distance_block([[0.0, 0.0], [3.0, 4.0]])
+    d = point_distances([[0.0, 0.0], [3.0, 4.0]])
     np.testing.assert_allclose(d, [[0.0, 5.0], [5.0, 0.0]])
 
 
