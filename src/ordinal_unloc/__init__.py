@@ -13,7 +13,6 @@ from .core import (
     OrdinalUnlocError,
     ProximityMatrix,
     SensorField,
-    block_view,
     pairwise_distances,
     read_sensor_field,
 )
@@ -21,7 +20,6 @@ from .funclearn import LinearMap, estimate_distances, fit_linear_map
 from .ordinal import (
     ComparisonNoiseModel,
     SignalMatrix,
-    compare_ordinal,
     tensor_from_distances,
     tensor_from_signals,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "SignalMatrix",
     "SolverOptions",
     "aggregate_proximities",
-    "block_view",
-    "compare_ordinal",
     "enumerate_pairs",
     "estimate_distances",
     "fit_linear_map",

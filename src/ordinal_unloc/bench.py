@@ -8,7 +8,16 @@ draws on an enlarged field, swept over the normalized variance c*sigma^2).
 
 Every trial derives an independent RNG stream from
 (master seed, experiment id, trial index), so results are deterministic
-and independent of worker count.
+and independent of worker count.  A trial runs in three steps:
+
+1. draw: each grid point draws its layout and channel on its own child
+   stream;
+2. estimate, per anchor count: the grid points that share one form a
+   group, whose comparison row sums (each grid point's noise drawn on its
+   own stream, no N^3 comparison tensor built), proximities and
+   per-anchor and per-target fits are each computed in one stacked call;
+3. solve: every unfolding problem of the trial, of every grid point and
+   method, goes to the solver in one batch, and each grid point is scored.
 """
 
 from __future__ import annotations
@@ -21,8 +30,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ConfigError, DistanceMatrix, InputError, point_distances
-from .ordinal import ComparisonNoiseModel, SignalMatrix, tensor_from_distances, tensor_from_signals
-from .pipeline import estimate_from_tensor
+from .funclearn import estimate_distances_batch
+from .ordinal import (
+    ComparisonNoiseModel,
+    SignalMatrix,
+    distance_row_sums,
+    pair_indices,
+    signal_row_sums,
+)
+from .rank import proximity_scores
 from .signals import MIN_LINK_DISTANCE, RssModel
 from .unfold import SolverOptions, UnfoldingProblem, column_problems, solve_unfolding
 
@@ -134,11 +150,24 @@ def kendall_tau(u, v) -> float:
 def _symmetric_draws(n, draw, rng):
     """Symmetric matrix with one draw per unordered pair, zero diagonal."""
     out = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = pair_indices(n)
     vals = draw(rng, iu.size)
     out[iu, ju] = vals
     out[ju, iu] = vals
     return out
+
+
+class _GridDraw(NamedTuple):
+    """One grid point's draws: the layout, its true distances (anchors
+    first), the arguments of its entry in a stacked ``*_row_sums`` call of
+    the ordinal pipeline, and the direct distance estimates of the
+    baseline methods."""
+
+    anchors: np.ndarray
+    targets: np.ndarray
+    d_full: np.ndarray
+    comparisons: tuple
+    direct: tuple[np.ndarray, ...]
 
 
 class _MethodSolves(NamedTuple):
@@ -174,84 +203,85 @@ def _direct_problems(anchors, d_est):
     return [UnfoldingProblem(anchors, d_est[:, j] ** 2) for j in range(d_est.shape[1])]
 
 
-def _ordinal_grid_point(config, m, sigma, rng):
-    n = config.n_targets
-    side = config.field_side
-    anchors = rng.uniform(0, side, size=(m, 2))
-    targets = rng.uniform(0, side, size=(n, 2))
-    rng.integers(2**63)  # unused; keeps the later draws of the stream in place
-    points = np.vstack([anchors, targets])
-    d_full = point_distances(points)
-    tensor = tensor_from_distances(DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
-    d_hat = estimate_from_tensor(tensor, anchors)
-    problems = column_problems(anchors, d_hat)
-    return [_MethodSolves(problems, d_hat.values, targets, d_full[:m, m:])]
+def _layout(config, m, rng):
+    anchors = rng.uniform(0, config.field_side, size=(m, 2))
+    targets = rng.uniform(0, config.field_side, size=(config.n_targets, 2))
+    return anchors, targets, point_distances(np.vstack([anchors, targets]))
 
 
-def _rss_grid_point(config, m, rng):
-    n = config.n_targets
-    side = config.field_side
-    anchors = rng.uniform(0, side, size=(m, 2))
-    targets = rng.uniform(0, side, size=(n, 2))
+def _ordinal_draw(config, m, sigma, rng):
+    anchors, targets, d_full = _layout(config, m, rng)
+    rng.integers(2**63)  # unused; keeps the comparison noise draws in place
+    comparisons = (DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
+    return _GridDraw(anchors, targets, d_full, comparisons, ())
+
+
+def _rss_draw(config, m, rng):
+    anchors, targets, d_full = _layout(config, m, rng)
     model = RssModel(
         transmit_power=config.transmit_power,
         hardware_gain=config.hardware_gain,
         exponent_low=config.exponent_low,
         exponent_high=config.exponent_high,
     )
-    points = np.vstack([anchors, targets])
-    d_full = point_distances(points)
-    d_true_yx = d_full[:m, m:]
-    n_sensors = m + n
     exponents = _symmetric_draws(
-        n_sensors, lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
+        len(d_full), lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
     )
     d_safe = np.maximum(d_full, MIN_LINK_DISTANCE)
     power = model.transmit_power * model.hardware_gain * d_safe ** (-exponents)
-
-    # (i) ordinal pipeline directly on raw powers
-    sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
-    d_hat = estimate_from_tensor(tensor_from_signals(sig), anchors)
-    methods = [_MethodSolves(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx)]
-
-    # (ii) fixed calibration exponent, (iii) genie-aided per-link exponent
-    for exps in (np.full((m, n), config.calibration_exponent), exponents[:m, m:]):
-        d_est = (model.transmit_power * model.hardware_gain / power[:m, m:]) ** (1.0 / exps)
-        methods.append(_MethodSolves(_direct_problems(anchors, d_est), d_est, targets, d_true_yx))
-    return methods
+    # (i) the ordinal pipeline on raw powers; (ii) fixed calibration
+    # exponent and (iii) genie-aided per-link exponent inversions
+    comparisons = (SignalMatrix(power, increasing_with_distance=False, n_anchors=m),)
+    direct = tuple(
+        (model.transmit_power * model.hardware_gain / power[:m, m:]) ** (1.0 / exps)
+        for exps in (np.full((m, config.n_targets), config.calibration_exponent), exponents[:m, m:])
+    )
+    return _GridDraw(anchors, targets, d_full, comparisons, direct)
 
 
-def _toa_grid_point(config, m, normalized_variance, rng):
-    n = config.n_targets
-    side = config.field_side
+def _toa_draw(config, m, normalized_variance, rng):
     c = config.propagation_speed
     sigma_t = float(np.sqrt(normalized_variance / c))
-    anchors = rng.uniform(0, side, size=(m, 2))
-    targets = rng.uniform(0, side, size=(n, 2))
-    points = np.vstack([anchors, targets])
-    d_full = point_distances(points)
-    d_true_yx = d_full[:m, m:]
-    n_sensors = m + n
+    anchors, targets, d_full = _layout(config, m, rng)
     rng.integers(2**63, size=2)  # unused; keeps the noise draws in place
-    noise = _symmetric_draws(n_sensors, lambda r, k: r.normal(0.0, sigma_t, k), rng)
+    noise = _symmetric_draws(len(d_full), lambda r, k: r.normal(0.0, sigma_t, k), rng)
     toa = d_full / c + noise
+    comparisons = (SignalMatrix(toa, increasing_with_distance=True, n_anchors=m),)
+    return _GridDraw(anchors, targets, d_full, comparisons, (c * toa[:m, m:],))
 
-    sig = SignalMatrix(toa, increasing_with_distance=True, n_anchors=m)
-    d_hat = estimate_from_tensor(tensor_from_signals(sig), anchors)
-    d_est = c * toa[:m, m:]
-    return [
-        _MethodSolves(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx),
-        _MethodSolves(_direct_problems(anchors, d_est), d_est, targets, d_true_yx),
-    ]
+
+def _draw(config, m, noise, rng):
+    if config.kind == "ordinal":
+        return _ordinal_draw(config, m, noise, rng)
+    if config.kind == "rss":
+        return _rss_draw(config, m, rng)
+    return _toa_draw(config, m, noise, rng)
+
+
+def _ordinal_estimates(config, draws):
+    """The ordinal pipeline's distance estimates at every grid point.  The
+    grid points sharing an anchor count form one group, whose comparison
+    row sums, proximities and fits are each computed in one stacked call."""
+    row_sums = distance_row_sums if config.kind == "ordinal" else signal_row_sums
+    groups: dict[int, list[int]] = {}
+    for g, (m, _) in enumerate(config.grid()):
+        groups.setdefault(m, []).append(g)
+    estimates = [None] * len(draws)
+    for m, members in groups.items():
+        psi = proximity_scores(row_sums(*zip(*(draws[g].comparisons for g in members))))
+        d_y = np.stack([draws[g].d_full[:m, :m] for g in members])
+        for g, d_hat in zip(members, estimate_distances_batch(psi, d_y, m)):
+            estimates[g] = d_hat
+    return estimates
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     """One Monte-Carlo trial covering every grid point.
 
     Deterministic given (config.seed, config.kind, trial_index); each grid
-    point consumes an independent child stream.  The grid points are drawn
-    and estimated in grid order, then every unfolding problem of the trial
-    goes to the solver in one batch, then the grid points are scored.
+    point draws on an independent child stream.  The grid points are drawn,
+    then estimated together per anchor count, then every unfolding problem
+    of the trial goes to the solver in one batch, then they are scored.
     """
     grid = config.grid()
     n_methods = len(config.methods)
@@ -261,16 +291,19 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     root = np.random.SeedSequence(
         entropy=config.seed, spawn_key=(_EXPERIMENT_IDS[config.kind], trial_index)
     )
-    children = root.spawn(len(grid))
+    draws = [
+        _draw(config, m, noise, np.random.default_rng(child))
+        for (m, noise), child in zip(grid, root.spawn(len(grid)))
+    ]
     solves = []
-    for (m, noise), child in zip(grid, children):
-        rng = np.random.default_rng(child)
-        if config.kind == "ordinal":
-            solves.append(_ordinal_grid_point(config, m, noise, rng))
-        elif config.kind == "rss":
-            solves.append(_rss_grid_point(config, m, rng))
-        else:
-            solves.append(_toa_grid_point(config, m, noise, rng))
+    for (m, _), draw, d_hat in zip(grid, draws, _ordinal_estimates(config, draws)):
+        true_yx = draw.d_full[:m, m:]
+        problems = column_problems(draw.anchors, d_hat)
+        methods = [_MethodSolves(problems, d_hat.values, draw.targets, true_yx)]
+        for d_est in draw.direct:
+            problems = _direct_problems(draw.anchors, d_est)
+            methods.append(_MethodSolves(problems, d_est, draw.targets, true_yx))
+        solves.append(methods)
     problems = [p for methods in solves for method in methods for p in method.problems]
     results = iter(solve_unfolding(problems, config.solver))
     for g, methods in enumerate(solves):
@@ -334,22 +367,6 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> ExperimentResul
         seed=config.seed,
         config=config,
     )
-
-
-def rss_comparison_suite(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Fig.-5-style comparison: ordinal on raw powers vs fixed-calibration
-    and genie-aided inversion, all three on identical channel draws."""
-    if config.kind != "rss":
-        raise ConfigError(f"expected an rss config, got kind {config.kind!r}")
-    return run_benchmark(config, threads)
-
-
-def toa_comparison_suite(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Fig.-6-style comparison of ordinal vs direct TOA inversion over the
-    normalized-variance grid, on identical TOA draws."""
-    if config.kind != "toa":
-        raise ConfigError(f"expected a toa config, got kind {config.kind!r}")
-    return run_benchmark(config, threads)
 
 
 def _fmt(x) -> str:

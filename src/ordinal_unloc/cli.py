@@ -22,16 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    result_to_csv,
-    result_to_json,
-    rss_comparison_suite,
-    run_benchmark,
-    toa_comparison_suite,
+from .bench import CSV_COLUMNS, ExperimentConfig, result_to_csv, result_to_json, run_benchmark
+from .core import (
+    ConfigError,
+    InputError,
+    OrdinalUnlocError,
+    SensorField,
+    point_distances,
+    read_sensor_field,
 )
-from .core import ConfigError, InputError, OrdinalUnlocError, SensorField, read_sensor_field
+from .funclearn import estimate_distances_batch
 from .ingest import (
     DEFAULT_KEEP_FRACTION,
     measurement_signal_matrix,
@@ -39,8 +39,8 @@ from .ingest import (
     parse_measurements,
     select_strong_links,
 )
-from .ordinal import tensor_from_signals
-from .pipeline import estimate_from_tensor
+from .ordinal import signal_row_sums
+from .rank import proximity_scores
 from .unfold import SolverOptions, column_problems, solve_unfolding
 
 DEFAULT_TOA_NOISE_GRID = tuple(float(v) for v in np.logspace(-2, 2, 7))
@@ -263,14 +263,12 @@ def cmd_benchmark(args) -> int:
         # room-scale field; sub-unit distances make the fixed-G bias vanish
         field_side = args.field_side if args.field_side is not None else 10.0
         config = _experiment_config(args, "rss", (), field_side)
-        suite = rss_comparison_suite
     else:
         field_side = args.field_side if args.field_side is not None else 200.0
         noise = tuple(args.noise) if args.noise is not None else DEFAULT_TOA_NOISE_GRID
         config = _experiment_config(args, "toa", noise, field_side)
-        suite = toa_comparison_suite
     manifest = _manifest_stub("benchmark", asdict(config), config.seed)
-    result = suite(config, threads=args.threads)
+    result = run_benchmark(config, threads=args.threads)
     _write_outputs(
         Path(args.out),
         {"results.csv": result_to_csv(result), "results.json": result_to_json(result)},
@@ -344,10 +342,10 @@ def cmd_localize(args) -> int:
         matrices = [measurement_signal_matrix(ms, args.aggregator)]
         labels = [args.aggregator]
 
-    # every sample's problems in one solver batch
+    # every sample has the same sensors: one stacked estimate, one solver batch
+    psi = proximity_scores(signal_row_sums(matrices))
     problems = []
-    for sig in matrices:
-        d_hat = estimate_from_tensor(tensor_from_signals(sig), field.anchors)
+    for d_hat in estimate_distances_batch(psi, point_distances(field.anchors), field.m):
         problems += column_problems(field.anchors, d_hat)
     results = solve_unfolding(problems, opts)
     estimates_per_target = [[] for _ in range(field.n)]

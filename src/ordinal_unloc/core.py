@@ -141,9 +141,8 @@ class DistanceMatrix:
             raise InputError(f"distance matrix must be square, got shape {v.shape}")
         if not (0 <= self.n_anchors <= v.shape[0]):
             raise InputError("anchor count out of range for distance matrix")
-        bad = np.argwhere(~np.isfinite(v))
-        if bad.size:
-            i, j = bad[0]
+        if not np.isfinite(v).all():
+            i, j = np.argwhere(~np.isfinite(v))[0]
             raise InputError(f"distance {v[i, j]} between sensors ({i}, {j}) is not finite")
         object.__setattr__(self, "values", _frozen(v))
 
@@ -229,11 +228,6 @@ def pairwise_distances(field: SensorField) -> DistanceMatrix:
     else:
         pts = field.anchors
     return DistanceMatrix(point_distances(pts), field.m)
-
-
-def block_view(matrix: DistanceMatrix | ProximityMatrix, which: str) -> np.ndarray:
-    """Block selector shared by the partitioned matrix types."""
-    return matrix.block(which)
 
 
 def _parse_sensor_rows(rows, dimension_hint=None):

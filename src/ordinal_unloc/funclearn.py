@@ -77,31 +77,33 @@ class EstimatedDistanceMatrix:
         return int((self.values < 0).sum())
 
 
-def _fit_columns(psi, d):
-    """Least squares of each column of d on the same column of psi,
-    constrained to positive slope; psi and d are (points, columns).
+def _fit_rows(psi, d, stacklevel=4):
+    """Least squares of each row of d on the same row of psi, constrained
+    to positive slope; psi and d are (fits, points).
 
     The 1-D constrained optimum is the unconstrained slope when positive,
     otherwise the clamp SLOPE_FLOOR with the intercept recomputed at the
-    clamped slope.  Returns (offsets, slopes); a column whose slope is not
-    a number keeps it, and callers treat it as a failed fit.  Means are
-    taken over contiguous rows of the transposes and products are BLAS dot
-    products, so each column gets the same bytes as a fit of it alone.
+    clamped slope.  Returns (offsets, slopes); a row whose slope is not a
+    number keeps it, and callers treat it as a failed fit.  Means are sums
+    over contiguous rows and products are BLAS dot products, so each row
+    gets the same bytes as a fit of it alone, in any stack of fits.
+    ``stacklevel`` points a DegenerateFitWarning at the public caller.
     """
-    psi_t = np.ascontiguousarray(psi.T)
-    d_t = np.ascontiguousarray(d.T)
-    psi_mean = psi_t.mean(axis=1)
-    d_mean = d_t.mean(axis=1)
-    psi_c = psi_t - psi_mean[:, None]
+    psi = np.ascontiguousarray(psi)
+    d = np.ascontiguousarray(d)
+    count = psi.shape[1]
+    psi_mean = np.add.reduce(psi, axis=1) / count
+    d_mean = np.add.reduce(d, axis=1) / count
+    psi_c = psi - psi_mean[:, None]
     var = np.matmul(psi_c[:, None, :], psi_c[:, :, None])[:, 0, 0]
-    cov = np.matmul(psi_c[:, None, :], (d_t - d_mean[:, None])[:, :, None])[:, 0, 0]
+    cov = np.matmul(psi_c[:, None, :], (d - d_mean[:, None])[:, :, None])[:, 0, 0]
     degenerate = var == 0.0
     for k in np.flatnonzero(degenerate):
-        if not np.allclose(d_t[k], d_mean[k]):
+        if not np.allclose(d[k], d_mean[k]):
             warnings.warn(
                 "constant proximities with varying distances; slope clamped",
                 DegenerateFitWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     slope = np.divide(cov, var, out=np.full_like(var, SLOPE_FLOOR), where=~degenerate)
     slope[slope <= 0] = SLOPE_FLOOR
@@ -116,8 +118,59 @@ def fit_linear_map(psi, d) -> LinearMap:
         raise InputError(f"length mismatch: {psi.shape} vs {d.shape}")
     if psi.size < 2:
         raise UnderdeterminedFit(f"need at least 2 points, got {psi.size}")
-    (offset,), (slope,) = _fit_columns(psi[:, None], d[:, None])
+    (offset,), (slope,) = _fit_rows(psi[None], d[None], stacklevel=3)
     return LinearMap(float(offset), float(slope))
+
+
+# The stacked stages below take G proximity matrices of one shape as a
+# (G, N, N) array and fit one map per (matrix, slice): psi[g, :m, k] is
+# anchor slice k's calibration data, psi[g, m + j, k] the target scores
+# it maps, and psi[g, :m, m + j] target slice j's anchor scores.
+
+
+def _preliminary(psi, d_y, m):
+    """Per-anchor maps applied to the target scores: (G, m, n) estimates
+    and the (G, m) mask of failed fits, whose rows hold the mean of the
+    other anchors' estimates."""
+    g = len(psi)
+    offset, slope = _fit_rows(
+        psi[:, :m, :m].transpose(0, 2, 1).reshape(g * m, m),
+        d_y.transpose(0, 2, 1).reshape(g * m, m),
+    )
+    offset, slope = offset.reshape(g, m, 1), slope.reshape(g, m, 1)
+    estimates = offset + slope * psi[:, m:, :m].transpose(0, 2, 1)
+    failed = ~(slope[:, :, 0] > 0)
+    for k in np.flatnonzero(failed.any(axis=1)):
+        if failed[k].all():
+            raise UnderdeterminedFit("every anchor fit failed")
+        estimates[k, failed[k]] = estimates[k, ~failed[k]].mean(axis=0)
+    return estimates, failed
+
+
+def _recalibrate(psi, d_tilde, m):
+    """Per-target re-fits of (G, m, n) estimates on the target slices."""
+    g, _, n = d_tilde.shape
+    offset, slope = _fit_rows(
+        psi[:, :m, m:].transpose(0, 2, 1).reshape(g * n, m),
+        d_tilde.transpose(0, 2, 1).reshape(g * n, m),
+    )
+    failed = np.flatnonzero(~(slope > 0))
+    if failed.size:
+        raise InputError(f"slope must be positive, got {slope[failed[0]]}")
+    return offset.reshape(g, 1, n) + slope.reshape(g, 1, n) * psi[:, :m, m:]
+
+
+def _check_anchor_block(d_y, m, shapes):
+    d_y = np.asarray(d_y, dtype=float)
+    if m < 2:
+        raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
+    if d_y.shape not in shapes:
+        raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
+    return d_y
+
+
+def _flagged(failed):
+    return tuple(int(k) for k in np.flatnonzero(failed))
 
 
 def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistanceMatrix:
@@ -129,21 +182,9 @@ def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDis
     gets the mean of the other anchors' estimates.
     """
     m = psi.n_anchors
-    d_y = np.asarray(d_y, dtype=float)
-    if m < 2:
-        raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
-    if d_y.shape != (m, m):
-        raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
-    offset, slope = _fit_columns(psi.block("Y"), d_y)
-    psi_xy = psi.block("XY")  # target rows, anchor slices
-    estimates = offset[:, None] + slope[:, None] * psi_xy.T
-    failed = ~(slope > 0)
-    flagged = tuple(int(k) for k in np.flatnonzero(failed))
-    if flagged:
-        if len(flagged) == m:
-            raise UnderdeterminedFit("every anchor fit failed")
-        estimates[failed] = estimates[~failed].mean(axis=0)
-    return EstimatedDistanceMatrix(estimates, "preliminary", flagged)
+    d_y = _check_anchor_block(d_y, m, [(m, m)])
+    (estimates,), (failed,) = _preliminary(psi.values[None], d_y[None], m)
+    return EstimatedDistanceMatrix(estimates, "preliminary", _flagged(failed))
 
 
 def recalibrate(psi: ProximityMatrix, d_tilde: EstimatedDistanceMatrix) -> EstimatedDistanceMatrix:
@@ -154,15 +195,36 @@ def recalibrate(psi: ProximityMatrix, d_tilde: EstimatedDistanceMatrix) -> Estim
         raise InputError("proximity and estimate shapes disagree")
     if m < 2 and d_tilde.n_targets:
         raise UnderdeterminedFit(f"need at least 2 points, got {m}")
-    psi_yx = psi.block("YX")  # anchor rows, target slices
-    offset, slope = _fit_columns(psi_yx, d_tilde.values)
-    failed = np.flatnonzero(~(slope > 0))
-    if failed.size:
-        raise InputError(f"slope must be positive, got {slope[failed[0]]}")
-    out = offset + slope * psi_yx
+    (out,) = _recalibrate(psi.values[None], d_tilde.values[None], m)
     return EstimatedDistanceMatrix(out, "recalibrated", d_tilde.flagged_anchors)
 
 
 def estimate_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistanceMatrix:
     """Both stages end to end: per-anchor fits, then per-target recalibration."""
     return recalibrate(psi, preliminary_distances(psi, d_y))
+
+
+def estimate_distances_batch(
+    psi: np.ndarray, d_y: np.ndarray, n_anchors: int
+) -> list[EstimatedDistanceMatrix]:
+    """``estimate_distances`` of a stack of proximity matrices.
+
+    ``psi[g]`` holds the values of a proximity matrix with ``n_anchors``
+    anchors, and ``d_y[g]`` its anchor-to-anchor distances (one (m, m)
+    block serves every matrix).  Each stage fits every column of every
+    matrix in one stacked call, and each matrix's estimates have the bytes,
+    flagged anchors and warnings of ``estimate_distances`` on it alone.
+    """
+    m = n_anchors
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 3 or psi.shape[1] != psi.shape[2] or psi.shape[1] < m:
+        raise InputError(f"need a stack of square proximity matrices, got shape {psi.shape}")
+    d_y = _check_anchor_block(d_y, m, [(m, m), (len(psi), m, m)])
+    d_y = np.broadcast_to(d_y, (len(psi), m, m))
+    estimates, failed = _preliminary(psi, d_y, m)
+    if not np.all(np.isfinite(estimates)):
+        raise InputError("estimated distances must be finite")
+    return [
+        EstimatedDistanceMatrix(out, "recalibrated", _flagged(f))
+        for out, f in zip(_recalibrate(psi, estimates, m), failed)
+    ]

@@ -1,8 +1,16 @@
-"""Comparison-tensor generation from true distances or measured signal proxies."""
+"""Ordinal comparisons of true distances or measured signal proxies.
+
+The comparisons come either as the full N x N x N tensor
+(``tensor_from_*``) or, for rank aggregation, as the row sums of its
+slices only (``*_row_sums``), which never builds the tensor.  Both forms
+of one input kind take the same noise draws in the same order.
+"""
 
 from __future__ import annotations
 
+import functools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +60,9 @@ class SignalMatrix:
             if miss.shape != v.shape:
                 raise InputError("missing mask shape must match values")
         np.fill_diagonal(miss, True)
-        bad = np.argwhere(~miss & ~np.isfinite(v))
-        if bad.size:
-            i, j = bad[0]
+        bad = ~miss & ~np.isfinite(v)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise InputError(f"signal value {v[i, j]} at present link ({i}, {j}) is not finite")
         both = ~miss & ~miss.T
         if not np.allclose(np.where(both, v, 0.0), np.where(both, v.T, 0.0)):
@@ -67,11 +75,6 @@ class SignalMatrix:
         return self.values.shape[0]
 
 
-def compare_ordinal(d: float, d_prime: float, xi: float) -> int:
-    """Thresholded comparison sgn(d - d' + xi); 0 only on an exact tie."""
-    return int(np.sign(d - d_prime + xi))
-
-
 # Tensor entries filled per block of reference slices.  Temporaries scale
 # with the block, not with N^3; up to N = 64 the tensor is one block, and
 # at N = 200 the float temporaries of a block stay near a quarter of the
@@ -79,15 +82,57 @@ def compare_ordinal(d: float, d_prime: float, xi: float) -> int:
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def _slice_blocks(n):
-    """Consecutive ranges of reference slices, _BLOCK_ELEMENTS entries each."""
-    step = max(1, _BLOCK_ELEMENTS // max(n * n, 1))
+def _slice_blocks(n, order=None):
+    """Consecutive ranges of n reference slices of the given order (default
+    n), about _BLOCK_ELEMENTS comparison entries each."""
+    order = n if order is None else order
+    step = max(1, _BLOCK_ELEMENTS // max(order * order, 1))
     return [slice(k, min(k + step, n)) for k in range(0, n, step)]
+
+
+@functools.lru_cache(maxsize=32)
+def pair_indices(n):
+    """Unordered pairs (i, j), i < j, of n items in lexicographic order, as
+    two read-only index arrays; built once per order."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _sign_int8(a, b):
     """sgn(a - b) as int8, broadcasting a against b."""
     return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
+def _stack_orders(items, what):
+    orders = {item.order for item in items}
+    if len(orders) > 1:
+        raise InputError(f"stacked {what} must share one order, got {sorted(orders)}")
+    return orders.pop() if orders else 0
+
+
+def _noisy_differences(distances, noises, rngs):
+    """Per block of the stacked reference slices (slice k of matrix g is
+    row g*N + k): d_ik - d_jk + xi for every pair (i, j) of
+    ``pair_indices``.  Matrix g's noise is drawn from its own generator,
+    one value per slice and pair, in slice and pair order; the blocks cut
+    that stream where one (N, N(N-1)/2) draw would be cut, so the values
+    are the same."""
+    if not len(distances) == len(noises) == len(rngs):
+        raise InputError("need one noise model and one generator per distance matrix")
+    n = _stack_orders(distances, "distance matrices")
+    rngs = [np.random.default_rng(nm.seed) if r is None else r for nm, r in zip(noises, rngs)]
+    # dk[g*N + k, i] = distance from sensor i to reference k in matrix g
+    dk = np.concatenate([D.values.T for D in distances]) if distances else np.empty((0, 0))
+    i, j = pair_indices(n)
+    for rows in _slice_blocks(len(dk), n):
+        diff = np.take(dk[rows], i, axis=1)
+        diff -= np.take(dk[rows], j, axis=1)
+        for g in range(rows.start // n, (rows.stop - 1) // n + 1):
+            if noises[g].sigma > 0:
+                part = diff[max(g * n - rows.start, 0) : (g + 1) * n - rows.start]
+                part += rngs[g].standard_normal(part.shape) * noises[g].sigma
+        yield rows, diff
 
 
 def tensor_from_distances(
@@ -99,21 +144,13 @@ def tensor_from_distances(
 
     For every reference sensor k and unordered pair {i, j}, one noise value
     is drawn and negated for the mirrored entry, so each slice is exactly
-    skew-symmetric.  The draws come slice by slice in pair order, the same
-    stream as one (N, N(N-1)/2) draw.
+    skew-symmetric.
     """
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
     n = D.order
-    dk = np.ascontiguousarray(D.values.T)  # dk[k, i] = distance from sensor i to reference k
-    i, j = np.triu_indices(n, k=1)
+    i, j = pair_indices(n)
     upper, lower = i * n + j, j * n + i
     z = np.zeros((n, n, n), dtype=np.int8)
-    for ks in _slice_blocks(n):
-        diff = np.take(dk[ks], i, axis=1)
-        diff -= np.take(dk[ks], j, axis=1)
-        if noise.sigma > 0:
-            diff += rng.standard_normal(diff.shape) * noise.sigma
+    for ks, diff in _noisy_differences([D], [noise], [rng]):
         sign = _sign_int8(diff, 0.0)
         flat = z[ks].reshape(len(sign), n * n)
         flat[:, upper] = sign
@@ -121,6 +158,35 @@ def tensor_from_distances(
         flat[:, lower] = -sign
     z.flags.writeable = False  # handed over without a copy
     return ComparisonTensor(z, D.n_anchors)
+
+
+def distance_row_sums(
+    distances: Sequence[DistanceMatrix],
+    noises: Sequence[ComparisonNoiseModel],
+    rngs: Sequence[np.random.Generator | None],
+) -> np.ndarray:
+    """Row sums of ``tensor_from_distances``'s slices for a stack of
+    distance matrices of one order, without the tensors.
+
+    ``out[g, k, i]`` is the sum over j of the comparison of sensors i and
+    j at reference k of matrix g, which draws its noise from ``rngs[g]``
+    (None: a generator seeded by ``noises[g].seed``).  The pair signs are
+    those of the tensor, from the same draws in the same order, and each is
+    added to row i and subtracted from row j by two ``bincount``s, so the
+    sums are exact integers.
+    """
+    n = _stack_orders(distances, "distance matrices")
+    i, j = pair_indices(n)
+    out = np.empty((len(distances) * n, n), dtype=np.int64)
+    for rows, diff in _noisy_differences(distances, noises, rngs):
+        # slice s of the block sums into bins s*N + i
+        base = np.arange(len(diff))[:, None] * n
+        sign = np.sign(diff).ravel()
+        size = len(diff) * n
+        sums = np.bincount((base + i).ravel(), sign, size)
+        sums -= np.bincount((base + j).ravel(), sign, size)
+        out[rows] = sums.reshape(len(diff), n)
+    return out.reshape(len(distances), n, n)
 
 
 def _dense_ranks(x):
@@ -134,18 +200,45 @@ def _dense_ranks(x):
     return ranks
 
 
+def _signal_ranks(signals):
+    """present[g*N + k, i] (link i-k of matrix g measured) and the dense
+    rank of each oriented value within its reference slice; missing links
+    rank as 0.0.  Present values are finite, so comparing their ranks
+    within a slice gives the same signs as subtracting them."""
+    _stack_orders(signals, "signal matrices")
+    if not signals:
+        return np.empty((0, 0), dtype=bool), np.empty((0, 0), dtype=np.uint8)
+    present = np.concatenate([~S.missing.T for S in signals])
+    oriented = np.concatenate(
+        [(S.values if S.increasing_with_distance else -S.values).T for S in signals]
+    )
+    return present, _dense_ranks(np.where(present, oriented, 0.0))
+
+
+def _warn_sparse_slices(present):
+    n = len(present)
+    if n < 2:
+        return
+    # off-diagonal pairs of slice k with a missing end: all but c_k (c_k - 1)
+    counts = present.sum(axis=1)
+    missing_frac = (n * (n - 1) - counts * (counts - 1)) / (n * (n - 1))
+    for k in np.nonzero(missing_frac > 0.5)[0]:
+        warnings.warn(
+            f"slice {k}: {missing_frac[k]:.0%} of comparisons missing; "
+            "localization quality degrades",
+            SliceCoverageWarning,
+            stacklevel=3,
+        )
+
+
 def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     """Ordinal comparisons of measured proxies.
 
     Entries are oriented so +1 always means "i is farther from k than j"
     regardless of whether the proxy grows or shrinks with distance.
-    Comparisons touching a missing link yield 0.  Present values are
-    finite, so comparing their ranks within a slice gives the same signs
-    as subtracting them.
+    Comparisons touching a missing link yield 0.
     """
-    p = S.values if S.increasing_with_distance else -S.values
-    present = np.ascontiguousarray(~S.missing.T)  # present[k, i]: link i-k measured
-    ranks = _dense_ranks(np.where(present, p.T, 0.0))
+    present, ranks = _signal_ranks([S])
     flags = present.view(np.int8)
     n = S.order
     z = np.empty((n, n, n), dtype=np.int8)
@@ -154,16 +247,30 @@ def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
         z[ks] = _sign_int8(r[:, :, None], r[:, None, :])
         z[ks] *= flags[ks, :, None]
         z[ks] *= flags[ks, None, :]
-    if n > 1:
-        # off-diagonal pairs of slice k with a missing end: all but c_k (c_k - 1)
-        counts = present.sum(axis=1)
-        missing_frac = (n * (n - 1) - counts * (counts - 1)) / (n * (n - 1))
-        for k in np.nonzero(missing_frac > 0.5)[0]:
-            warnings.warn(
-                f"slice {k}: {missing_frac[k]:.0%} of comparisons missing; "
-                "localization quality degrades",
-                SliceCoverageWarning,
-                stacklevel=2,
-            )
+    _warn_sparse_slices(present)
     z.flags.writeable = False  # handed over without a copy
     return ComparisonTensor(z, S.n_anchors)
+
+
+def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
+    """Row sums of ``tensor_from_signals``'s slices for a stack of signal
+    matrices of one order, without the tensors.
+
+    ``out[g, k, i]`` is, for a present link i-k of matrix g, the number of
+    present values of slice k ranked below sensor i's minus the number
+    ranked above it, and 0 for a missing link.  The counts come from a
+    per-slice histogram of the present ranks, in O(N^2) per matrix.  Each
+    matrix warns as ``tensor_from_signals`` would.
+    """
+    present, ranks = _signal_ranks(signals)
+    rows, n = present.shape
+    bins = np.arange(rows)[:, None] * n + ranks
+    at_rank = np.bincount(bins[present], minlength=rows * n).reshape(rows, n)
+    up_to_rank = np.cumsum(at_rank, axis=1)
+    le = np.take_along_axis(up_to_rank, ranks, axis=1)
+    eq = np.take_along_axis(at_rank, ranks, axis=1)
+    # below = le - eq, above = c_k - le
+    out = np.where(present, 2 * le - eq - up_to_rank[:, -1:], 0)
+    for g in range(len(signals)):
+        _warn_sparse_slices(present[g * n : (g + 1) * n])
+    return out.reshape(len(signals), n, n)

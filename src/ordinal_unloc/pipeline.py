@@ -1,6 +1,7 @@
-"""End-to-end composition: comparison tensor -> proximities -> distances
--> positions.  Shared by the benchmark harness, the ingest workflow and
-the CLI."""
+"""End-to-end composition of a comparison tensor: proximities ->
+distances -> positions.  The benchmark harness and the CLI skip the
+tensor: they aggregate comparison row sums (``ordinal.*_row_sums``) and
+estimate many matrices at once with ``funclearn.estimate_distances_batch``."""
 
 from __future__ import annotations
 
@@ -10,14 +11,6 @@ from .core import point_distances
 from .funclearn import EstimatedDistanceMatrix, estimate_distances
 from .rank import aggregate_proximities
 from .unfold import LocalizationResult, SolverOptions, localize_all
-
-
-def estimate_from_tensor(tensor, anchors: np.ndarray) -> EstimatedDistanceMatrix:
-    """Rank aggregation and function learning: the recalibrated
-    anchor-to-target distance estimates of a comparison tensor."""
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    psi = aggregate_proximities(tensor)
-    return estimate_distances(psi, point_distances(anchors))
 
 
 def localize_from_tensor(
@@ -31,5 +24,5 @@ def localize_from_tensor(
     anchor-to-target distance estimates.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    d_hat = estimate_from_tensor(tensor, anchors)
+    d_hat = estimate_distances(aggregate_proximities(tensor), point_distances(anchors))
     return localize_all(anchors, d_hat, opts), d_hat

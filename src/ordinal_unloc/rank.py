@@ -80,12 +80,18 @@ def ls_rank_pinv(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     return psi - psi.mean()
 
 
-def aggregate_proximities(tensor: ComparisonTensor) -> ProximityMatrix:
-    """Stack the per-slice score vectors into the proximity matrix.
+def proximity_scores(row_sums: np.ndarray) -> np.ndarray:
+    """Score vectors of comparison slices given only their row sums.
 
     Row sums of a slice equal B^T of its flattened vector (skew-symmetry),
-    so column k of the result is values[k].sum(axis=1) / N.
+    so ``scores[i, k] = row_sums[k, i] / N``.  Works on one (N, N) array
+    of row sums or on a stack of them; the row sums come from
+    ``ordinal.*_row_sums`` without a tensor, or from a tensor.
     """
-    n = tensor.order
-    psi = tensor.values.sum(axis=2).T / n
-    return ProximityMatrix(psi, tensor.n_anchors)
+    row_sums = np.asarray(row_sums)
+    return np.swapaxes(row_sums, -1, -2) / row_sums.shape[-1]
+
+
+def aggregate_proximities(tensor: ComparisonTensor) -> ProximityMatrix:
+    """Stack the per-slice score vectors of a tensor into the proximity matrix."""
+    return ProximityMatrix(proximity_scores(tensor.values.sum(axis=2)), tensor.n_anchors)

@@ -8,7 +8,10 @@ grids.  Neither is guaranteed to find the global minimum, but both return
 a point and its cost, so the exact solver's cost must not be above the
 smaller of the two (``oracle_bound``).  ``reference_preliminary`` and
 ``reference_recalibrate`` fit one linear map per column in a Python loop;
-the column-wise fits must match them byte for byte.
+the column-wise fits must match them byte for byte.  ``reference_run_trial``
+is the Monte-Carlo trial computed one grid point at a time through the
+N^3 comparison tensor; the stacked, tensor-free ``bench.run_trial`` must
+match it byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ import warnings
 
 import numpy as np
 
-from ordinal_unloc.core import IllPosedWarning, InputError, OrdinalUnlocError, ProximityMatrix
+from ordinal_unloc import bench
+from ordinal_unloc.core import (
+    DistanceMatrix,
+    IllPosedWarning,
+    InputError,
+    OrdinalUnlocError,
+    ProximityMatrix,
+    point_distances,
+)
 from ordinal_unloc.funclearn import (
     SLOPE_FLOOR,
     DegenerateFitWarning,
@@ -25,9 +36,21 @@ from ordinal_unloc.funclearn import (
     LinearMap,
     UnderdeterminedFit,
 )
+from ordinal_unloc.funclearn import estimate_distances
+from ordinal_unloc.ordinal import (
+    ComparisonNoiseModel,
+    SignalMatrix,
+    tensor_from_distances,
+    tensor_from_signals,
+)
+from ordinal_unloc.rank import aggregate_proximities
+from ordinal_unloc.signals import MIN_LINK_DISTANCE, RssModel
 from ordinal_unloc.unfold import (
     LocalizationResult,
     SolverOptions,
+    UnfoldingProblem,
+    column_problems,
+    solve_unfolding,
     unfolding_cost,
     unfolding_gradient,
 )
@@ -299,3 +322,110 @@ def reference_recalibrate(
         g = reference_fit(psi_yx[:, j], d_tilde.values[:, j])
         out[:, j] = g(psi_yx[:, j])
     return EstimatedDistanceMatrix(out, "recalibrated", d_tilde.flagged_anchors)
+
+
+# -- the Monte-Carlo trial, one grid point at a time through the tensor ----
+
+
+def _estimate_from_tensor(tensor, anchors):
+    return estimate_distances(aggregate_proximities(tensor), point_distances(anchors))
+
+
+def _symmetric_draws(n, draw, rng):
+    out = np.zeros((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    vals = draw(rng, iu.size)
+    out[iu, ju] = vals
+    out[ju, iu] = vals
+    return out
+
+
+def _direct_problems(anchors, d_est):
+    return [UnfoldingProblem(anchors, d_est[:, j] ** 2) for j in range(d_est.shape[1])]
+
+
+def _ordinal_grid_point(config, m, sigma, rng):
+    anchors = rng.uniform(0, config.field_side, size=(m, 2))
+    targets = rng.uniform(0, config.field_side, size=(config.n_targets, 2))
+    rng.integers(2**63)
+    d_full = point_distances(np.vstack([anchors, targets]))
+    tensor = tensor_from_distances(DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
+    d_hat = _estimate_from_tensor(tensor, anchors)
+    return [(column_problems(anchors, d_hat), d_hat.values, targets, d_full[:m, m:])]
+
+
+def _rss_grid_point(config, m, rng):
+    n = config.n_targets
+    anchors = rng.uniform(0, config.field_side, size=(m, 2))
+    targets = rng.uniform(0, config.field_side, size=(n, 2))
+    model = RssModel(
+        transmit_power=config.transmit_power,
+        hardware_gain=config.hardware_gain,
+        exponent_low=config.exponent_low,
+        exponent_high=config.exponent_high,
+    )
+    d_full = point_distances(np.vstack([anchors, targets]))
+    d_true_yx = d_full[:m, m:]
+    exponents = _symmetric_draws(
+        m + n, lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
+    )
+    power = model.transmit_power * model.hardware_gain * np.maximum(
+        d_full, MIN_LINK_DISTANCE
+    ) ** (-exponents)
+    sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
+    d_hat = _estimate_from_tensor(tensor_from_signals(sig), anchors)
+    methods = [(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx)]
+    for exps in (np.full((m, n), config.calibration_exponent), exponents[:m, m:]):
+        d_est = (model.transmit_power * model.hardware_gain / power[:m, m:]) ** (1.0 / exps)
+        methods.append((_direct_problems(anchors, d_est), d_est, targets, d_true_yx))
+    return methods
+
+
+def _toa_grid_point(config, m, normalized_variance, rng):
+    n = config.n_targets
+    c = config.propagation_speed
+    sigma_t = float(np.sqrt(normalized_variance / c))
+    anchors = rng.uniform(0, config.field_side, size=(m, 2))
+    targets = rng.uniform(0, config.field_side, size=(n, 2))
+    d_full = point_distances(np.vstack([anchors, targets]))
+    d_true_yx = d_full[:m, m:]
+    rng.integers(2**63, size=2)
+    toa = d_full / c + _symmetric_draws(m + n, lambda r, k: r.normal(0.0, sigma_t, k), rng)
+    sig = SignalMatrix(toa, increasing_with_distance=True, n_anchors=m)
+    d_hat = _estimate_from_tensor(tensor_from_signals(sig), anchors)
+    d_est = c * toa[:m, m:]
+    return [
+        (column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx),
+        (_direct_problems(anchors, d_est), d_est, targets, d_true_yx),
+    ]
+
+
+def reference_run_trial(config, trial_index) -> bench.TrialOutcome:
+    """``bench.run_trial`` as it was computed one grid point at a time: each
+    grid point builds its comparison tensor, aggregates it and estimates
+    its distances alone; then the trial's problems are solved in one batch
+    and scored with the harness's own scoring."""
+    grid = config.grid()
+    shape = (len(grid), len(config.methods))
+    sq_err, tau, flagged = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
+    root = np.random.SeedSequence(
+        entropy=config.seed, spawn_key=(bench._EXPERIMENT_IDS[config.kind], trial_index)
+    )
+    solves = []
+    for (m, noise), child in zip(grid, root.spawn(len(grid))):
+        rng = np.random.default_rng(child)
+        if config.kind == "ordinal":
+            solves.append(_ordinal_grid_point(config, m, noise, rng))
+        elif config.kind == "rss":
+            solves.append(_rss_grid_point(config, m, rng))
+        else:
+            solves.append(_toa_grid_point(config, m, noise, rng))
+    problems = [p for methods in solves for method in methods for p in method[0]]
+    results = iter(solve_unfolding(problems, config.solver))
+    for g, methods in enumerate(solves):
+        for k, (method_problems, estimates, targets, true_yx) in enumerate(methods):
+            method_results = [next(results) for _ in method_problems]
+            sq_err[g, k], tau[g, k], flagged[g, k] = bench._position_error_and_tau(
+                method_results, estimates, targets, true_yx
+            )
+    return bench.TrialOutcome(sq_err, tau, flagged)

@@ -15,9 +15,7 @@ from ordinal_unloc.bench import (
     ExperimentConfig,
     kendall_tau,
     result_to_csv,
-    rss_comparison_suite,
     run_benchmark,
-    toa_comparison_suite,
 )
 from ordinal_unloc.cli import main
 from ordinal_unloc.core import DistanceMatrix, SensorField
@@ -95,7 +93,7 @@ def fig5():
         seed=MASTER_SEED,
         field_side=10.0,
     )
-    return rss_comparison_suite(cfg)
+    return run_benchmark(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +107,7 @@ def fig6():
         seed=MASTER_SEED,
         field_side=200.0,
     )
-    return toa_comparison_suite(cfg), grid
+    return run_benchmark(cfg), grid
 
 
 def test_criterion_1_rmse_decreases_with_anchor_count(fig3):

@@ -12,14 +12,12 @@ from ordinal_unloc.bench import (
     kendall_tau,
     result_to_csv,
     result_to_json,
-    rss_comparison_suite,
     run_benchmark,
     run_trial,
-    toa_comparison_suite,
 )
-from ordinal_unloc.core import ConfigError, InputError
+from ordinal_unloc.core import ComparisonTensor, ConfigError, InputError
 from ordinal_unloc.unfold import SolverOptions, solve_unfolding
-from reference_solvers import oracle_bound
+from reference_solvers import oracle_bound, reference_run_trial
 
 FAST_SOLVER = SolverOptions(restarts=4)
 
@@ -153,22 +151,15 @@ def test_threaded_reduction_matches_serial():
 
 def test_rss_suite_genie_is_exact():
     cfg = _small("rss", anchor_counts=(6,), trials=10)
-    result = rss_comparison_suite(cfg)
+    result = run_benchmark(cfg)
     genie = result.methods.index("unloc_genie")
     assert result.rmse[0, genie] < 1e-9
     np.testing.assert_allclose(result.mean_tau[0, genie], 1.0)
 
 
-def test_rss_suite_kind_guard():
-    with pytest.raises(ConfigError):
-        rss_comparison_suite(_small("ordinal"))
-    with pytest.raises(ConfigError):
-        toa_comparison_suite(_small("rss"))
-
-
 def test_toa_suite_noise_trend():
     cfg = _small("toa", anchor_counts=(8,), noise_grid=(0.01, 10.0), trials=15)
-    result = toa_comparison_suite(cfg)
+    result = run_benchmark(cfg)
     unloc = result.methods.index("unloc")
     # direct inversion degrades sharply with the normalized variance
     assert result.rmse[1, unloc] > result.rmse[0, unloc]
@@ -224,3 +215,32 @@ def test_trial_batch_matches_problems_solved_alone(monkeypatch, kind):
         assert result.position.tobytes() == alone.position.tobytes()
         assert result.cost == alone.cost and result.converged == alone.converged
         assert result.cost <= oracle_bound(problem.anchors, problem.delta)
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
+def test_run_trial_matches_per_grid_point_reference(kind):
+    """Stacked, tensor-free estimation gives the bytes of the trial computed
+    one grid point at a time through the comparison tensor."""
+    configs = [
+        # an anchor count listed twice puts both of its entries in one group
+        _small(kind, anchor_counts=(5, 8, 5), n_targets=2),
+        _small(kind, anchor_counts=(2, 3, 20), n_targets=1, seed=9),
+    ]
+    if kind != "rss":
+        configs.append(_small(kind, noise_grid=(0.05, 0.5, 2.0, 5.0), seed=10))
+    for config in configs:
+        for t in range(6):
+            got, expected = run_trial(config, t), reference_run_trial(config, t)
+            assert got.sq_err.tobytes() == expected.sq_err.tobytes()
+            assert got.tau.tobytes() == expected.tau.tobytes()
+            assert got.flagged.tobytes() == expected.flagged.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
+def test_run_trial_builds_no_comparison_tensor(monkeypatch, kind):
+    def refuse(self):
+        raise AssertionError("a comparison tensor was built")
+
+    monkeypatch.setattr(ComparisonTensor, "__post_init__", refuse)
+    outcome = run_trial(_small(kind), 0)
+    assert np.isfinite(outcome.sq_err).all()

@@ -9,10 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordinal_unloc import __version__
+from ordinal_unloc import __version__, cli
 from ordinal_unloc.cli import _int_list, build_parser, main
-from ordinal_unloc.core import ConfigError, SensorField
-from ordinal_unloc.ingest import MeasurementRecord, write_measurement_file
+from ordinal_unloc.core import ComparisonTensor, ConfigError, SensorField
+from ordinal_unloc.ingest import (
+    MeasurementRecord,
+    measurement_signal_matrix,
+    min_link_sample_count,
+    parse_measurements,
+    select_strong_links,
+    write_measurement_file,
+)
+from ordinal_unloc.ordinal import tensor_from_signals
+from ordinal_unloc.pipeline import localize_from_tensor
 
 FAST = ["--trials", "4", "--threads", "1", "--restarts", "4", "--seed", "7"]
 
@@ -272,6 +281,35 @@ def test_localize_sample_mode_rows(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "localize"
     assert manifest["config"]["aggregator"] == "sample"
+
+
+def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path):
+    """All samples are estimated in one stack from comparison row sums; the
+    solver gets the problems of each sample's tensor route, byte for byte."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    parsed = parse_measurements(path)
+    links = select_strong_links(parsed, 1.0)
+    expected = []
+    for k in range(1, min_link_sample_count(links) + 1):
+        sig = measurement_signal_matrix(links, "sample", sample_index=k)
+        _, d_hat = localize_from_tensor(tensor_from_signals(sig), parsed.field.anchors)
+        expected += [d_hat.values[:, j] ** 2 for j in range(d_hat.n_targets)]
+    solved = []
+    solve = cli.solve_unfolding
+
+    def recording(problems, opts):
+        solved.extend(problems)
+        return solve(problems, opts)
+
+    def refuse(self):
+        raise AssertionError("a comparison tensor was built")
+
+    monkeypatch.setattr(cli, "solve_unfolding", recording)
+    monkeypatch.setattr(ComparisonTensor, "__post_init__", refuse)
+    code = _run(["localize", str(path), "--keep-fraction", "1.0", "--out", str(tmp_path / "loc")])
+    assert code == 0
+    assert [p.delta.tobytes() for p in solved] == [delta.tobytes() for delta in expected]
 
 
 def test_localize_nan_rssi_exit_code_2(tmp_path, capsys):

@@ -11,7 +11,6 @@ from ordinal_unloc.core import (
     InputError,
     ProximityMatrix,
     SensorField,
-    block_view,
     pairwise_distances,
     parse_sensor_field,
     read_sensor_field,
@@ -52,16 +51,16 @@ def test_few_anchors_warns_not_rejects():
 def test_block_views():
     field = SensorField(2, [(0, 0), (1, 0)], targets=[(0, 1)])
     d = pairwise_distances(field)
-    assert block_view(d, "Y").shape == (2, 2)
-    np.testing.assert_array_equal(block_view(d, "XY"), block_view(d, "YX").T)
+    assert d.block("Y").shape == (2, 2)
+    np.testing.assert_array_equal(d.block("XY"), d.block("YX").T)
     with pytest.raises(InputError):
-        block_view(d, "Q")
+        d.block("Q")
 
 
 def test_block_view_no_targets_degenerate():
     d = pairwise_distances(SensorField(2, [(0, 0), (3, 4)]))
-    assert block_view(d, "YX").shape == (2, 0)
-    assert block_view(d, "X").shape == (0, 0)
+    assert d.block("YX").shape == (2, 0)
+    assert d.block("X").shape == (0, 0)
 
 
 def test_block_roundtrip_reassembles():

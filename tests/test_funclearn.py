@@ -14,6 +14,7 @@ from ordinal_unloc.funclearn import (
     LinearMap,
     UnderdeterminedFit,
     estimate_distances,
+    estimate_distances_batch,
     fit_linear_map,
     preliminary_distances,
     recalibrate,
@@ -223,3 +224,76 @@ def test_fit_linear_map_matches_reference():
         for d in (1.5 + 0.7 * psi + 0.1 * rng.normal(size=size), 2.0 - psi, np.full(size, 0.3)):
             got, expected = fit_linear_map(psi, d), reference_fit(psi, d)
             assert (got.offset, got.slope) == (expected.offset, expected.slope)
+
+
+# -- stacked estimates against each matrix estimated alone -----------------
+
+
+def _estimate_alone(psi, d_y):
+    return _with_degenerate_warnings(estimate_distances, psi, d_y)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (5, 1), (10, 3), (20, 1)])
+def test_batch_matches_each_matrix_alone(m, n):
+    """A stack holding a flagged (NaN-slope) anchor, a degenerate proximity
+    column and plain matrices gives each matrix the bytes, flagged anchors
+    and warnings of its estimate alone."""
+    rng = np.random.default_rng(40 + m)
+    psis, d_ys = [], []
+    for case in ("plain", "nan-anchor", "constant", "plain", "negative"):
+        d, psi = _pipeline_inputs(rng, m=m, n=n, sigma=0.3)
+        values, d_y = psi.values.copy(), d.block("Y").copy()
+        if case == "nan-anchor" and m > 2:
+            d_y[:, 1] = np.nan
+        elif case == "constant":
+            values[:, [m - 1, m]] = 0.25  # one anchor and one target slice
+        elif case == "negative":
+            values[:m, 0] = -values[:m, 0]
+        psis.append(ProximityMatrix(values, m))
+        d_ys.append(d_y)
+    batch, warned = _with_degenerate_warnings(
+        estimate_distances_batch, np.stack([p.values for p in psis]), np.stack(d_ys), m
+    )
+    expected_warned = 0
+    for got, psi, d_y in zip(batch, psis, d_ys):
+        expected, count = _estimate_alone(psi, d_y)
+        _assert_same_estimates(got, expected)
+        expected_warned += count
+    assert warned == expected_warned >= 2
+    if m > 2:
+        assert batch[1].flagged_anchors == (1,)
+
+
+def test_batch_shares_one_anchor_block():
+    rng = np.random.default_rng(45)
+    d, psi = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
+    _, other = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
+    stack = np.stack([psi.values, other.values])
+    batch = estimate_distances_batch(stack, d.block("Y"), 6)
+    for got, p in zip(batch, (psi, other)):
+        _assert_same_estimates(got, estimate_distances(p, d.block("Y")))
+
+
+def test_batch_shape_checks():
+    rng = np.random.default_rng(46)
+    d, psi = _pipeline_inputs(rng, m=5, n=1)
+    stack = psi.values[None]
+    assert estimate_distances_batch(np.empty((0, 6, 6)), np.empty((0, 5, 5)), 5) == []
+    with pytest.raises(InputError):
+        estimate_distances_batch(psi.values, d.block("Y"), 5)
+    with pytest.raises(InputError):
+        estimate_distances_batch(stack, np.zeros((2, 5, 5)), 5)
+    with pytest.raises(InputError):
+        estimate_distances_batch(stack, np.zeros((4, 4)), 5)
+    with pytest.raises(UnderdeterminedFit):
+        estimate_distances_batch(stack, np.zeros((1, 1)), 1)
+    all_failed = np.full((5, 5), np.nan)
+    with pytest.raises(UnderdeterminedFit, match="every anchor fit failed"):
+        estimate_distances_batch(stack, all_failed, 5)
+    # a non-finite target score stops the batch where it stops the matrix alone
+    values = psi.values.copy()
+    values[5, 2] = np.inf
+    with pytest.raises(InputError, match="must be finite"):
+        estimate_distances(ProximityMatrix(values, 5), d.block("Y"))
+    with pytest.raises(InputError, match="must be finite"):
+        estimate_distances_batch(np.stack([psi.values, values]), d.block("Y"), 5)

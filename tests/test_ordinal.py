@@ -13,16 +13,13 @@ from ordinal_unloc.ordinal import (
     ComparisonNoiseModel,
     SignalMatrix,
     SliceCoverageWarning,
-    compare_ordinal,
+    distance_row_sums,
+    pair_indices,
+    signal_row_sums,
     tensor_from_distances,
     tensor_from_signals,
 )
-
-
-def test_compare_ordinal_basic():
-    assert compare_ordinal(1.0, 2.0, 0.0) == -1
-    assert compare_ordinal(1.0, 1.0, 0.0) == 0
-    assert compare_ordinal(1.0, 2.0, 1.5) == +1
+from ordinal_unloc.rank import aggregate_proximities, proximity_scores
 
 
 def test_negative_sigma_rejected():
@@ -306,3 +303,98 @@ def test_tensor_from_signals_peak_memory():
     S = SignalMatrix(values + values.T, increasing_with_distance=True, n_anchors=180)
     peak, tensor = _peak_bytes(lambda: tensor_from_signals(S))
     assert peak < 1.6 * tensor.values.nbytes
+
+
+# -- row sums without the tensor, against the tensor route ----------------
+
+
+def _scores_bytes(row_sums):
+    return proximity_scores(row_sums).tobytes()
+
+
+def _tensor_scores_bytes(tensor):
+    return aggregate_proximities(tensor).values.tobytes()
+
+
+def _field(n, seed):
+    pts = np.random.default_rng(seed).uniform(size=(n, 2))
+    return DistanceMatrix(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)), 0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("n, block_slices", _ORACLE_SIZES)
+def test_distance_row_sums_match_tensor(monkeypatch, n, block_slices, sigma):
+    _set_block(monkeypatch, n, block_slices)
+    d = _field(n, 300 + n)
+    noise = ComparisonNoiseModel(sigma)
+    rng, tensor_rng = np.random.default_rng(n), np.random.default_rng(n)
+    (rows,) = distance_row_sums([d], [noise], [rng])
+    tensor = tensor_from_distances(d, noise, tensor_rng)
+    assert rows.dtype == np.int64 and rows.shape == (n, n)
+    assert _scores_bytes(rows) == _tensor_scores_bytes(tensor)
+    # the same draws were taken, so the generators stand at the same place
+    assert rng.random() == tensor_rng.random()
+
+
+@pytest.mark.parametrize("n, block_slices", [(1, None), (3, None), (21, None), (21, 4), (7, 3)])
+def test_stacked_distance_row_sums_match_each_tensor(monkeypatch, n, block_slices):
+    """Blocks of the stack may cut across matrices; each matrix still draws
+    its own noise, in order, from its own generator."""
+    _set_block(monkeypatch, n, block_slices)
+    sigmas = (0.0, 0.3, 0.3, 0.0, 1.5)
+    ds = [_field(n, 400 + n + g) for g in range(len(sigmas))]
+    noises = [ComparisonNoiseModel(s, seed=g) for g, s in enumerate(sigmas)]
+    rngs = [np.random.default_rng(g) for g in range(len(sigmas) - 1)] + [None]
+    stacked = distance_row_sums(ds, noises, rngs)
+    assert stacked.shape == (len(sigmas), n, n)
+    for g, (d, noise) in enumerate(zip(ds, noises)):
+        tensor_rng = np.random.default_rng(g) if rngs[g] is not None else None
+        tensor = tensor_from_distances(d, noise, tensor_rng)
+        assert _scores_bytes(stacked[g]) == _tensor_scores_bytes(tensor)
+        if rngs[g] is not None:
+            assert rngs[g].random() == tensor_rng.random()
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 21, 110])
+def test_signal_row_sums_match_tensor(n, increasing):
+    rng = np.random.default_rng(500 + n)
+    matrices = []
+    for missing_rate in (0.0, 0.2, 0.6):
+        # coarse values tie often, and +0.0 / -0.0 compare equal
+        values = np.round(rng.normal(size=(n, n)), 1)
+        values = values + values.T
+        values[values == 0] = rng.choice([0.0, -0.0], size=int((values == 0).sum()))
+        missing = rng.uniform(size=(n, n)) < missing_rate
+        missing |= missing.T
+        with_gaps = np.where(missing, np.nan, values)
+        matrices.append(SignalMatrix(with_gaps, increasing, n_anchors=0, missing=missing))
+    stacked, messages = _with_coverage_warnings(lambda: signal_row_sums(matrices))
+    assert stacked.dtype == np.int64 and stacked.shape == (len(matrices), n, n)
+    expected_messages = []
+    for g, S in enumerate(matrices):
+        tensor, tensor_messages = _with_coverage_warnings(lambda: tensor_from_signals(S))
+        assert _scores_bytes(stacked[g]) == _tensor_scores_bytes(tensor)
+        expected_messages += tensor_messages
+    assert messages == expected_messages
+
+
+def test_row_sums_reject_mixed_orders():
+    with pytest.raises(InputError, match="one order"):
+        distance_row_sums([_field(3, 0), _field(4, 0)], [ComparisonNoiseModel()] * 2, [None] * 2)
+    with pytest.raises(InputError, match="one noise model"):
+        distance_row_sums([_field(3, 0)], [], [None])
+    values = np.ones((3, 3))
+    with pytest.raises(InputError, match="one order"):
+        signal_row_sums([_signal_matrix(values, True), _signal_matrix(np.ones((4, 4)), True)])
+    assert distance_row_sums([], [], []).shape == (0, 0, 0)
+    assert signal_row_sums([]).shape == (0, 0, 0)
+
+
+def test_pair_indices_cached_and_read_only():
+    i, j = pair_indices(6)
+    expected_i, expected_j = np.triu_indices(6, k=1)
+    np.testing.assert_array_equal(i, expected_i)
+    np.testing.assert_array_equal(j, expected_j)
+    assert pair_indices(6)[0] is i
+    assert not i.flags.writeable and not j.flags.writeable

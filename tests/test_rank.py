@@ -13,6 +13,7 @@ from ordinal_unloc.rank import (
     incidence_matrix,
     ls_rank,
     ls_rank_pinv,
+    proximity_scores,
 )
 
 
@@ -122,3 +123,12 @@ def test_aggregate_columns_zero_sum(n, seed):
     tensor = tensor_from_distances(d, ComparisonNoiseModel(0.5), rng)
     psi = aggregate_proximities(tensor).values
     np.testing.assert_allclose(psi.sum(axis=0), 0.0, atol=1e-12)
+
+
+def test_proximity_scores_of_a_stack_match_each_matrix():
+    rng = np.random.default_rng(23)
+    row_sums = rng.integers(-6, 7, size=(3, 7, 7))
+    stacked = proximity_scores(row_sums)
+    for g in range(3):
+        assert stacked[g].tobytes() == proximity_scores(row_sums[g]).tobytes()
+        np.testing.assert_array_equal(stacked[g], row_sums[g].T / 7)
