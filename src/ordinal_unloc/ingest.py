@@ -4,6 +4,13 @@ File layout: a sensor roster (same CSV as the field format, targets may
 omit coordinates), a line ``---``, then measurement rows with header
 ``tx_id,rx_id,timestamp_ms,rssi_dbm``.
 
+Record lines are parsed in chunks of ``_CHUNK_LINES``.  A chunk of clean
+records (no quote, three commas a line, exact ids, numbers, no self link)
+is split once and cast in bulk; any other chunk goes through the
+line-by-line parser, the one place that decides a ``RowError``.  A clean
+chunk yields what that parser would, and chunks are taken in file order,
+so records and errors keep it.
+
 The line-of-sight selection of the hardware workflow is approximated by a
 top-fraction power filter per directed link; the Ricean K-factor route is
 out of scope.
@@ -12,9 +19,11 @@ out of scope.
 from __future__ import annotations
 
 import csv
+import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +41,7 @@ from .ordinal import SignalMatrix
 SEPARATOR = "---"
 RECORD_HEADER = ("tx_id", "rx_id", "timestamp_ms", "rssi_dbm")
 DEFAULT_KEEP_FRACTION = 0.01
+_CHUNK_LINES = 4096  # record lines parsed per bulk chunk
 
 
 @dataclass(frozen=True)
@@ -137,43 +147,28 @@ def parse_measurements(path) -> MeasurementSet:
     return parse_measurement_text(text)
 
 
-def _record_rows(lines, first_line):
-    """(line_no, cells) for non-blank, non-comment lines, as
-    ``core._iter_csv_rows`` yields them.  Without a quote character the csv
-    reader's cells are the comma-separated pieces, so only quoted lines go
-    through it."""
+def _record_lines(lines, first_line):
+    """(line_no, line) for non-blank, non-comment lines, the lines
+    ``core._iter_csv_rows`` reads."""
     for line_no, line in enumerate(lines, first_line):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            yield line_no, next(csv.reader([line])) if '"' in line else line.split(",")
+            yield line_no, line
 
 
-def parse_measurement_text(text: str) -> MeasurementSet:
-    lines = text.splitlines()
-    try:
-        sep_at = next(i for i, line in enumerate(lines) if line.strip() == SEPARATOR)
-    except StopIteration:
-        raise InputError(f"missing {SEPARATOR!r} separator between roster and records") from None
-    roster_rows = list(_iter_csv_rows("\n".join(lines[:sep_at]), first_line=1))
-    if not roster_rows:
-        raise InputError("empty roster section")
-    header = [c.strip().lower() for c in roster_rows[0][1]]
-    if header[:4] != ["id", "role", "x", "y"]:
-        raise InputError(f"line {roster_rows[0][0]}: expected roster header id,role,x,y[,z]")
-    entries, q = _parse_sensor_rows(roster_rows[1:], dimension_hint=len(header) - 2)
-    # anchors-first ordering regardless of file order
-    field = _roster_to_field(entries, q)
-    index = {s: k for k, s in enumerate(field.anchor_ids + field.target_ids)}
+def _cells(line):
+    """A line's cells as the csv reader gives them.  Without a quote
+    character they are the comma-separated pieces, so only quoted lines go
+    through the reader."""
+    return next(csv.reader([line])) if '"' in line else line.split(",")
 
-    rows = _record_rows(lines[sep_at + 1 :], first_line=sep_at + 2)
+
+def _checked_rows(lines, first_line, index, errors):
+    """Record columns of ``lines`` parsed one line at a time; each malformed
+    record line adds a ``RowError`` to ``errors``."""
     tx, rx, stamps, powers, line_nos = [], [], [], [], []
-    errors: list[RowError] = []
-    first = next(rows, None)
-    if first is not None:
-        line_no, cells = first
-        if tuple(c.strip().lower() for c in cells) != RECORD_HEADER:
-            raise InputError(f"line {line_no}: expected header {','.join(RECORD_HEADER)}")
-    for line_no, cells in rows:
+    for line_no, line in _record_lines(lines, first_line):
+        cells = _cells(line)
         if len(cells) != 4:
             errors.append(RowError(line_no, "expected 4 fields"))
             continue
@@ -196,7 +191,79 @@ def parse_measurement_text(text: str) -> MeasurementSet:
         stamps.append(ts)
         powers.append(rssi)
         line_nos.append(line_no)
-    ms = MeasurementSet(field, tx, rx, stamps, powers, line_nos, tuple(errors))
+    return tx, rx, stamps, powers, line_nos
+
+
+def _bulk_rows(lines, first_line, index):
+    """Record columns of ``lines`` if every line is a clean record, else
+    None.  Clean means no quote, exactly four cells, ids that are keys of
+    ``index`` as they stand, numbers ``float`` reads and no self link, so
+    ``_checked_rows`` would accept every line with the same values.
+    ``float`` ignores the padding that ``_checked_rows`` strips."""
+    n = len(lines)
+    text = ",".join(lines)
+    if '"' in text or list(map(str.count, lines, repeat(","))).count(3) != n:
+        return None
+    cells = text.split(",")
+    try:
+        tx = np.fromiter(map(index.__getitem__, cells[0::4]), np.intp, n)
+        rx = np.fromiter(map(index.__getitem__, cells[1::4]), np.intp, n)
+        stamps = np.fromiter(map(float, cells[2::4]), float, n)
+        powers = np.fromiter(map(float, cells[3::4]), float, n)
+    except (KeyError, ValueError):
+        return None
+    if (tx == rx).any():
+        return None
+    return tx, rx, stamps, powers, np.arange(first_line, first_line + n)
+
+
+def _parse_records(lines, first_line, index):
+    """Record columns and row errors of the lines after the record header,
+    in file order, one chunk of ``_CHUNK_LINES`` lines at a time."""
+    # padded ids miss the index; #-led ids (possible when quoted in the
+    # roster) must too, since their lines are comments
+    bulk_index = {s: k for s, k in index.items() if not s.startswith("#")}
+    columns = [np.empty(len(lines), dtype) for _, dtype in _COLUMNS]
+    errors: list[RowError] = []
+    count = 0
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk, at = lines[start : start + _CHUNK_LINES], first_line + start
+        rows = _bulk_rows(chunk, at, bulk_index)
+        if rows is None:
+            rows = _checked_rows(chunk, at, index, errors)
+        k = len(rows[0])
+        for column, values in zip(columns, rows):
+            column[count : count + k] = values
+        count += k
+    return [column[:count] for column in columns], errors
+
+
+def parse_measurement_text(text: str) -> MeasurementSet:
+    lines = text.splitlines()
+    try:
+        sep_at = next(i for i, line in enumerate(lines) if line.strip() == SEPARATOR)
+    except StopIteration:
+        raise InputError(f"missing {SEPARATOR!r} separator between roster and records") from None
+    roster_rows = list(_iter_csv_rows("\n".join(lines[:sep_at]), first_line=1))
+    if not roster_rows:
+        raise InputError("empty roster section")
+    header = [c.strip().lower() for c in roster_rows[0][1]]
+    if header[:4] != ["id", "role", "x", "y"]:
+        raise InputError(f"line {roster_rows[0][0]}: expected roster header id,role,x,y[,z]")
+    entries, q = _parse_sensor_rows(roster_rows[1:], dimension_hint=len(header) - 2)
+    # anchors-first ordering regardless of file order
+    field = _roster_to_field(entries, q)
+    index = {s: k for k, s in enumerate(field.anchor_ids + field.target_ids)}
+
+    # records start after the header line; line numbers count from 1
+    records_at = len(lines)
+    header_row = next(_record_lines(lines[sep_at + 1 :], sep_at + 2), None)
+    if header_row is not None:
+        records_at, line = header_row
+        if tuple(c.strip().lower() for c in _cells(line)) != RECORD_HEADER:
+            raise InputError(f"line {records_at}: expected header {','.join(RECORD_HEADER)}")
+    columns, errors = _parse_records(lines[records_at:], records_at + 1, index)
+    ms = MeasurementSet(field, *columns, tuple(errors))
     # a NaN compares false both ways and would corrupt the selection order
     finite = np.isfinite(ms.timestamp_ms) & np.isfinite(ms.rssi_dbm)
     if not finite.all():
@@ -289,21 +356,30 @@ def measurement_signal_matrix(
     )
 
 
+def _id_cell(sensor_id: str) -> str:
+    """``sensor_id`` as a CSV cell the parser reads back: quoted, inner
+    quotes doubled, if it holds a comma or a quote or starts with ``#``."""
+    if "," in sensor_id or '"' in sensor_id or sensor_id.startswith("#"):
+        return '"' + sensor_id.replace('"', '""') + '"'
+    return sensor_id
+
+
 def write_measurement_file(path, field: SensorField, records) -> None:
     """Inverse of the parser, for synthetic datasets and round trips."""
+    cell = functools.cache(_id_cell)
     lines = ["id,role,x,y" + (",z" if field.dimension == 3 else "")]
     for sensor_id, coords in zip(field.anchor_ids, field.anchors):
-        lines.append(f"{sensor_id},anchor," + ",".join(repr(float(c)) for c in coords))
+        lines.append(f"{cell(sensor_id)},anchor," + ",".join(repr(float(c)) for c in coords))
     for k, sensor_id in enumerate(field.target_ids):
         if field.targets is not None:
             coords = ",".join(repr(float(c)) for c in field.targets[k])
         else:
             coords = "," if field.dimension == 3 else ""
-        lines.append(f"{sensor_id},target,{coords}")
+        lines.append(f"{cell(sensor_id)},target,{coords}")
     lines.append(SEPARATOR)
     lines.append(",".join(RECORD_HEADER))
     for rec in records:
         lines.append(
-            f"{rec.tx},{rec.rx},{float(rec.timestamp_ms)!r},{float(rec.rssi_dbm)!r}"
+            f"{cell(rec.tx)},{cell(rec.rx)},{float(rec.timestamp_ms)!r},{float(rec.rssi_dbm)!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -4,10 +4,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ingest import _HEADER, _LINE
 
 from ordinal_unloc import __version__, cli
 from ordinal_unloc.cli import _int_list, build_parser, main
@@ -426,3 +430,60 @@ def test_localize_manifest_records_counts(tmp_path):
     }
     labels = [line.split(",")[1] for line in (out / "positions.csv").read_text().split("\n")[1:-1]]
     assert labels == ["1", "2", "3", "4", "average"]
+
+
+_ROSTER_ROWS = ["a1,anchor,0,0", "a2,anchor,4,0", "a3,anchor,4,5", "t1,target,,", "t2,target,,"]
+_ROSTER_MUTATIONS = [
+    "a4,beacon,1,1",  # bad role
+    "a1,anchor,1,1",  # duplicate id
+    "t1,target,,",  # duplicate target
+    "a4,anchor,,",  # anchor without coordinates
+    "a4,anchor,x,1",  # non-numeric coordinate
+    "a4,anchor,nan,1",  # non-finite coordinate
+    "a4,anchor,1,2,3",  # inconsistent dimension
+    "t3,target,1,1",  # coordinates on some targets only
+    "a4",  # too few cells
+    "a4,anchor,0,0",  # coincides with a1
+    "a4,anchor,2,0",  # collinear with a1 and a2
+]
+
+
+@st.composite
+def _rosters(draw):
+    """The roster rows in any order, mostly whole, sometimes less a row
+    and sometimes with a malformed or awkward row put in."""
+    rows = list(draw(st.permutations(_ROSTER_ROWS)))
+    if draw(st.integers(0, 3)) == 0:
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    mutation = draw(st.sampled_from([None] * len(_ROSTER_MUTATIONS) + _ROSTER_MUTATIONS))
+    if mutation is not None:
+        rows.insert(draw(st.integers(0, len(rows))), mutation)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roster=_rosters(),
+    roster_header=st.sampled_from(["id,role,x,y"] * 10 + ["id,role,x", "id,x,y,role"]),
+    separator=st.sampled_from(["---"] * 10 + ["--", "# ---"]),  # missing separator
+    header=_HEADER,
+    body=st.lists(_LINE, max_size=60),
+    keep=st.sampled_from(["1.0", "0.5", "0.2"]),
+    aggregator=st.sampled_from(["sample", "median", "mean"]),
+)
+def test_localize_fuzzed_logs_exit_with_a_documented_code(
+    roster, roster_header, separator, header, body, keep, aggregator
+):
+    """Whatever the log holds, ``localize`` ends in 0, 1, 2 or 3 and never
+    in a traceback."""
+    text = "\n".join([roster_header, *roster, separator, header, *body]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "meas.csv"
+        path.write_text(text, encoding="utf-8")
+        code = main(
+            [
+                "localize", str(path), "--keep-fraction", keep, "--aggregator", aggregator,
+                "--seed", "1", "--threads", "1", "--out", str(Path(tmp) / "out"),
+            ]
+        )  # fmt: skip
+    assert code in (0, 1, 2, 3)

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import reference_ingest as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinal_unloc import ingest
 from ordinal_unloc.core import InputError, SensorField
 from ordinal_unloc.ingest import (
     MeasurementRecord,
@@ -279,6 +282,16 @@ def _outcome(fn, *args, **kwargs):
     return sig.values.tobytes(), sig.missing.tobytes()
 
 
+def _parsed(text):
+    """Columns and row errors of ``parse_measurement_text``, or its
+    InputError message."""
+    try:
+        ms = parse_measurement_text(text)
+    except InputError as exc:
+        return str(exc)
+    return ms.sensor_ids, list(ms.records), ms.parse_errors
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     lead=st.lists(st.sampled_from(["", "# comment", "  "]), max_size=2),
@@ -291,14 +304,17 @@ def test_columnar_ingest_matches_record_oracle(lead, header, body, tail):
     try:
         expected = ref.parse_measurement_text(text)
     except InputError as exc:
-        with pytest.raises(InputError) as got:
-            parse_measurement_text(text)
-        assert str(got.value) == str(exc)
+        expected_parse = str(exc)
+    else:
+        expected_parse = expected.sensor_ids, list(expected.records), expected.parse_errors
+    # chunks of 1, 2 and 7 lines mix bulk and line-by-line chunks in one body
+    for chunk in (1, 2, 7):
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            assert _parsed(text) == expected_parse
+    assert _parsed(text) == expected_parse
+    if isinstance(expected_parse, str):
         return
     ms = parse_measurement_text(text)
-    assert ms.sensor_ids == expected.sensor_ids
-    assert list(ms.records) == list(expected.records)
-    assert ms.parse_errors == expected.parse_errors
     for keep in (0.2, 0.5, 1.0):
         kept, kept_ref = select_strong_links(ms, keep), ref.select_strong_links(expected, keep)
         assert list(kept.records) == list(kept_ref.records)
@@ -313,3 +329,104 @@ def test_columnar_ingest_matches_record_oracle(lead, header, body, tail):
             assert _outcome(measurement_signal_matrix, kept, "sample", sample_index=k) == _outcome(
                 ref.measurement_signal_matrix, kept_ref, "sample", sample_index=k
             )
+
+
+def _long_log(tmp_path, n_records):
+    """A ``write_measurement_file`` log of ``n_records`` clean records and
+    its text."""
+    rng = np.random.default_rng(8)
+    field = SensorField(2, rng.uniform(0, 10, (4, 2)), declared_targets=2)
+    ids = field.anchor_ids + field.target_ids
+    pairs = [(i, j) for i in ids for j in ids if i != j]
+    records = [
+        MeasurementRecord(*pairs[k % len(pairs)], float(k), float(rng.normal(-60, 5)), k)
+        for k in range(n_records)
+    ]
+    path = tmp_path / "log.csv"
+    write_measurement_file(path, field, records)
+    return path, path.read_text(encoding="utf-8")
+
+
+def _same_as_oracle(ms, text):
+    expected = ref.parse_measurement_text(text)
+    assert list(ms.records) == list(expected.records)
+    assert ms.parse_errors == expected.parse_errors
+
+
+def test_log_longer_than_a_chunk_with_irregular_lines(tmp_path):
+    # a comment and a malformed line in the second chunk send it line by
+    # line; the chunks either side of it are parsed in bulk
+    _, text = _long_log(tmp_path, 2 * ingest._CHUNK_LINES + 500)
+    lines = text.splitlines()
+    at = len(lines) // 2
+    lines[at:at] = ["# operator note", "a1,a2,not-a-time,-50.0"]
+    text = "\n".join(lines) + "\n"
+    ms = parse_measurement_text(text)
+    assert len(ms.records) == 2 * ingest._CHUNK_LINES + 500
+    assert [e.line for e in ms.parse_errors] == [at + 2]
+    _same_as_oracle(ms, text)
+
+
+def test_written_logs_take_the_bulk_route(tmp_path, monkeypatch):
+    """The line-by-line parser never sees a log ``write_measurement_file``
+    wrote, so the benchmark's logs cannot slip onto the slow route."""
+    path, text = _long_log(tmp_path, ingest._CHUNK_LINES + 123)
+
+    def refuse(*args):
+        raise AssertionError("a clean chunk was parsed line by line")
+
+    monkeypatch.setattr(ingest, "_checked_rows", refuse)
+    ms = parse_measurements(path)
+    assert len(ms.records) == ingest._CHUNK_LINES + 123
+    _same_as_oracle(ms, text)
+
+
+def test_bulk_chunks_keep_comment_and_quote_rules():
+    # quoted roster ids may start with '#' or hold quotes: an unquoted
+    # record line naming '#b' is still a comment, and the quoted cell "a1"
+    # names a1, not the id '"a1"'
+    roster = ROSTER + '\n"#b",anchor,1.0,1.0\n"""a1""",anchor,2.0,1.0'
+    records = "\n".join(
+        [
+            "tx_id,rx_id,timestamp_ms,rssi_dbm",
+            "a1,a2,0,-40.0",
+            "#b,a1,1,-41.0",
+            '"#b",a1,2,-42.0',
+            '"a1",a2,3,-43.0',
+            '"""a1""",a2,4,-44.0',
+        ]
+    )
+    text = _text(roster, records)
+    for chunk in (1, ingest._CHUNK_LINES):
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+            ms = parse_measurement_text(text)
+        assert [(r.tx, r.line) for r in ms.records] == [
+            ("a1", 10), ("#b", 12), ("a1", 13), ('"a1"', 14)
+        ]  # fmt: skip
+        _same_as_oracle(ms, text)
+
+
+def test_write_read_round_trip_of_ids_that_need_quoting(tmp_path):
+    ids = ("a,1", "a 2", 'a"3', "#a4")
+    anchors = [(0.0, 0.0), (4.0, 0.0), (4.0, 5.0)]
+    field = SensorField(2, anchors, declared_targets=1, anchor_ids=ids[:3], target_ids=ids[3:])
+    records = [
+        MeasurementRecord(tx, rx, float(k), -40.0 - k, k)
+        for k, (tx, rx) in enumerate((a, b) for a in ids for b in ids if a != b)
+    ]
+    path = tmp_path / "run.csv"
+    write_measurement_file(path, field, records)
+    again = parse_measurements(path)
+    assert again.sensor_ids == ids
+    assert again.parse_errors == ()
+    assert [(r.tx, r.rx, r.timestamp_ms, r.rssi_dbm) for r in again.records] == [
+        (r.tx, r.rx, r.timestamp_ms, r.rssi_dbm) for r in records
+    ]
+
+
+def test_plain_ids_are_written_unquoted(tmp_path):
+    path, text = _long_log(tmp_path, 3)
+    assert '"' not in text
+    assert text.splitlines()[1] == "a1,anchor," + ",".join(
+        repr(float(c)) for c in parse_measurements(path).field.anchors[0]
+    )
