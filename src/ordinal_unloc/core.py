@@ -44,6 +44,13 @@ def _frozen(a, dtype=float):
     return a
 
 
+def _check_finite_coordinates(points, role):
+    bad = ~np.isfinite(points)
+    if bad.any():
+        i, c = np.argwhere(bad)[0]
+        raise InputError(f"{role} {i} coordinate {c} is {points[i, c]}, not finite")
+
+
 @dataclass(frozen=True)
 class SensorField:
     """Anchor/target layout in q-dimensional space.
@@ -70,6 +77,7 @@ class SensorField:
             raise InputError(
                 f"anchor coordinates must have length {q}, got shape {anchors.shape}"
             )
+        _check_finite_coordinates(anchors, "anchor")
         object.__setattr__(self, "anchors", _frozen(anchors))
         if self.targets is not None:
             targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
@@ -79,6 +87,7 @@ class SensorField:
                 raise InputError(
                     f"target coordinates must have length {q}, got shape {targets.shape}"
                 )
+            _check_finite_coordinates(targets, "target")
             object.__setattr__(self, "targets", _frozen(targets))
             object.__setattr__(self, "declared_targets", targets.shape[0])
         elif self.declared_targets is None:
@@ -247,6 +256,9 @@ def _parse_sensor_rows(rows, dimension_hint=None):
                 coords = [float(c) for c in coord_cells]
             except ValueError:
                 raise InputError(f"line {line_no}: non-numeric coordinate") from None
+            for cell, c in zip(coord_cells, coords):
+                if not np.isfinite(c):
+                    raise InputError(f"line {line_no}: coordinate {cell!r} is not finite")
             if q is None:
                 q = len(coords)
             elif len(coords) != q:

@@ -3,7 +3,11 @@
 The comparisons come either as the full N x N x N tensor
 (``tensor_from_*``) or, for rank aggregation, as the row sums of its
 slices only (``*_row_sums``), which never builds the tensor.  Both forms
-of one input kind take the same noise draws in the same order.
+of one input kind take the same noise draws in the same order, from one
+generator of pair differences (``_noisy_differences``) that computes
+every block of slices in a workspace allocated once per call.  The
+tensor route writes each slice's pair signs through an upper-triangle
+mask and mirrors them, so the lower triangle holds their negations.
 """
 
 from __future__ import annotations
@@ -76,9 +80,10 @@ class SignalMatrix:
 
 
 # Tensor entries filled per block of reference slices.  Temporaries scale
-# with the block, not with N^3; up to N = 64 the tensor is one block, and
-# at N = 200 the float temporaries of a block stay near a quarter of the
-# tensor's own bytes.
+# with the block, not with N^3; up to N = 64 the tensor is one block.  The
+# distance routes hold two float64 buffers of one block's pairs (under
+# 2 MB together), allocated once per call and reused for every block; from
+# N = 363 on a block is a single slice.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -99,6 +104,15 @@ def pair_indices(n):
     return i, j
 
 
+@functools.lru_cache(maxsize=32)
+def _upper_mask(n):
+    """Read-only (n, n) mask of the entries above the diagonal, whose True
+    entries run in the order of ``pair_indices(n)``; built once per order."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _sign_int8(a, b):
     """sgn(a - b) as int8, broadcasting a against b."""
     return (a > b).view(np.int8) - (a < b).view(np.int8)
@@ -117,7 +131,12 @@ def _noisy_differences(distances, noises, rngs):
     ``pair_indices``.  Matrix g's noise is drawn from its own generator,
     one value per slice and pair, in slice and pair order; the blocks cut
     that stream where one (N, N(N-1)/2) draw would be cut, so the values
-    are the same."""
+    and the generators' final states are the same.
+
+    Yields (rows, differences, spare): every block is computed in one
+    workspace allocated per call, so both arrays are valid only until the
+    next block is requested, and ``spare``, of the same shape, is free
+    for the caller to overwrite."""
     if not len(distances) == len(noises) == len(rngs):
         raise InputError("need one noise model and one generator per distance matrix")
     n = _stack_orders(distances, "distance matrices")
@@ -125,14 +144,26 @@ def _noisy_differences(distances, noises, rngs):
     # dk[g*N + k, i] = distance from sensor i to reference k in matrix g
     dk = np.concatenate([D.values.T for D in distances]) if distances else np.empty((0, 0))
     i, j = pair_indices(n)
-    for rows in _slice_blocks(len(dk), n):
-        diff = np.take(dk[rows], i, axis=1)
-        diff -= np.take(dk[rows], j, axis=1)
+    blocks = _slice_blocks(len(dk), n)
+    if not blocks:
+        return
+    size = (blocks[0].stop, len(i))
+    work, other = np.empty(size), np.empty(size)
+    for rows in blocks:
+        diff, tmp = work[: rows.stop - rows.start], other[: rows.stop - rows.start]
+        # mode="clip" lets take write into out= directly; the indices are
+        # in range, so it clips nothing
+        np.take(dk[rows], i, axis=1, mode="clip", out=diff)
+        np.take(dk[rows], j, axis=1, mode="clip", out=tmp)
+        diff -= tmp
         for g in range(rows.start // n, (rows.stop - 1) // n + 1):
             if noises[g].sigma > 0:
-                part = diff[max(g * n - rows.start, 0) : (g + 1) * n - rows.start]
-                part += rngs[g].standard_normal(part.shape) * noises[g].sigma
-        yield rows, diff
+                part = slice(max(g * n - rows.start, 0), (g + 1) * n - rows.start)
+                noise = tmp[part]
+                rngs[g].standard_normal(out=noise)
+                noise *= noises[g].sigma
+                diff[part] += noise
+        yield rows, diff, tmp
 
 
 def tensor_from_distances(
@@ -147,15 +178,16 @@ def tensor_from_distances(
     skew-symmetric.
     """
     n = D.order
-    i, j = pair_indices(n)
-    upper, lower = i * n + j, j * n + i
+    upper = _upper_mask(n)
     z = np.zeros((n, n, n), dtype=np.int8)
-    for ks, diff in _noisy_differences([D], [noise], [rng]):
+    for ks, diff, _ in _noisy_differences([D], [noise], [rng]):
         sign = _sign_int8(diff, 0.0)
-        flat = z[ks].reshape(len(sign), n * n)
-        flat[:, upper] = sign
-        # IEEE negation is exact, so sgn(-a - x) == -sgn(a + x)
-        flat[:, lower] = -sign
+        for zk, sk in zip(z[ks], sign):
+            # the mask's True entries run in pair order; the lower triangle
+            # is still 0, so zk - zk.T mirrors the signs with opposite sign.
+            # IEEE negation is exact, so sgn(-a - x) == -sgn(a + x)
+            zk[upper] = sk
+            np.subtract(zk, zk.T, out=zk)
     z.flags.writeable = False  # handed over without a copy
     return ComparisonTensor(z, D.n_anchors)
 
@@ -178,10 +210,12 @@ def distance_row_sums(
     n = _stack_orders(distances, "distance matrices")
     i, j = pair_indices(n)
     out = np.empty((len(distances) * n, n), dtype=np.int64)
-    for rows, diff in _noisy_differences(distances, noises, rngs):
+    for rows, diff, spare in _noisy_differences(distances, noises, rngs):
         # slice s of the block sums into bins s*N + i
         base = np.arange(len(diff))[:, None] * n
-        sign = np.sign(diff).ravel()
+        # into the spare buffer: a new array would cost an allocation per
+        # block, and np.sign in place is several times slower than either
+        sign = np.sign(diff, out=spare).ravel()
         size = len(diff) * n
         sums = np.bincount((base + i).ravel(), sign, size)
         sums -= np.bincount((base + j).ravel(), sign, size)
@@ -239,14 +273,17 @@ def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     Comparisons touching a missing link yield 0.
     """
     present, ranks = _signal_ranks([S])
-    flags = present.view(np.int8)
     n = S.order
     z = np.empty((n, n, n), dtype=np.int8)
     for ks in _slice_blocks(n):
-        r = ranks[ks]
-        z[ks] = _sign_int8(r[:, :, None], r[:, None, :])
-        z[ks] *= flags[ks, :, None]
-        z[ks] *= flags[ks, None, :]
+        r, zb = ranks[ks], z[ks]
+        np.greater(r[:, :, None], r[:, None, :], out=zb.view(np.bool_))
+        zb -= np.less(r[:, :, None], r[:, None, :]).view(np.int8)
+        # zero the rows and columns of missing links (at least the
+        # diagonal), which costs far less than masking every entry
+        s, miss = np.nonzero(~present[ks])
+        zb[s, miss, :] = 0
+        zb[s, :, miss] = 0
     _warn_sparse_slices(present)
     z.flags.writeable = False  # handed over without a copy
     return ComparisonTensor(z, S.n_anchors)

@@ -94,4 +94,8 @@ def proximity_scores(row_sums: np.ndarray) -> np.ndarray:
 
 def aggregate_proximities(tensor: ComparisonTensor) -> ProximityMatrix:
     """Stack the per-slice score vectors of a tensor into the proximity matrix."""
-    return ProximityMatrix(proximity_scores(tensor.values.sum(axis=2)), tensor.n_anchors)
+    z = tensor.values
+    # a row sum of an N x N slice lies in [-(N - 1), N - 1]; int16 holds it
+    # for any tensor that fits in memory and sums int8 far faster than int64
+    acc = np.int16 if len(z) <= np.iinfo(np.int16).max + 1 else np.int64
+    return ProximityMatrix(proximity_scores(z.sum(axis=2, dtype=acc)), tensor.n_anchors)

@@ -331,6 +331,31 @@ def test_localize_nan_rssi_exit_code_2(tmp_path, capsys):
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_localize_non_finite_roster_coordinate_exit_code_2(tmp_path, capsys, cell):
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    lines = path.read_text().split("\n")
+    roster_line = next(k for k, line in enumerate(lines) if line.startswith("a4,"))
+    lines[roster_line] = f"a4,anchor,{cell},1"
+    path.write_text("\n".join(lines))
+    code = _run(["localize", str(path), "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert code == 2
+    assert f"line {roster_line + 1}: coordinate '{cell}' is not finite" in capsys.readouterr().err
+
+
+def test_localize_non_finite_field_override_exit_code_2(tmp_path, capsys):
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    override = tmp_path / "field.csv"
+    override.write_text(
+        "id,role,x,y\na1,anchor,0,0\na2,anchor,4,0\na3,anchor,4,5\na4,anchor,0,inf\n"
+    )
+    code = _run(["localize", str(path), "--field", str(override), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "line 5: coordinate 'inf' is not finite" in capsys.readouterr().err
+
+
 def test_localize_field_override_mismatch(tmp_path, capsys):
     path = tmp_path / "meas.csv"
     _synthetic_measurement_file(path)

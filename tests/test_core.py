@@ -140,6 +140,25 @@ def test_parse_sensor_field_anchor_without_coords():
         parse_sensor_field("id,role,x,y\na,anchor,0,0\nb,anchor,,\n")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_parse_sensor_field_non_finite_coordinate(cell):
+    text = f"id,role,x,y\na1,anchor,0,0\na2,anchor,1,0\na3,anchor,0,1\na4,anchor,{cell},1\n"
+    with pytest.raises(InputError, match=f"line 5: coordinate '{cell}' is not finite"):
+        parse_sensor_field(text)
+    with pytest.raises(InputError, match="line 3: coordinate 'nan' is not finite"):
+        parse_sensor_field("id,role,x,y\na,anchor,0,0\nt,target,0.5,nan\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sensor_field_rejects_non_finite_coordinates(bad):
+    anchors = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    anchors[2, 1] = bad
+    with pytest.raises(InputError, match=r"anchor 2 coordinate 1 is .*, not finite"):
+        SensorField(2, anchors)
+    with pytest.raises(InputError, match=r"target 0 coordinate 0 is .*, not finite"):
+        SensorField(2, [(0, 0), (1, 0), (0, 1)], [(bad, 0.5)])
+
+
 def test_matrices_are_immutable():
     d = pairwise_distances(SensorField(2, [(0, 0), (3, 4), (1, 1)]))
     with pytest.raises(ValueError):

@@ -355,6 +355,27 @@ def test_stacked_distance_row_sums_match_each_tensor(monkeypatch, n, block_slice
             assert rngs[g].random() == tensor_rng.random()
 
 
+def test_block_workspace_does_not_leak(monkeypatch):
+    """Each call fills its own block workspace: a tensor keeps its bytes and
+    row sums after later calls, and owns its data."""
+    _set_block(monkeypatch, 21, 4)
+    d = _field(21, 600)
+    noise = ComparisonNoiseModel(0.3)
+    first = tensor_from_distances(d, noise, np.random.default_rng(1))
+    first_bytes = first.values.tobytes()
+    (first_rows,) = distance_row_sums([d], [noise], [np.random.default_rng(1)])
+    kept_rows = first_rows.copy()
+    distance_row_sums([d, d], [noise, noise], [np.random.default_rng(2), None])
+    second = tensor_from_distances(d, noise, np.random.default_rng(3))
+    assert second.values.tobytes() != first_bytes
+    assert first.values.tobytes() == first_bytes
+    np.testing.assert_array_equal(first_rows, kept_rows)
+    np.testing.assert_array_equal(first.values.sum(axis=2, dtype=np.int64), first_rows)
+    for tensor in (first, second):
+        assert not tensor.values.flags.writeable
+        assert tensor.values.flags.owndata and tensor.values.base is None
+
+
 @pytest.mark.parametrize("increasing", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 3, 21, 110])
 def test_signal_row_sums_match_tensor(n, increasing):

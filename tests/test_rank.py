@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field_distances
-from ordinal_unloc.core import ComparisonTensor, InputError
+from ordinal_unloc.core import ComparisonTensor, DistanceMatrix, InputError
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
 from ordinal_unloc.rank import (
     aggregate_proximities,
@@ -132,3 +132,18 @@ def test_proximity_scores_of_a_stack_match_each_matrix():
     for g in range(3):
         assert stacked[g].tobytes() == proximity_scores(row_sums[g]).tobytes()
         np.testing.assert_array_equal(stacked[g], row_sums[g].T / 7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_aggregate_narrow_sums_match_int64_sums(n):
+    """On a noiseless collinear field at N = 200 the row sums reach +-199,
+    beyond int8; the narrow accumulator gives the int64 sums' bytes."""
+    x = np.arange(n, dtype=float)
+    tensor = tensor_from_distances(
+        DistanceMatrix(np.abs(x[:, None] - x[None, :]), 0), ComparisonNoiseModel(0.0)
+    )
+    sums = tensor.values.sum(axis=2, dtype=np.int64)
+    assert np.abs(sums).max() == n - 1
+    psi = aggregate_proximities(tensor).values
+    assert psi.dtype == np.float64
+    assert psi.tobytes() == proximity_scores(sums).tobytes()
