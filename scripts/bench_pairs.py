@@ -2,7 +2,7 @@
 """Paired benchmark of a change against its parent commit.
 
     python3 scripts/bench_pairs.py --workload large-n --seeds 1,23 --pairs 10 \
-        --label pr9_large-n --change "what the change does"
+        --label large-n --change "what the change does"
 
 The change is this checkout's working tree.  The parent (default
 ``HEAD~1``, or ``HEAD`` while the change is uncommitted) is checked out
