@@ -8,20 +8,25 @@ draws on an enlarged field, swept over the normalized variance c*sigma^2).
 
 Every trial derives an independent RNG stream from
 (master seed, experiment id, trial index), so results are deterministic
-and independent of worker count.  A trial runs in three steps:
+and independent of worker count.  The grid points that share an anchor
+count form a group, and a trial runs each stage on a group's stacked
+arrays, with no per-grid-point objects:
 
 1. draw: each grid point draws its layout and channel on its own child
-   stream;
-2. estimate, per anchor count: the grid points that share one form a
-   group, whose comparison row sums (each grid point's noise drawn on its
-   own stream, no N^3 comparison tensor built), proximities and
-   per-anchor and per-target fits are each computed in one stacked call;
-3. solve: every unfolding problem of the trial, of every grid point and
-   method, goes to the solver in one batch, and each grid point is scored.
+   stream, into one (G, m + n, 2) layout stack per group, whose distances
+   come from one broadcast;
+2. estimate: a group's comparison row sums (each grid point's noise drawn
+   on its own stream, no N^3 comparison tensor built), proximities and
+   per-anchor and per-target fits are each one stacked call;
+3. solve and score: every unfolding problem of the trial, of every grid
+   point and method, goes to ``unfold.solve_unfolding_arrays`` as stacked
+   anchor and delta rows in one batch, and each group's position errors,
+   Kendall taus and solver flags are computed at once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -29,21 +34,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, DistanceMatrix, InputError, point_distances
-from .funclearn import estimate_distances_batch
-from .ordinal import (
-    ComparisonNoiseModel,
-    SignalMatrix,
-    distance_row_sums,
-    pair_indices,
-    signal_row_sums,
-)
+from .core import ConfigError, InputError, point_distances
+from .funclearn import estimate_distances_stack
+from .ordinal import distance_row_sums, pair_indices, signal_row_sums
 from .rank import proximity_scores
-from .signals import MIN_LINK_DISTANCE, RssModel
-from .unfold import SolverOptions, UnfoldingProblem, column_problems, solve_unfolding
+from .signals import MIN_LINK_DISTANCE, RssModel, rss_power
+from .unfold import SolverOptions, solve_unfolding_arrays, warn_ill_posed
 
 EXPERIMENT_KINDS = ("ordinal", "rss", "toa")
 _EXPERIMENT_IDS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
+_DIMENSION = 2  # the simulated fields are planar
 _METHODS = {
     "ordinal": ("ordinal_unloc",),
     "rss": ("ordinal_unloc", "unloc_fixed_g", "unloc_genie"),
@@ -77,8 +77,22 @@ class ExperimentConfig:
             raise ConfigError("anchor_counts must be a non-empty list of positive counts")
         if self.n_targets < 1:
             raise ConfigError("n_targets must be >= 1")
-        if not self.field_side > 0:
-            raise ConfigError("field_side must be positive")
+        for name in (
+            "field_side",
+            "transmit_power",
+            "hardware_gain",
+            "propagation_speed",
+            "calibration_exponent",
+        ):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        low, high = self.exponent_low, self.exponent_high
+        if not (np.isfinite(low) and np.isfinite(high) and 2.0 <= low <= high):
+            raise ConfigError(
+                f"path-loss exponents need 2 <= exponent_low <= exponent_high, finite; "
+                f"got {low}, {high}"
+            )
         if self.kind != "rss":
             if len(self.noise_grid) == 0:
                 raise ConfigError("noise grid must be non-empty")
@@ -128,190 +142,208 @@ class ExperimentResult:
     config: ExperimentConfig | None = None
 
 
+def _stacked_tau(u, v):
+    """Tau-a of each pair of rows of two (..., L) arrays, broadcast against
+    each other.  The full sign-product matrix counts every pair twice; its
+    entries are small integers, so the sum is exact in any order and the
+    doubled ratio is the same float."""
+    length = u.shape[-1]
+    du = np.sign(u[..., :, None] - u[..., None, :])
+    dv = np.sign(v[..., :, None] - v[..., None, :])
+    return (du * dv).sum(axis=(-2, -1)) / (length * (length - 1))
+
+
 def kendall_tau(u, v) -> float:
     """Tau-a rank correlation: (concordant - discordant) / (L(L-1)/2).
 
-    Tied pairs in either vector contribute zero to the numerator.  The
-    full sign-product matrix counts every pair twice; its entries are small
-    integers, so the sum is exact and the doubled ratio is the same float.
+    Tied pairs in either vector contribute zero to the numerator.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise InputError("vectors must have equal length")
-    length = u.size
-    if length < 2:
-        raise InputError(f"Kendall tau undefined for length {length}")
-    du = np.sign(u[:, None] - u[None, :])
-    dv = np.sign(v[:, None] - v[None, :])
-    return float((du * dv).sum() / (length * (length - 1)))
+    if u.size < 2:
+        raise InputError(f"Kendall tau undefined for length {u.size}")
+    return float(_stacked_tau(u, v))
 
 
-def _symmetric_draws(n, draw, rng):
-    """Symmetric matrix with one draw per unordered pair, zero diagonal."""
-    out = np.zeros((n, n))
-    iu, ju = pair_indices(n)
-    vals = draw(rng, iu.size)
-    out[iu, ju] = vals
-    out[ju, iu] = vals
-    return out
+class _GroupDraw(NamedTuple):
+    """The draws of the G grid points sharing anchor count m: layouts
+    (G, m + n, 2), anchors first, their (G, N, N) true distances, the
+    arguments of the ordinal pipeline's ``*_row_sums`` call, and the
+    baseline methods' (G, m, n) direct distance estimates."""
 
-
-class _GridDraw(NamedTuple):
-    """One grid point's draws: the layout, its true distances (anchors
-    first), the arguments of its entry in a stacked ``*_row_sums`` call of
-    the ordinal pipeline, and the direct distance estimates of the
-    baseline methods."""
-
-    anchors: np.ndarray
-    targets: np.ndarray
+    points: np.ndarray
     d_full: np.ndarray
     comparisons: tuple
     direct: tuple[np.ndarray, ...]
 
 
-class _MethodSolves(NamedTuple):
-    """One method's unfolding problems at a grid point, with what scoring
-    needs: the distance estimates whose columns tau compares, the true
-    targets and the true anchor-to-target distances."""
-
-    problems: list[UnfoldingProblem | None]
-    estimates: np.ndarray
-    targets: np.ndarray
-    true_yx: np.ndarray
-
-
-def _position_error_and_tau(results, d_hat, targets, d_true_yx):
-    """Mean squared position error and mean tau over target columns."""
-    errs, taus = [], []
-    flagged = False
-    for j, res in enumerate(results):
-        if res is None:
-            flagged = True
-            continue
-        if not res.converged:
-            flagged = True
-        errs.append(((res.position - targets[j]) ** 2).sum())
-        taus.append(kendall_tau(d_hat[:, j], d_true_yx[:, j]))
-    if not errs:
-        return np.nan, np.nan, True
-    return float(np.mean(errs)), float(np.mean(taus)), flagged
+def _layouts(config, m, rngs):
+    """One layout per generator, anchors then targets, and the distances."""
+    n = config.n_targets
+    points = np.empty((len(rngs), m + n, _DIMENSION))
+    for layout, rng in zip(points, rngs):
+        layout[:m] = rng.uniform(0, config.field_side, size=(m, _DIMENSION))
+        layout[m:] = rng.uniform(0, config.field_side, size=(n, _DIMENSION))
+    return points, point_distances(points)
 
 
-def _direct_problems(anchors, d_est):
-    """Baseline solves from direct distance estimates, one per target."""
-    return [UnfoldingProblem(anchors, d_est[:, j] ** 2) for j in range(d_est.shape[1])]
+def _symmetric(pairs, n):
+    """(G, n, n) symmetric matrices from one value per unordered pair of
+    each row of ``pairs`` (in ``pair_indices`` order), zero diagonal."""
+    out = np.zeros((len(pairs), n, n))
+    iu, ju = pair_indices(n)
+    out[:, iu, ju] = pairs
+    out[:, ju, iu] = pairs
+    return out
 
 
-def _layout(config, m, rng):
-    anchors = rng.uniform(0, config.field_side, size=(m, 2))
-    targets = rng.uniform(0, config.field_side, size=(config.n_targets, 2))
-    return anchors, targets, point_distances(np.vstack([anchors, targets]))
+def _ordinal_draw(config, m, sigmas, rngs):
+    points, d_full = _layouts(config, m, rngs)
+    for rng in rngs:
+        rng.integers(2**63)  # unused; keeps the comparison noise draws in place
+    return _GroupDraw(points, d_full, (d_full, sigmas, rngs), ())
 
 
-def _ordinal_draw(config, m, sigma, rng):
-    anchors, targets, d_full = _layout(config, m, rng)
-    rng.integers(2**63)  # unused; keeps the comparison noise draws in place
-    comparisons = (DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
-    return _GridDraw(anchors, targets, d_full, comparisons, ())
-
-
-def _rss_draw(config, m, rng):
-    anchors, targets, d_full = _layout(config, m, rng)
-    model = RssModel(
+@functools.lru_cache(maxsize=8)
+def _rss_model(config):
+    """The power law of an rss config, built once per config; the config
+    has already checked what ``RssModel`` checks."""
+    return RssModel(
         transmit_power=config.transmit_power,
         hardware_gain=config.hardware_gain,
         exponent_low=config.exponent_low,
         exponent_high=config.exponent_high,
     )
-    exponents = _symmetric_draws(
-        len(d_full), lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
+
+
+def _rss_draw(config, m, _, rngs):
+    model = _rss_model(config)
+    points, d_full = _layouts(config, m, rngs)
+    size = len(pair_indices(m + config.n_targets)[0])
+    exponents = _symmetric(
+        [rng.uniform(config.exponent_low, config.exponent_high, size) for rng in rngs],
+        m + config.n_targets,
     )
-    d_safe = np.maximum(d_full, MIN_LINK_DISTANCE)
-    power = model.transmit_power * model.hardware_gain * d_safe ** (-exponents)
+    power = rss_power(model, np.maximum(d_full, MIN_LINK_DISTANCE), exponents)
     # (i) the ordinal pipeline on raw powers; (ii) fixed calibration
-    # exponent and (iii) genie-aided per-link exponent inversions
-    comparisons = (SignalMatrix(power, increasing_with_distance=False, n_anchors=m),)
+    # exponent and (iii) genie-aided per-link exponent inversions.  The
+    # inversions stay inline: signals.invert_rss raises on underflowed
+    # power, which here makes a non-finite estimate
+    gain = model.transmit_power * model.hardware_gain
+    block = exponents[:, :m, m:]
     direct = tuple(
-        (model.transmit_power * model.hardware_gain / power[:m, m:]) ** (1.0 / exps)
-        for exps in (np.full((m, config.n_targets), config.calibration_exponent), exponents[:m, m:])
+        (gain / power[:, :m, m:]) ** (1.0 / exps)
+        for exps in (np.full(block.shape, config.calibration_exponent), block)
     )
-    return _GridDraw(anchors, targets, d_full, comparisons, direct)
+    return _GroupDraw(points, d_full, (power, False), direct)
 
 
-def _toa_draw(config, m, normalized_variance, rng):
+def _toa_draw(config, m, variances, rngs):
     c = config.propagation_speed
-    sigma_t = float(np.sqrt(normalized_variance / c))
-    anchors, targets, d_full = _layout(config, m, rng)
-    rng.integers(2**63, size=2)  # unused; keeps the noise draws in place
-    noise = _symmetric_draws(len(d_full), lambda r, k: r.normal(0.0, sigma_t, k), rng)
-    toa = d_full / c + noise
-    comparisons = (SignalMatrix(toa, increasing_with_distance=True, n_anchors=m),)
-    return _GridDraw(anchors, targets, d_full, comparisons, (c * toa[:m, m:],))
+    points, d_full = _layouts(config, m, rngs)
+    size = len(pair_indices(m + config.n_targets)[0])
+    noise = []
+    for rng, variance in zip(rngs, variances):
+        rng.integers(2**63, size=2)  # unused; keeps the noise draws in place
+        noise.append(rng.normal(0.0, float(np.sqrt(variance / c)), size))
+    toa = d_full / c + _symmetric(noise, m + config.n_targets)
+    return _GroupDraw(points, d_full, (toa, True), (c * toa[:, :m, m:],))
 
 
-def _draw(config, m, noise, rng):
-    if config.kind == "ordinal":
-        return _ordinal_draw(config, m, noise, rng)
-    if config.kind == "rss":
-        return _rss_draw(config, m, rng)
-    return _toa_draw(config, m, noise, rng)
+_DRAWS = {"ordinal": _ordinal_draw, "rss": _rss_draw, "toa": _toa_draw}
 
 
-def _ordinal_estimates(config, draws):
-    """The ordinal pipeline's distance estimates at every grid point.  The
-    grid points sharing an anchor count form one group, whose comparison
-    row sums, proximities and fits are each computed in one stacked call."""
-    row_sums = distance_row_sums if config.kind == "ordinal" else signal_row_sums
-    groups: dict[int, list[int]] = {}
-    for g, (m, _) in enumerate(config.grid()):
-        groups.setdefault(m, []).append(g)
-    estimates = [None] * len(draws)
-    for m, members in groups.items():
-        psi = proximity_scores(row_sums(*zip(*(draws[g].comparisons for g in members))))
-        d_y = np.stack([draws[g].d_full[:m, :m] for g in members])
-        for g, d_hat in zip(members, estimate_distances_batch(psi, d_y, m)):
-            estimates[g] = d_hat
-    return estimates
+def _estimates(m, psi, draw):
+    """Every method's (G, K, m, n) anchor-to-target distance estimates."""
+    estimates, _ = estimate_distances_stack(psi, draw.d_full[:, :m, :m], m)
+    return np.stack([estimates, *draw.direct], axis=1)
+
+
+def _score(estimates, points, d_full, solved, positions, converged):
+    """Per grid point and method of one group: the mean squared position
+    error and mean Kendall tau over the solved target columns, and whether
+    any column went unsolved or unconverged.  ``solved`` is the (G, K, n)
+    mask of solved columns, whose positions and convergence flags come in
+    its order."""
+    m = estimates.shape[2]
+    located = np.full(solved.shape + (points.shape[2],), np.nan)
+    located[solved] = positions
+    ok = np.zeros(solved.shape, dtype=bool)
+    ok[solved] = converged
+    sq = ((located - points[:, None, m:]) ** 2).sum(axis=-1)
+    tau = _stacked_tau(
+        np.swapaxes(estimates, -1, -2), np.swapaxes(d_full[:, None, :m, m:], -1, -2)
+    )
+    sq_err, mean_tau = sq.mean(axis=-1), tau.mean(axis=-1)
+    for g, k in np.argwhere(~solved.all(axis=-1)):
+        cols = solved[g, k]
+        # the mean over the solved columns only, none solved giving NaN
+        sq_err[g, k], mean_tau[g, k] = (
+            (np.mean(sq[g, k, cols]), np.mean(tau[g, k, cols])) if cols.any() else (np.nan,) * 2
+        )
+    return sq_err, mean_tau, ~ok.all(axis=-1)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     """One Monte-Carlo trial covering every grid point.
 
     Deterministic given (config.seed, config.kind, trial_index); each grid
-    point draws on an independent child stream.  The grid points are drawn,
-    then estimated together per anchor count, then every unfolding problem
-    of the trial goes to the solver in one batch, then they are scored.
+    point draws on an independent child stream.  The grid points are drawn
+    and estimated per anchor count, then every unfolding problem of the
+    trial goes to the solver in one batch, then each group is scored.
     """
     grid = config.grid()
     n_methods = len(config.methods)
-    sq_err = np.empty((len(grid), n_methods))
-    tau = np.empty((len(grid), n_methods))
-    flagged = np.zeros((len(grid), n_methods), dtype=bool)
     root = np.random.SeedSequence(
         entropy=config.seed, spawn_key=(_EXPERIMENT_IDS[config.kind], trial_index)
     )
-    draws = [
-        _draw(config, m, noise, np.random.default_rng(child))
-        for (m, noise), child in zip(grid, root.spawn(len(grid)))
-    ]
-    solves = []
-    for (m, _), draw, d_hat in zip(grid, draws, _ordinal_estimates(config, draws)):
-        true_yx = draw.d_full[:m, m:]
-        problems = column_problems(draw.anchors, d_hat)
-        methods = [_MethodSolves(problems, d_hat.values, draw.targets, true_yx)]
-        for d_est in draw.direct:
-            problems = _direct_problems(draw.anchors, d_est)
-            methods.append(_MethodSolves(problems, d_est, draw.targets, true_yx))
-        solves.append(methods)
-    problems = [p for methods in solves for method in methods for p in method.problems]
-    results = iter(solve_unfolding(problems, config.solver))
-    for g, methods in enumerate(solves):
-        for k, method in enumerate(methods):
-            method_results = [next(results) for _ in method.problems]
-            sq_err[g, k], tau[g, k], flagged[g, k] = _position_error_and_tau(
-                method_results, method.estimates, method.targets, method.true_yx
-            )
+    rngs = [np.random.default_rng(child) for child in root.spawn(len(grid))]
+    groups: dict[int, list[int]] = {}
+    for g, (m, _) in enumerate(grid):
+        groups.setdefault(m, []).append(g)
+    draw = _DRAWS[config.kind]
+    draws = {
+        m: draw(config, m, [grid[g][1] for g in members], [rngs[g] for g in members])
+        for m, members in groups.items()
+    }
+    # every stack is checked by its row sums before any group is fitted
+    row_sums = distance_row_sums if config.kind == "ordinal" else signal_row_sums
+    psi = {m: proximity_scores(row_sums(*draws[m].comparisons)) for m in groups}
+    estimates = {m: _estimates(m, psi[m], draws[m]) for m in groups}
+
+    # a target column whose squared estimates are not all finite is not
+    # solved, as column_problems leaves it; for a direct method the
+    # solver raises on it, as UnfoldingProblem does
+    anchors, delta, counts, solved = [], [], [], {}
+    for m, est in estimates.items():
+        sq = np.swapaxes(est, -1, -2) ** 2  # (G, K, n, m)
+        solved[m] = np.isfinite(sq).all(axis=-1)
+        solved[m][:, 1:] = True
+        shape = solved[m].shape + (m, _DIMENSION)
+        rows = np.broadcast_to(draws[m].points[:, None, None, :m], shape)[solved[m]]
+        anchors.append(rows.reshape(-1, _DIMENSION))
+        delta.append(sq[solved[m]].ravel())
+        counts.append(np.full(len(rows), m))
+        warn_ill_posed(m, _DIMENSION, count=len(rows), stacklevel=2)
+    positions, _, _, converged = solve_unfolding_arrays(
+        np.concatenate(anchors),
+        np.concatenate(delta),
+        np.concatenate(counts),
+        config.solver,
+    )
+
+    shape = (len(grid), n_methods)
+    sq_err, tau, flagged = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
+    start = 0
+    for m, members in groups.items():
+        stop = start + int(solved[m].sum())
+        sq_err[members], tau[members], flagged[members] = _score(
+            estimates[m], draws[m].points, draws[m].d_full, solved[m],
+            positions[start:stop], converged[start:stop],
+        )  # fmt: skip
+        start = stop
     return TrialOutcome(sq_err, tau, flagged)
 
 

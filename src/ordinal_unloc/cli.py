@@ -85,6 +85,13 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad number list {text!r}") from None
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}") from None
+
+
 def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
@@ -171,10 +178,10 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         "seed": _nonnegative_int,
         "threads": _positive_int,
         "restarts": _positive_int,
-        "field_side": float,
-        "calibration_g": float,
-        "propagation_speed": float,
-        "keep_fraction": float,
+        "field_side": _float,
+        "calibration_g": _float,
+        "propagation_speed": _float,
+        "keep_fraction": _float,
     }
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -343,7 +350,13 @@ def cmd_localize(args) -> int:
         labels = [args.aggregator]
 
     # every sample has the same sensors: one stacked estimate, one solver batch
-    psi = proximity_scores(signal_row_sums(matrices))
+    psi = proximity_scores(
+        signal_row_sums(
+            np.stack([S.values for S in matrices]),
+            matrices[0].increasing_with_distance,
+            np.stack([S.missing for S in matrices]),
+        )
+    )
     problems = []
     for d_hat in estimate_distances_batch(psi, point_distances(field.anchors), field.m):
         problems += column_problems(field.anchors, d_hat)

@@ -150,9 +150,7 @@ class DistanceMatrix:
             raise InputError(f"distance matrix must be square, got shape {v.shape}")
         if not (0 <= self.n_anchors <= v.shape[0]):
             raise InputError("anchor count out of range for distance matrix")
-        if not np.isfinite(v).all():
-            i, j = np.argwhere(~np.isfinite(v))[0]
-            raise InputError(f"distance {v[i, j]} between sensors ({i}, {j}) is not finite")
+        check_finite_distances(v)
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -217,12 +215,25 @@ class ProximityMatrix:
         return _block_slice(self.values, self.n_anchors, which, transpose_xy=False)
 
 
+def check_finite_distances(values) -> None:
+    """Raise InputError naming the first non-finite entry of a distance
+    matrix, or of a stack of them (the sensors index the last two axes)."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        i, j = first[-2:]
+        raise InputError(f"distance {values[first]} between sensors ({i}, {j}) is not finite")
+
+
 def point_distances(points) -> np.ndarray:
-    """Euclidean distances between the rows of ``points``, zero diagonal."""
+    """Euclidean distances between the rows of ``points`` (N, q), zero
+    diagonal; a (G, N, q) stack gives each layout's (G, N, N) matrix with
+    the bytes of a call on it alone."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = points[:, None, :] - points[None, :, :]
+    diff = points[..., :, None, :] - points[..., None, :, :]
     d = np.sqrt((diff**2).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
+    n = d.shape[-1]
+    d[..., np.arange(n), np.arange(n)] = 0.0
     return d
 
 

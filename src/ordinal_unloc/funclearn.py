@@ -204,16 +204,18 @@ def estimate_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistan
     return recalibrate(psi, preliminary_distances(psi, d_y))
 
 
-def estimate_distances_batch(
+def estimate_distances_stack(
     psi: np.ndarray, d_y: np.ndarray, n_anchors: int
-) -> list[EstimatedDistanceMatrix]:
-    """``estimate_distances`` of a stack of proximity matrices.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both stages on a stack of proximity matrices, as arrays.
 
     ``psi[g]`` holds the values of a proximity matrix with ``n_anchors``
     anchors, and ``d_y[g]`` its anchor-to-anchor distances (one (m, m)
     block serves every matrix).  Each stage fits every column of every
-    matrix in one stacked call, and each matrix's estimates have the bytes,
-    flagged anchors and warnings of ``estimate_distances`` on it alone.
+    matrix in one stacked call.  Returns the (G, m, n) recalibrated
+    estimates and the (G, m) mask of flagged anchors; each matrix gets the
+    bytes, flagged anchors and warnings of ``estimate_distances`` on it
+    alone, and non-finite estimates raise as they would there.
     """
     m = n_anchors
     psi = np.asarray(psi, dtype=float)
@@ -224,7 +226,19 @@ def estimate_distances_batch(
     estimates, failed = _preliminary(psi, d_y, m)
     if not np.all(np.isfinite(estimates)):
         raise InputError("estimated distances must be finite")
+    estimates = _recalibrate(psi, estimates, m)
+    if not np.all(np.isfinite(estimates)):
+        raise InputError("estimated distances must be finite")
+    return estimates, failed
+
+
+def estimate_distances_batch(
+    psi: np.ndarray, d_y: np.ndarray, n_anchors: int
+) -> list[EstimatedDistanceMatrix]:
+    """``estimate_distances_stack`` as one ``EstimatedDistanceMatrix`` per
+    proximity matrix."""
+    estimates, failed = estimate_distances_stack(psi, d_y, n_anchors)
     return [
         EstimatedDistanceMatrix(out, "recalibrated", _flagged(f))
-        for out, f in zip(_recalibrate(psi, estimates, m), failed)
+        for out, f in zip(estimates, failed)
     ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComparisonTensor, DistanceMatrix, InputError, _frozen
+from .core import ComparisonTensor, DistanceMatrix, InputError, _frozen, check_finite_distances
 
 
 class SliceCoverageWarning(UserWarning):
@@ -36,6 +36,30 @@ class ComparisonNoiseModel:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise InputError(f"sigma must be finite and nonnegative, got {self.sigma}")
+
+
+def _checked_missing(values, missing):
+    """The missing-link mask of a square signal matrix, or of a (G, N, N)
+    stack of them, with the diagonal set.  Raises InputError when a present
+    value is not finite or the present values are not symmetric."""
+    n = values.shape[-1]
+    if missing is None:
+        miss = np.zeros(values.shape, dtype=bool)
+    else:
+        miss = np.array(missing, dtype=bool)
+        if miss.shape != values.shape:
+            raise InputError("missing mask shape must match values")
+    miss[..., np.arange(n), np.arange(n)] = True
+    bad = ~miss & ~np.isfinite(values)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        i, j = first[-2:]
+        raise InputError(f"signal value {values[first]} at present link ({i}, {j}) is not finite")
+    both = ~miss & ~np.swapaxes(miss, -1, -2)
+    transposed = np.swapaxes(values, -1, -2)
+    if not np.allclose(np.where(both, values, 0.0), np.where(both, transposed, 0.0)):
+        raise InputError("signal matrix must be symmetric where present")
+    return miss
 
 
 @dataclass(frozen=True)
@@ -56,21 +80,7 @@ class SignalMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError(f"signal matrix must be square, got shape {v.shape}")
-        n = v.shape[0]
-        if self.missing is None:
-            miss = np.zeros((n, n), dtype=bool)
-        else:
-            miss = np.array(self.missing, dtype=bool)
-            if miss.shape != v.shape:
-                raise InputError("missing mask shape must match values")
-        np.fill_diagonal(miss, True)
-        bad = ~miss & ~np.isfinite(v)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise InputError(f"signal value {v[i, j]} at present link ({i}, {j}) is not finite")
-        both = ~miss & ~miss.T
-        if not np.allclose(np.where(both, v, 0.0), np.where(both, v.T, 0.0)):
-            raise InputError("signal matrix must be symmetric where present")
+        miss = _checked_missing(v, self.missing)
         object.__setattr__(self, "values", _frozen(v))
         object.__setattr__(self, "missing", _frozen(miss, dtype=bool))
 
@@ -113,36 +123,43 @@ def _upper_mask(n):
     return mask
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_bins(n, rows):
+    """Read-only flat bin indices s*n + i and s*n + j of every pair (i, j)
+    of ``rows`` stacked slices of order n, in ``pair_indices`` order; built
+    once per (n, rows).  A block of several slices has N < 363 and holds
+    under 2**17 pairs (2 MB for both arrays); a one-slice block's bins
+    are the pair indices themselves."""
+    if rows == 1:
+        return pair_indices(n)
+    base = np.arange(rows)[:, None] * n
+    bins = tuple((base + ends).ravel() for ends in pair_indices(n))
+    for b in bins:
+        b.flags.writeable = False
+    return bins
+
+
 def _sign_int8(a, b):
     """sgn(a - b) as int8, broadcasting a against b."""
     return (a > b).view(np.int8) - (a < b).view(np.int8)
 
 
-def _stack_orders(items, what):
-    orders = {item.order for item in items}
-    if len(orders) > 1:
-        raise InputError(f"stacked {what} must share one order, got {sorted(orders)}")
-    return orders.pop() if orders else 0
-
-
-def _noisy_differences(distances, noises, rngs):
-    """Per block of the stacked reference slices (slice k of matrix g is
-    row g*N + k): d_ik - d_jk + xi for every pair (i, j) of
-    ``pair_indices``.  Matrix g's noise is drawn from its own generator,
-    one value per slice and pair, in slice and pair order; the blocks cut
-    that stream where one (N, N(N-1)/2) draw would be cut, so the values
-    and the generators' final states are the same.
+def _noisy_differences(distances, sigmas, rngs):
+    """Per block of the stacked reference slices of a (G, N, N) distance
+    stack (slice k of matrix g is row g*N + k): d_ik - d_jk + xi for every
+    pair (i, j) of ``pair_indices``.  Matrix g's noise, of standard
+    deviation ``sigmas[g]``, is drawn from ``rngs[g]``, one value per slice
+    and pair, in slice and pair order; the blocks cut that stream where one
+    (N, N(N-1)/2) draw would be cut, so the values and the generators'
+    final states are the same.
 
     Yields (rows, differences, spare): every block is computed in one
     workspace allocated per call, so both arrays are valid only until the
     next block is requested, and ``spare``, of the same shape, is free
     for the caller to overwrite."""
-    if not len(distances) == len(noises) == len(rngs):
-        raise InputError("need one noise model and one generator per distance matrix")
-    n = _stack_orders(distances, "distance matrices")
-    rngs = [np.random.default_rng(nm.seed) if r is None else r for nm, r in zip(noises, rngs)]
+    g_count, n, _ = distances.shape
     # dk[g*N + k, i] = distance from sensor i to reference k in matrix g
-    dk = np.concatenate([D.values.T for D in distances]) if distances else np.empty((0, 0))
+    dk = np.swapaxes(distances, 1, 2).reshape(g_count * n, n)
     i, j = pair_indices(n)
     blocks = _slice_blocks(len(dk), n)
     if not blocks:
@@ -157,11 +174,11 @@ def _noisy_differences(distances, noises, rngs):
         np.take(dk[rows], j, axis=1, mode="clip", out=tmp)
         diff -= tmp
         for g in range(rows.start // n, (rows.stop - 1) // n + 1):
-            if noises[g].sigma > 0:
+            if sigmas[g] > 0:
                 part = slice(max(g * n - rows.start, 0), (g + 1) * n - rows.start)
                 noise = tmp[part]
                 rngs[g].standard_normal(out=noise)
-                noise *= noises[g].sigma
+                noise *= sigmas[g]
                 diff[part] += noise
         yield rows, diff, tmp
 
@@ -175,12 +192,14 @@ def tensor_from_distances(
 
     For every reference sensor k and unordered pair {i, j}, one noise value
     is drawn and negated for the mirrored entry, so each slice is exactly
-    skew-symmetric.
+    skew-symmetric.  Without ``rng`` the draws come from a generator
+    seeded by ``noise.seed``.
     """
     n = D.order
     upper = _upper_mask(n)
     z = np.zeros((n, n, n), dtype=np.int8)
-    for ks, diff, _ in _noisy_differences([D], [noise], [rng]):
+    rng = np.random.default_rng(noise.seed) if rng is None else rng
+    for ks, diff, _ in _noisy_differences(D.values[None], [noise.sigma], [rng]):
         sign = _sign_int8(diff, 0.0)
         for zk, sk in zip(z[ks], sign):
             # the mask's True entries run in pair order; the lower triangle
@@ -193,34 +212,43 @@ def tensor_from_distances(
 
 
 def distance_row_sums(
-    distances: Sequence[DistanceMatrix],
-    noises: Sequence[ComparisonNoiseModel],
-    rngs: Sequence[np.random.Generator | None],
+    distances: np.ndarray,
+    sigmas: Sequence[float],
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Row sums of ``tensor_from_distances``'s slices for a stack of
-    distance matrices of one order, without the tensors.
+    """Row sums of ``tensor_from_distances``'s slices for a (G, N, N) stack
+    of distance matrices, without the tensors.
 
     ``out[g, k, i]`` is the sum over j of the comparison of sensors i and
-    j at reference k of matrix g, which draws its noise from ``rngs[g]``
-    (None: a generator seeded by ``noises[g].seed``).  The pair signs are
-    those of the tensor, from the same draws in the same order, and each is
-    added to row i and subtracted from row j by two ``bincount``s, so the
-    sums are exact integers.
+    j at reference k of matrix g, whose noise of standard deviation
+    ``sigmas[g]`` is drawn from ``rngs[g]``.  The pair signs are those of
+    the tensor, from the same draws in the same order, and each is added
+    to row i and subtracted from row j by two ``bincount``s, so the sums
+    are exact integers.  The stack and the noise levels are checked as
+    ``DistanceMatrix`` and ``ComparisonNoiseModel`` check one of each.
     """
-    n = _stack_orders(distances, "distance matrices")
-    i, j = pair_indices(n)
-    out = np.empty((len(distances) * n, n), dtype=np.int64)
-    for rows, diff, spare in _noisy_differences(distances, noises, rngs):
+    distances = np.asarray(distances, dtype=float)
+    if distances.ndim != 3 or distances.shape[1] != distances.shape[2]:
+        raise InputError(f"need a stack of square distance matrices, got shape {distances.shape}")
+    if not len(distances) == len(sigmas) == len(rngs):
+        raise InputError("need one noise level and one generator per distance matrix")
+    check_finite_distances(distances)
+    for sigma in sigmas:
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise InputError(f"sigma must be finite and nonnegative, got {sigma}")
+    g_count, n, _ = distances.shape
+    out = np.empty((g_count * n, n), dtype=np.int64)
+    for rows, diff, spare in _noisy_differences(distances, sigmas, rngs):
         # slice s of the block sums into bins s*N + i
-        base = np.arange(len(diff))[:, None] * n
+        bins_i, bins_j = _pair_bins(n, len(diff))
         # into the spare buffer: a new array would cost an allocation per
         # block, and np.sign in place is several times slower than either
         sign = np.sign(diff, out=spare).ravel()
         size = len(diff) * n
-        sums = np.bincount((base + i).ravel(), sign, size)
-        sums -= np.bincount((base + j).ravel(), sign, size)
+        sums = np.bincount(bins_i, sign, size)
+        sums -= np.bincount(bins_j, sign, size)
         out[rows] = sums.reshape(len(diff), n)
-    return out.reshape(len(distances), n, n)
+    return out.reshape(g_count, n, n)
 
 
 def _dense_ranks(x):
@@ -234,19 +262,16 @@ def _dense_ranks(x):
     return ranks
 
 
-def _signal_ranks(signals):
-    """present[g*N + k, i] (link i-k of matrix g measured) and the dense
-    rank of each oriented value within its reference slice; missing links
-    rank as 0.0.  Present values are finite, so comparing their ranks
-    within a slice gives the same signs as subtracting them."""
-    _stack_orders(signals, "signal matrices")
-    if not signals:
-        return np.empty((0, 0), dtype=bool), np.empty((0, 0), dtype=np.uint8)
-    present = np.concatenate([~S.missing.T for S in signals])
-    oriented = np.concatenate(
-        [(S.values if S.increasing_with_distance else -S.values).T for S in signals]
-    )
-    return present, _dense_ranks(np.where(present, oriented, 0.0))
+def _signal_ranks(values, increasing_with_distance, missing):
+    """present[g*N + k, i] (link i-k of matrix g of a (G, N, N) stack
+    measured) and the dense rank of each oriented value within its
+    reference slice; missing links rank as 0.0.  Present values are
+    finite, so comparing their ranks within a slice gives the same signs as
+    subtracting them."""
+    g_count, n, _ = values.shape
+    present = ~np.swapaxes(missing, 1, 2).reshape(g_count * n, n)
+    oriented = np.swapaxes(values if increasing_with_distance else -values, 1, 2)
+    return present, _dense_ranks(np.where(present, oriented.reshape(g_count * n, n), 0.0))
 
 
 def _warn_sparse_slices(present):
@@ -272,7 +297,7 @@ def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     regardless of whether the proxy grows or shrinks with distance.
     Comparisons touching a missing link yield 0.
     """
-    present, ranks = _signal_ranks([S])
+    present, ranks = _signal_ranks(S.values[None], S.increasing_with_distance, S.missing[None])
     n = S.order
     z = np.empty((n, n, n), dtype=np.int8)
     for ks in _slice_blocks(n):
@@ -289,17 +314,26 @@ def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     return ComparisonTensor(z, S.n_anchors)
 
 
-def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
-    """Row sums of ``tensor_from_signals``'s slices for a stack of signal
-    matrices of one order, without the tensors.
+def signal_row_sums(
+    values: np.ndarray, increasing_with_distance: bool, missing: np.ndarray | None = None
+) -> np.ndarray:
+    """Row sums of ``tensor_from_signals``'s slices for a (G, N, N) stack
+    of signal matrices of one orientation, without the tensors.
 
-    ``out[g, k, i]`` is, for a present link i-k of matrix g, the number of
-    present values of slice k ranked below sensor i's minus the number
-    ranked above it, and 0 for a missing link.  The counts come from a
-    per-slice histogram of the present ranks, in O(N^2) per matrix.  Each
-    matrix warns as ``tensor_from_signals`` would.
+    ``missing`` flags each matrix's missing links as ``SignalMatrix`` does
+    (None: every link present), and the stack is checked as
+    ``SignalMatrix`` checks one matrix.  ``out[g, k, i]`` is, for a present
+    link i-k of matrix g, the number of present values of slice k ranked
+    below sensor i's minus the number ranked above it, and 0 for a missing
+    link.  The counts come from a per-slice histogram of the present
+    ranks, in O(N^2) per matrix.  Each matrix warns as
+    ``tensor_from_signals`` would.
     """
-    present, ranks = _signal_ranks(signals)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+        raise InputError(f"need a stack of square signal matrices, got shape {values.shape}")
+    missing = _checked_missing(values, missing)
+    present, ranks = _signal_ranks(values, increasing_with_distance, missing)
     rows, n = present.shape
     bins = np.arange(rows)[:, None] * n + ranks
     at_rank = np.bincount(bins[present], minlength=rows * n).reshape(rows, n)
@@ -308,6 +342,6 @@ def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
     eq = np.take_along_axis(at_rank, ranks, axis=1)
     # below = le - eq, above = c_k - le
     out = np.where(present, 2 * le - eq - up_to_rank[:, -1:], 0)
-    for g in range(len(signals)):
+    for g in range(len(values)):
         _warn_sparse_slices(present[g * n : (g + 1) * n])
-    return out.reshape(len(signals), n, n)
+    return out.reshape(len(values), n, n)

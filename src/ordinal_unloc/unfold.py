@@ -28,7 +28,9 @@ component that meets the constraint.  One Newton step on J itself then
 removes the roundoff that forming A^T A leaves with near-collinear anchors.
 
 Every problem reduces to these q-vectors whatever its anchor count, so
-``solve_unfolding`` solves all problems of a call in one batch.  Each
+``solve_unfolding_arrays`` solves a batch of problems, given as stacked
+anchor rows, delta rows and per-problem anchor counts, in one pass, and
+``solve_unfolding`` wraps it for ``UnfoldingProblem`` objects.  Each
 problem's arithmetic touches only its own rows, so a result does not
 depend on what else shares its batch.
 """
@@ -92,6 +94,18 @@ class LocalizationResult:
         object.__setattr__(self, "restart_costs", _frozen(self.restart_costs))
 
 
+def warn_ill_posed(m, q, count=1, stacklevel=2):
+    """One IllPosedWarning per problem, for ``count`` problems with m
+    anchors in q-D, when m is below the well-posedness threshold q + 1."""
+    if m < q + 1:
+        for _ in range(count):
+            warnings.warn(
+                f"{m} anchors in {q}-D is below the well-posedness threshold {q + 1}",
+                IllPosedWarning,
+                stacklevel=stacklevel + 1,
+            )
+
+
 @dataclass(frozen=True)
 class UnfoldingProblem:
     """One target: anchors (m x q) and squared-distance targets delta (m,)."""
@@ -109,12 +123,7 @@ class UnfoldingProblem:
             raise InputError(f"delta length {delta.shape[0]} != anchor count {m}")
         if not np.all(np.isfinite(delta)):
             raise InputError("delta entries must be finite")
-        if m < q + 1:
-            warnings.warn(
-                f"{m} anchors in {q}-D is below the well-posedness threshold {q + 1}",
-                IllPosedWarning,
-                stacklevel=3,
-            )
+        warn_ill_posed(m, q, stacklevel=3)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "delta", delta)
 
@@ -229,12 +238,35 @@ def _newton_polish(positions, anchors, delta, counts, starts):
     return np.where(better[:, None], trial, positions), np.where(better, trial_costs, costs)
 
 
-def _solve_dimension(problems, opts):
-    """Problems of one dimension q, any anchor counts, in one batch."""
-    counts = np.array([p.anchors.shape[0] for p in problems])
+def solve_unfolding_arrays(anchors, delta, counts, opts: SolverOptions | None = None):
+    """Minimize the unfolding cost of many problems of one dimension q,
+    given as arrays, in one batch.
+
+    Problem p owns ``counts[p]`` consecutive rows of ``anchors`` (R, q) and
+    ``delta`` (R,), in problem order.  Returns (positions (P, q), costs
+    (P,), iterations (P,), converged (P,)), with the meaning of the
+    ``LocalizationResult`` fields.  Each problem's arithmetic touches only
+    its own rows, so a result does not depend on what else shares its
+    batch.  Problems with fewer than q + 1 anchors are solved without a
+    warning; ``warn_ill_posed`` is the caller's.
+    """
+    opts = opts or SolverOptions()
+    anchors = np.asarray(anchors, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    counts = np.asarray(counts, dtype=int)
+    if anchors.ndim != 2 or delta.shape != (len(anchors),) or counts.sum() != len(anchors):
+        raise InputError(
+            f"anchor rows {anchors.shape} and deltas {delta.shape} do not match counts summing "
+            f"to {counts.sum()}"
+        )
+    if np.any(counts < 1):
+        raise InputError("cannot localize with zero anchors")
+    if not np.all(np.isfinite(delta)):
+        raise InputError("delta entries must be finite")
+    if len(counts) == 0:
+        q = anchors.shape[1]
+        return np.empty((0, q)), np.empty(0), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    anchors = np.concatenate([p.anchors for p in problems])
-    delta = np.concatenate([p.delta for p in problems])
     m = counts.astype(float)
 
     # per-problem moments of the centred anchors, each summed over its own rows
@@ -262,8 +294,8 @@ def _solve_dimension(problems, opts):
         phi0 <= 0
     )
 
-    u = np.zeros(len(problems))
-    iterations = np.zeros(len(problems), dtype=int)
+    u = np.zeros(len(counts))
+    iterations = np.zeros(len(counts), dtype=int)
     converged = hard.copy()
     soft = ~hard
     if soft.any():
@@ -283,18 +315,7 @@ def _solve_dimension(problems, opts):
 
     positions = centroid + (vectors * xt[:, None, :]).sum(axis=2)
     positions, costs = _newton_polish(positions, anchors, delta, counts, starts)
-    return [
-        LocalizationResult(
-            position=positions[i],
-            cost=float(costs[i]),
-            iterations=int(iterations[i]),
-            winning_restart=0,
-            converged=bool(converged[i]),
-            well_posed=problem.well_posed,
-            restart_costs=costs[i : i + 1],
-        )
-        for i, problem in enumerate(problems)
-    ]
+    return positions, costs, iterations, converged
 
 
 def solve_unfolding(
@@ -302,20 +323,33 @@ def solve_unfolding(
 ) -> list[LocalizationResult | None]:
     """Minimize the unfolding cost of many problems in one batched run.
 
-    Problems of any anchor count share one batch; a call that mixes
-    dimensions solves one batch per dimension.  None entries come back as
-    None.
+    Problems of any anchor count share one batch of
+    ``solve_unfolding_arrays``; a call that mixes dimensions solves one
+    batch per dimension.  None entries come back as None.
     """
-    opts = opts or SolverOptions()
     results: list[LocalizationResult | None] = [None] * len(problems)
     by_dimension: dict[int, list[int]] = {}
     for i, problem in enumerate(problems):
         if problem is not None:
             by_dimension.setdefault(problem.anchors.shape[1], []).append(i)
     for members in by_dimension.values():
-        solved = _solve_dimension([problems[i] for i in members], opts)
-        for i, result in zip(members, solved):
-            results[i] = result
+        batch = [problems[i] for i in members]
+        positions, costs, iterations, converged = solve_unfolding_arrays(
+            np.concatenate([p.anchors for p in batch]),
+            np.concatenate([p.delta for p in batch]),
+            [p.anchors.shape[0] for p in batch],
+            opts,
+        )
+        for k, (i, problem) in enumerate(zip(members, batch)):
+            results[i] = LocalizationResult(
+                position=positions[k],
+                cost=float(costs[k]),
+                iterations=int(iterations[k]),
+                winning_restart=0,
+                converged=bool(converged[k]),
+                well_posed=problem.well_posed,
+                restart_costs=costs[k : k + 1],
+            )
     return results
 
 

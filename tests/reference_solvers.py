@@ -400,11 +400,36 @@ def _toa_grid_point(config, m, normalized_variance, rng):
     ]
 
 
+def _kendall_tau(u, v):
+    du = np.sign(u[:, None] - u[None, :])
+    dv = np.sign(v[:, None] - v[None, :])
+    return float((du * dv).sum() / (len(u) * (len(u) - 1)))
+
+
+def _position_error_and_tau(results, d_hat, targets, d_true_yx):
+    """Mean squared position error and mean tau over the solved target
+    columns of one grid point and method, and whether any column was
+    unsolved or unconverged; NaNs when none was solved."""
+    errs, taus = [], []
+    flagged = False
+    for j, res in enumerate(results):
+        if res is None:
+            flagged = True
+            continue
+        if not res.converged:
+            flagged = True
+        errs.append(((res.position - targets[j]) ** 2).sum())
+        taus.append(_kendall_tau(d_hat[:, j], d_true_yx[:, j]))
+    if not errs:
+        return np.nan, np.nan, True
+    return float(np.mean(errs)), float(np.mean(taus)), flagged
+
+
 def reference_run_trial(config, trial_index) -> bench.TrialOutcome:
     """``bench.run_trial`` as it was computed one grid point at a time: each
     grid point builds its comparison tensor, aggregates it and estimates
     its distances alone; then the trial's problems are solved in one batch
-    and scored with the harness's own scoring."""
+    and each grid point and method is scored from its list of results."""
     grid = config.grid()
     shape = (len(grid), len(config.methods))
     sq_err, tau, flagged = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
@@ -425,7 +450,7 @@ def reference_run_trial(config, trial_index) -> bench.TrialOutcome:
     for g, methods in enumerate(solves):
         for k, (method_problems, estimates, targets, true_yx) in enumerate(methods):
             method_results = [next(results) for _ in method_problems]
-            sq_err[g, k], tau[g, k], flagged[g, k] = bench._position_error_and_tau(
+            sq_err[g, k], tau[g, k], flagged[g, k] = _position_error_and_tau(
                 method_results, estimates, targets, true_yx
             )
     return bench.TrialOutcome(sq_err, tau, flagged)

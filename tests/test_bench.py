@@ -1,4 +1,6 @@
 import json
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from ordinal_unloc.bench import (
     run_trial,
 )
 from ordinal_unloc.core import ComparisonTensor, ConfigError, InputError
-from ordinal_unloc.unfold import SolverOptions, solve_unfolding
+from ordinal_unloc.funclearn import EstimatedDistanceMatrix
+from ordinal_unloc.unfold import (
+    SolverOptions,
+    UnfoldingProblem,
+    solve_unfolding,
+    solve_unfolding_arrays,
+)
+import reference_solvers
 from reference_solvers import oracle_bound, reference_run_trial
 
 FAST_SOLVER = SolverOptions(restarts=4)
@@ -99,6 +108,17 @@ def test_config_validation():
         ExperimentConfig(kind="ordinal", noise_grid=(-0.1,))
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="toa", noise_grid=(0.0,))
+    for bad in (
+        dict(field_side=np.inf),
+        dict(propagation_speed=0.0),
+        dict(calibration_exponent=np.nan),
+        dict(transmit_power=-1.0),
+        dict(exponent_low=1.0, exponent_high=3.0),
+        dict(exponent_low=6.0, exponent_high=2.0),
+        dict(exponent_high=np.inf),
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="rss", **bad)
 
 
 def test_grid_shapes():
@@ -201,20 +221,22 @@ def test_trial_batch_matches_problems_solved_alone(monkeypatch, kind):
     config = _small(kind, anchor_counts=(3, 5, 8), n_targets=2)
     solved = []
 
-    def recording(problems, opts):
-        results = solve_unfolding(problems, opts)
-        solved.extend(zip(problems, results))
+    def recording(anchors, delta, counts, opts):
+        results = solve_unfolding_arrays(anchors, delta, counts, opts)
+        bounds = np.cumsum(counts)[:-1]
+        problems = zip(np.split(anchors, bounds), np.split(delta, bounds))
+        solved.extend(zip(problems, *results))
         return results
 
-    monkeypatch.setattr(bench, "solve_unfolding", recording)
+    monkeypatch.setattr(bench, "solve_unfolding_arrays", recording)
     for t in range(3):
         run_trial(config, t)
     assert len(solved) == 3 * len(config.grid()) * len(config.methods) * 2
-    for problem, result in solved:
-        (alone,) = solve_unfolding([problem], config.solver)
-        assert result.position.tobytes() == alone.position.tobytes()
-        assert result.cost == alone.cost and result.converged == alone.converged
-        assert result.cost <= oracle_bound(problem.anchors, problem.delta)
+    for (anchors, delta), position, cost, _, converged in solved:
+        (alone,) = solve_unfolding([UnfoldingProblem(anchors, delta)], config.solver)
+        assert position.tobytes() == alone.position.tobytes()
+        assert cost == alone.cost and converged == alone.converged
+        assert cost <= oracle_bound(anchors, delta)
 
 
 @pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
@@ -244,3 +266,83 @@ def test_run_trial_builds_no_comparison_tensor(monkeypatch, kind):
     monkeypatch.setattr(ComparisonTensor, "__post_init__", refuse)
     outcome = run_trial(_small(kind), 0)
     assert np.isfinite(outcome.sq_err).all()
+
+
+def _recorded(run, *args):
+    """The outcome (or the exception) of run(*args) and the category
+    counts of every warning it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = run(*args)
+        except InputError as exc:
+            outcome = exc
+    return outcome, Counter(w.category.__name__ for w in caught)
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
+def test_run_trial_warns_as_the_reference(kind):
+    """The stacked trial emits the warnings of the per-grid-point trial:
+    one IllPosedWarning per problem below q + 1 anchors and each
+    DegenerateFitWarning of a fit, with the same outcome bytes."""
+    noise = {"ordinal": (5.0,), "toa": (5.0,), "rss": ()}[kind]
+    configs = [
+        _small(kind, anchor_counts=(2, 3), n_targets=2, seed=5),
+        _small(kind, anchor_counts=(2, 3, 4), noise_grid=noise, seed=6),
+    ]
+    seen = Counter()
+    for config in configs:
+        for t in range(8):
+            got, got_warnings = _recorded(run_trial, config, t)
+            expected, expected_warnings = _recorded(reference_run_trial, config, t)
+            assert got_warnings == expected_warnings
+            for name in ("sq_err", "tau", "flagged"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+            seen += got_warnings
+    assert seen["IllPosedWarning"] > 0 and seen["DegenerateFitWarning"] > 0
+
+
+def test_run_trial_rejects_nonfinite_direct_estimates_as_the_reference():
+    """Powers that underflow to 0 give infinite fixed-calibration and genie
+    estimates; both trials raise InputError on them."""
+    config = _small("rss", field_side=1e60, trials=1)
+    got, _ = _recorded(run_trial, config, 0)
+    expected, _ = _recorded(reference_run_trial, config, 0)
+    assert isinstance(got, InputError) and isinstance(expected, InputError)
+    assert str(got) == str(expected)
+
+
+def test_unsolved_ordinal_columns_score_as_the_reference(monkeypatch):
+    """Estimates whose squares overflow leave their columns unsolved: a grid
+    point is flagged and scored over its solved columns, or NaN when none
+    is solved, as the per-grid-point trial scores it."""
+
+    def overflowing(values, m):
+        # column 0 everywhere, and every column at 5 anchors
+        values = values.copy()
+        values[..., slice(None) if m == 5 else 0] *= 1e160
+        return values
+
+    stack = bench.estimate_distances_stack
+
+    def stacked(psi, d_y, m):
+        estimates, failed = stack(psi, d_y, m)
+        return overflowing(estimates, m), failed
+
+    alone = reference_solvers.estimate_distances
+
+    def single(psi, d_y):
+        d_hat = alone(psi, d_y)
+        values = overflowing(d_hat.values, d_hat.n_anchors)
+        return EstimatedDistanceMatrix(values, d_hat.stage, d_hat.flagged_anchors)
+
+    monkeypatch.setattr(bench, "estimate_distances_stack", stacked)
+    monkeypatch.setattr(reference_solvers, "estimate_distances", single)
+    config = _small("ordinal", n_targets=3)
+    for t in range(4):
+        got, expected = run_trial(config, t), reference_run_trial(config, t)
+        for name in ("sq_err", "tau", "flagged"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert got.flagged.all()
+        five = np.array([m == 5 for m, _ in config.grid()])
+        assert np.isnan(got.sq_err[five]).all() and np.isfinite(got.sq_err[~five]).all()

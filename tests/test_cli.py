@@ -183,6 +183,38 @@ def test_out_of_range_integers_exit_code_1(tmp_path, capsys, source, key, value)
     assert f"expected an integer >= {0 if key == 'seed' else 1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("benchmark", "propagation-speed", "0"),
+        ("benchmark", "propagation-speed", "inf"),
+        ("simulate", "field-side", "inf"),
+        ("simulate", "field-side", "nan"),
+        ("simulate", "field-side", "abc"),
+        ("benchmark", "g-range", "1,3"),
+        ("benchmark", "g-range", "6,2"),
+        ("benchmark", "g-range", "2,inf"),
+        ("benchmark", "calibration-g", "0"),
+        ("benchmark", "calibration-g", "nan"),
+    ],
+)
+def test_bad_experiment_parameters_exit_code_1(tmp_path, capsys, source, command, key, value):
+    argv = [command, "--anchors", "5", "--out", str(tmp_path / "run")] + FAST
+    if command == "benchmark":
+        argv += ["--kind", "toa" if key == "propagation-speed" else "rss"]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key.replace('-', '_')}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "results.csv").exists()
+
+
 def test_seed_zero_accepted(tmp_path):
     out = tmp_path / "run"
     argv = ["simulate", "--anchors", "5", "--sigma", "0.0", "--out", str(out)]

@@ -328,7 +328,7 @@ def test_distance_row_sums_match_tensor(monkeypatch, n, block_slices, sigma):
     d = _field(n, 300 + n)
     noise = ComparisonNoiseModel(sigma)
     rng, tensor_rng = np.random.default_rng(n), np.random.default_rng(n)
-    (rows,) = distance_row_sums([d], [noise], [rng])
+    (rows,) = distance_row_sums(d.values[None], [sigma], [rng])
     tensor = tensor_from_distances(d, noise, tensor_rng)
     assert rows.dtype == np.int64 and rows.shape == (n, n)
     assert _scores_bytes(rows) == _tensor_scores_bytes(tensor)
@@ -343,16 +343,17 @@ def test_stacked_distance_row_sums_match_each_tensor(monkeypatch, n, block_slice
     _set_block(monkeypatch, n, block_slices)
     sigmas = (0.0, 0.3, 0.3, 0.0, 1.5)
     ds = [_field(n, 400 + n + g) for g in range(len(sigmas))]
-    noises = [ComparisonNoiseModel(s, seed=g) for g, s in enumerate(sigmas)]
-    rngs = [np.random.default_rng(g) for g in range(len(sigmas) - 1)] + [None]
-    stacked = distance_row_sums(ds, noises, rngs)
+    rngs = [np.random.default_rng(g) for g in range(len(sigmas))]
+    stacked = distance_row_sums(np.stack([d.values for d in ds]), sigmas, rngs)
     assert stacked.shape == (len(sigmas), n, n)
-    for g, (d, noise) in enumerate(zip(ds, noises)):
-        tensor_rng = np.random.default_rng(g) if rngs[g] is not None else None
-        tensor = tensor_from_distances(d, noise, tensor_rng)
+    for g, (d, sigma) in enumerate(zip(ds, sigmas)):
+        tensor_rng = np.random.default_rng(g)
+        tensor = tensor_from_distances(d, ComparisonNoiseModel(sigma), tensor_rng)
         assert _scores_bytes(stacked[g]) == _tensor_scores_bytes(tensor)
-        if rngs[g] is not None:
-            assert rngs[g].random() == tensor_rng.random()
+        assert rngs[g].random() == tensor_rng.random()
+    # without a generator, the tensor draws from one seeded by the noise model
+    seeded = tensor_from_distances(ds[1], ComparisonNoiseModel(sigmas[1], seed=1))
+    assert _scores_bytes(stacked[1]) == _tensor_scores_bytes(seeded)
 
 
 def test_block_workspace_does_not_leak(monkeypatch):
@@ -363,9 +364,9 @@ def test_block_workspace_does_not_leak(monkeypatch):
     noise = ComparisonNoiseModel(0.3)
     first = tensor_from_distances(d, noise, np.random.default_rng(1))
     first_bytes = first.values.tobytes()
-    (first_rows,) = distance_row_sums([d], [noise], [np.random.default_rng(1)])
+    (first_rows,) = distance_row_sums(d.values[None], [0.3], [np.random.default_rng(1)])
     kept_rows = first_rows.copy()
-    distance_row_sums([d, d], [noise, noise], [np.random.default_rng(2), None])
+    distance_row_sums(np.stack([d.values] * 2), [0.3] * 2, [np.random.default_rng(2)] * 2)
     second = tensor_from_distances(d, noise, np.random.default_rng(3))
     assert second.values.tobytes() != first_bytes
     assert first.values.tobytes() == first_bytes
@@ -390,7 +391,11 @@ def test_signal_row_sums_match_tensor(n, increasing):
         missing |= missing.T
         with_gaps = np.where(missing, np.nan, values)
         matrices.append(SignalMatrix(with_gaps, increasing, n_anchors=0, missing=missing))
-    stacked, messages = _with_coverage_warnings(lambda: signal_row_sums(matrices))
+    stacked, messages = _with_coverage_warnings(
+        lambda: signal_row_sums(
+            np.stack([S.values for S in matrices]), increasing, np.stack([S.missing for S in matrices])
+        )
+    )
     assert stacked.dtype == np.int64 and stacked.shape == (len(matrices), n, n)
     expected_messages = []
     for g, S in enumerate(matrices):
@@ -401,15 +406,31 @@ def test_signal_row_sums_match_tensor(n, increasing):
 
 
 def test_row_sums_reject_mixed_orders():
-    with pytest.raises(InputError, match="one order"):
-        distance_row_sums([_field(3, 0), _field(4, 0)], [ComparisonNoiseModel()] * 2, [None] * 2)
-    with pytest.raises(InputError, match="one noise model"):
-        distance_row_sums([_field(3, 0)], [], [None])
-    values = np.ones((3, 3))
-    with pytest.raises(InputError, match="one order"):
-        signal_row_sums([_signal_matrix(values, True), _signal_matrix(np.ones((4, 4)), True)])
-    assert distance_row_sums([], [], []).shape == (0, 0, 0)
-    assert signal_row_sums([]).shape == (0, 0, 0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InputError, match="square"):
+        distance_row_sums(np.zeros((2, 3, 4)), [0.0] * 2, [rng] * 2)
+    with pytest.raises(InputError, match="one noise level"):
+        distance_row_sums(_field(3, 0).values[None], [], [rng])
+    with pytest.raises(InputError, match="sigma must be finite"):
+        distance_row_sums(_field(3, 0).values[None], [np.nan], [rng])
+    infinite = np.stack([_field(3, 0).values] * 2)
+    infinite[1, 2, 0] = np.inf
+    with pytest.raises(InputError, match=r"distance inf between sensors \(2, 0\) is not finite"):
+        distance_row_sums(infinite, [0.0] * 2, [rng] * 2)
+    with pytest.raises(InputError, match="square"):
+        signal_row_sums(np.ones((2, 3, 4)), True)
+    values = np.ones((2, 3, 3))
+    values[1, 0, 2] = np.inf
+    with pytest.raises(InputError, match=r"signal value inf at present link \(0, 2\)"):
+        signal_row_sums(values, True)
+    values[1, 0, 2] = 2.0
+    with pytest.raises(InputError, match="symmetric"):
+        signal_row_sums(values, True)
+    missing = np.zeros(values.shape, dtype=bool)
+    missing[1, 0, 2] = True
+    assert signal_row_sums(values, True, missing).shape == (2, 3, 3)
+    assert distance_row_sums(np.empty((0, 0, 0)), [], []).shape == (0, 0, 0)
+    assert signal_row_sums(np.empty((0, 0, 0)), True).shape == (0, 0, 0)
 
 
 def test_pair_indices_cached_and_read_only():
