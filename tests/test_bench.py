@@ -17,9 +17,11 @@ from ordinal_unloc.bench import (
     run_benchmark,
     run_trial,
 )
-from ordinal_unloc.core import ComparisonTensor, ConfigError, InputError
+from ordinal_unloc.core import ComparisonTensor, ConfigError, DistanceMatrix, InputError
 from ordinal_unloc.funclearn import EstimatedDistanceMatrix
+from ordinal_unloc.ordinal import ComparisonNoiseModel, SignalMatrix
 from ordinal_unloc.unfold import (
+    LocalizationResult,
     SolverOptions,
     UnfoldingProblem,
     solve_unfolding,
@@ -265,6 +267,24 @@ def test_run_trial_builds_no_comparison_tensor(monkeypatch, kind):
 
     monkeypatch.setattr(ComparisonTensor, "__post_init__", refuse)
     outcome = run_trial(_small(kind), 0)
+    assert np.isfinite(outcome.sq_err).all()
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
+def test_run_trial_builds_no_per_grid_point_objects(monkeypatch, kind):
+    def refuse(self):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    for cls in (
+        DistanceMatrix,
+        SignalMatrix,
+        ComparisonNoiseModel,
+        EstimatedDistanceMatrix,
+        UnfoldingProblem,
+        LocalizationResult,
+    ):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    outcome = run_trial(_small(kind, anchor_counts=(2, 5, 5), n_targets=2), 0)
     assert np.isfinite(outcome.sq_err).all()
 
 
