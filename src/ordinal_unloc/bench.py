@@ -10,7 +10,8 @@ Every trial derives an independent RNG stream from
 (master seed, experiment id, trial index), so results are deterministic
 and independent of worker count.  The grid points that share an anchor
 count form a group, and a trial runs each stage on a group's stacked
-arrays, with no per-grid-point objects:
+arrays; the only per-grid-point objects are the ``SignalMatrix`` inputs
+of the rss and toa kinds' comparisons:
 
 1. draw: each grid point draws its layout and channel on its own child
    stream, into one (G, m + n, 2) layout stack per group, whose distances
@@ -36,7 +37,7 @@ import numpy as np
 
 from .core import ConfigError, InputError, point_distances
 from .funclearn import estimate_distances_stack
-from .ordinal import distance_row_sums, pair_indices, signal_row_sums
+from .ordinal import SignalMatrix, distance_row_sums, pair_indices, signal_row_sums
 from .rank import proximity_scores
 from .signals import MIN_LINK_DISTANCE, RssModel, rss_power
 from .unfold import SolverOptions, solve_unfolding_arrays, warn_ill_posed
@@ -206,20 +207,7 @@ def _ordinal_draw(config, m, sigmas, rngs):
     return _GroupDraw(points, d_full, (d_full, sigmas, rngs), ())
 
 
-@functools.lru_cache(maxsize=8)
-def _rss_model(config):
-    """The power law of an rss config, built once per config; the config
-    has already checked what ``RssModel`` checks."""
-    return RssModel(
-        transmit_power=config.transmit_power,
-        hardware_gain=config.hardware_gain,
-        exponent_low=config.exponent_low,
-        exponent_high=config.exponent_high,
-    )
-
-
-def _rss_draw(config, m, _, rngs):
-    model = _rss_model(config)
+def _rss_draw(config, m, _, rngs, model):
     points, d_full = _layouts(config, m, rngs)
     size = len(pair_indices(m + config.n_targets)[0])
     exponents = _symmetric(
@@ -237,7 +225,8 @@ def _rss_draw(config, m, _, rngs):
         (gain / power[:, :m, m:]) ** (1.0 / exps)
         for exps in (np.full(block.shape, config.calibration_exponent), block)
     )
-    return _GroupDraw(points, d_full, (power, False), direct)
+    signals = [SignalMatrix(p, increasing_with_distance=False, n_anchors=m) for p in power]
+    return _GroupDraw(points, d_full, (signals,), direct)
 
 
 def _toa_draw(config, m, variances, rngs):
@@ -249,7 +238,8 @@ def _toa_draw(config, m, variances, rngs):
         rng.integers(2**63, size=2)  # unused; keeps the noise draws in place
         noise.append(rng.normal(0.0, float(np.sqrt(variance / c)), size))
     toa = d_full / c + _symmetric(noise, m + config.n_targets)
-    return _GroupDraw(points, d_full, (toa, True), (c * toa[:, :m, m:],))
+    signals = [SignalMatrix(t, increasing_with_distance=True, n_anchors=m) for t in toa]
+    return _GroupDraw(points, d_full, (signals,), (c * toa[:, :m, m:],))
 
 
 _DRAWS = {"ordinal": _ordinal_draw, "rss": _rss_draw, "toa": _toa_draw}
@@ -304,11 +294,23 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     for g, (m, _) in enumerate(grid):
         groups.setdefault(m, []).append(g)
     draw = _DRAWS[config.kind]
+    if config.kind == "rss":
+        # one power law per trial; the config has checked what RssModel checks
+        draw = functools.partial(
+            draw,
+            model=RssModel(
+                transmit_power=config.transmit_power,
+                hardware_gain=config.hardware_gain,
+                exponent_low=config.exponent_low,
+                exponent_high=config.exponent_high,
+            ),
+        )
     draws = {
         m: draw(config, m, [grid[g][1] for g in members], [rngs[g] for g in members])
         for m, members in groups.items()
     }
-    # every stack is checked by its row sums before any group is fitted
+    # every group is drawn and checked (by SignalMatrix, or by the distance
+    # row sums) before any group is fitted
     row_sums = distance_row_sums if config.kind == "ordinal" else signal_row_sums
     psi = {m: proximity_scores(row_sums(*draws[m].comparisons)) for m in groups}
     estimates = {m: _estimates(m, psi[m], draws[m]) for m in groups}

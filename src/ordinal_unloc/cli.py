@@ -350,13 +350,7 @@ def cmd_localize(args) -> int:
         labels = [args.aggregator]
 
     # every sample has the same sensors: one stacked estimate, one solver batch
-    psi = proximity_scores(
-        signal_row_sums(
-            np.stack([S.values for S in matrices]),
-            matrices[0].increasing_with_distance,
-            np.stack([S.missing for S in matrices]),
-        )
-    )
+    psi = proximity_scores(signal_row_sums(matrices))
     problems = []
     for d_hat in estimate_distances_batch(psi, point_distances(field.anchors), field.m):
         problems += column_problems(field.anchors, d_hat)

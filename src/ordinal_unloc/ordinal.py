@@ -38,30 +38,6 @@ class ComparisonNoiseModel:
             raise InputError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
-def _checked_missing(values, missing):
-    """The missing-link mask of a square signal matrix, or of a (G, N, N)
-    stack of them, with the diagonal set.  Raises InputError when a present
-    value is not finite or the present values are not symmetric."""
-    n = values.shape[-1]
-    if missing is None:
-        miss = np.zeros(values.shape, dtype=bool)
-    else:
-        miss = np.array(missing, dtype=bool)
-        if miss.shape != values.shape:
-            raise InputError("missing mask shape must match values")
-    miss[..., np.arange(n), np.arange(n)] = True
-    bad = ~miss & ~np.isfinite(values)
-    if bad.any():
-        first = tuple(np.argwhere(bad)[0])
-        i, j = first[-2:]
-        raise InputError(f"signal value {values[first]} at present link ({i}, {j}) is not finite")
-    both = ~miss & ~np.swapaxes(miss, -1, -2)
-    transposed = np.swapaxes(values, -1, -2)
-    if not np.allclose(np.where(both, values, 0.0), np.where(both, transposed, 0.0)):
-        raise InputError("signal matrix must be symmetric where present")
-    return miss
-
-
 @dataclass(frozen=True)
 class SignalMatrix:
     """Measured link proxies (power, time of flight) for all sensor pairs.
@@ -80,7 +56,21 @@ class SignalMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError(f"signal matrix must be square, got shape {v.shape}")
-        miss = _checked_missing(v, self.missing)
+        n = v.shape[0]
+        if self.missing is None:
+            miss = np.zeros((n, n), dtype=bool)
+        else:
+            miss = np.array(self.missing, dtype=bool)
+            if miss.shape != v.shape:
+                raise InputError("missing mask shape must match values")
+        np.fill_diagonal(miss, True)
+        bad = ~miss & ~np.isfinite(v)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InputError(f"signal value {v[i, j]} at present link ({i}, {j}) is not finite")
+        both = ~miss & ~miss.T
+        if not np.allclose(np.where(both, v, 0.0), np.where(both, v.T, 0.0)):
+            raise InputError("signal matrix must be symmetric where present")
         object.__setattr__(self, "values", _frozen(v))
         object.__setattr__(self, "missing", _frozen(miss, dtype=bool))
 
@@ -123,25 +113,16 @@ def _upper_mask(n):
     return mask
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_bins(n, rows):
-    """Read-only flat bin indices s*n + i and s*n + j of every pair (i, j)
-    of ``rows`` stacked slices of order n, in ``pair_indices`` order; built
-    once per (n, rows).  A block of several slices has N < 363 and holds
-    under 2**17 pairs (2 MB for both arrays); a one-slice block's bins
-    are the pair indices themselves."""
-    if rows == 1:
-        return pair_indices(n)
-    base = np.arange(rows)[:, None] * n
-    bins = tuple((base + ends).ravel() for ends in pair_indices(n))
-    for b in bins:
-        b.flags.writeable = False
-    return bins
-
-
 def _sign_int8(a, b):
     """sgn(a - b) as int8, broadcasting a against b."""
     return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
+def _stack_orders(items, what):
+    orders = {item.order for item in items}
+    if len(orders) > 1:
+        raise InputError(f"stacked {what} must share one order, got {sorted(orders)}")
+    return orders.pop() if orders else 0
 
 
 def _noisy_differences(distances, sigmas, rngs):
@@ -237,16 +218,17 @@ def distance_row_sums(
         if not (np.isfinite(sigma) and sigma >= 0):
             raise InputError(f"sigma must be finite and nonnegative, got {sigma}")
     g_count, n, _ = distances.shape
+    i, j = pair_indices(n)
     out = np.empty((g_count * n, n), dtype=np.int64)
     for rows, diff, spare in _noisy_differences(distances, sigmas, rngs):
         # slice s of the block sums into bins s*N + i
-        bins_i, bins_j = _pair_bins(n, len(diff))
+        base = np.arange(len(diff))[:, None] * n
         # into the spare buffer: a new array would cost an allocation per
         # block, and np.sign in place is several times slower than either
         sign = np.sign(diff, out=spare).ravel()
         size = len(diff) * n
-        sums = np.bincount(bins_i, sign, size)
-        sums -= np.bincount(bins_j, sign, size)
+        sums = np.bincount((base + i).ravel(), sign, size)
+        sums -= np.bincount((base + j).ravel(), sign, size)
         out[rows] = sums.reshape(len(diff), n)
     return out.reshape(g_count, n, n)
 
@@ -262,16 +244,19 @@ def _dense_ranks(x):
     return ranks
 
 
-def _signal_ranks(values, increasing_with_distance, missing):
-    """present[g*N + k, i] (link i-k of matrix g of a (G, N, N) stack
-    measured) and the dense rank of each oriented value within its
-    reference slice; missing links rank as 0.0.  Present values are
-    finite, so comparing their ranks within a slice gives the same signs as
-    subtracting them."""
-    g_count, n, _ = values.shape
-    present = ~np.swapaxes(missing, 1, 2).reshape(g_count * n, n)
-    oriented = np.swapaxes(values if increasing_with_distance else -values, 1, 2)
-    return present, _dense_ranks(np.where(present, oriented.reshape(g_count * n, n), 0.0))
+def _signal_ranks(signals):
+    """present[g*N + k, i] (link i-k of matrix g measured) and the dense
+    rank of each oriented value within its reference slice; missing links
+    rank as 0.0.  Present values are finite, so comparing their ranks
+    within a slice gives the same signs as subtracting them."""
+    _stack_orders(signals, "signal matrices")
+    if not signals:
+        return np.empty((0, 0), dtype=bool), np.empty((0, 0), dtype=np.uint8)
+    present = np.concatenate([~S.missing.T for S in signals])
+    oriented = np.concatenate(
+        [(S.values if S.increasing_with_distance else -S.values).T for S in signals]
+    )
+    return present, _dense_ranks(np.where(present, oriented, 0.0))
 
 
 def _warn_sparse_slices(present):
@@ -297,7 +282,7 @@ def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     regardless of whether the proxy grows or shrinks with distance.
     Comparisons touching a missing link yield 0.
     """
-    present, ranks = _signal_ranks(S.values[None], S.increasing_with_distance, S.missing[None])
+    present, ranks = _signal_ranks([S])
     n = S.order
     z = np.empty((n, n, n), dtype=np.int8)
     for ks in _slice_blocks(n):
@@ -314,26 +299,17 @@ def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     return ComparisonTensor(z, S.n_anchors)
 
 
-def signal_row_sums(
-    values: np.ndarray, increasing_with_distance: bool, missing: np.ndarray | None = None
-) -> np.ndarray:
-    """Row sums of ``tensor_from_signals``'s slices for a (G, N, N) stack
-    of signal matrices of one orientation, without the tensors.
+def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
+    """Row sums of ``tensor_from_signals``'s slices for a stack of signal
+    matrices of one order, without the tensors.
 
-    ``missing`` flags each matrix's missing links as ``SignalMatrix`` does
-    (None: every link present), and the stack is checked as
-    ``SignalMatrix`` checks one matrix.  ``out[g, k, i]`` is, for a present
-    link i-k of matrix g, the number of present values of slice k ranked
-    below sensor i's minus the number ranked above it, and 0 for a missing
-    link.  The counts come from a per-slice histogram of the present
-    ranks, in O(N^2) per matrix.  Each matrix warns as
-    ``tensor_from_signals`` would.
+    ``out[g, k, i]`` is, for a present link i-k of matrix g, the number of
+    present values of slice k ranked below sensor i's minus the number
+    ranked above it, and 0 for a missing link.  The counts come from a
+    per-slice histogram of the present ranks, in O(N^2) per matrix.  Each
+    matrix warns as ``tensor_from_signals`` would.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3 or values.shape[1] != values.shape[2]:
-        raise InputError(f"need a stack of square signal matrices, got shape {values.shape}")
-    missing = _checked_missing(values, missing)
-    present, ranks = _signal_ranks(values, increasing_with_distance, missing)
+    present, ranks = _signal_ranks(signals)
     rows, n = present.shape
     bins = np.arange(rows)[:, None] * n + ranks
     at_rank = np.bincount(bins[present], minlength=rows * n).reshape(rows, n)
@@ -342,6 +318,6 @@ def signal_row_sums(
     eq = np.take_along_axis(at_rank, ranks, axis=1)
     # below = le - eq, above = c_k - le
     out = np.where(present, 2 * le - eq - up_to_rank[:, -1:], 0)
-    for g in range(len(values)):
+    for g in range(len(signals)):
         _warn_sparse_slices(present[g * n : (g + 1) * n])
-    return out.reshape(len(values), n, n)
+    return out.reshape(len(signals), n, n)

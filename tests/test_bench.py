@@ -277,7 +277,6 @@ def test_run_trial_builds_no_per_grid_point_objects(monkeypatch, kind):
 
     for cls in (
         DistanceMatrix,
-        SignalMatrix,
         ComparisonNoiseModel,
         EstimatedDistanceMatrix,
         UnfoldingProblem,
