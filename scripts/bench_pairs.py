@@ -7,11 +7,13 @@
 The change is this checkout's working tree.  The parent (default
 ``HEAD~1``, or ``HEAD`` while the change is uncommitted) is checked out
 with ``git worktree`` into a temporary directory, unless ``--parent-dir``
-names an existing checkout.  For every seed, ``perfbench/run.py`` runs
-for the parent and the change in alternating pairs, one run at a time;
-the order inside a pair swaps every pair, so drift of the machine falls
-on both sides alike.  ``--trace-pairs`` adds traced runs (``--trace 1``)
-for the per-layer metrics of the first seed.
+names an existing checkout; then ``--parent`` must name the commit that
+checkout holds, because the script cannot tell it from a ``git archive``
+copy.  For every seed, ``perfbench/run.py`` runs for the parent and the
+change in alternating pairs, one run at a time; the order inside a pair
+swaps every pair, so drift of the machine falls on both sides alike.
+``--trace-pairs`` adds traced runs (``--trace 1``) for the per-layer
+metrics of the first seed.
 
 Writes ``BENCH_<label>.json`` at the repository root: every run's record
 and result, and per seed and metric the parent's and the change's first
@@ -111,11 +113,14 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace-pairs", type=int, default=0)
-    ap.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
+    ap.add_argument("--parent", help="git revision of the parent (default HEAD~1)")
     ap.add_argument("--parent-dir", help="existing checkout of the parent; skips git worktree")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--change", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
+    if args.parent_dir and not args.parent:
+        ap.error("--parent-dir needs --parent: the commit that checkout holds")
+    args.parent = args.parent or "HEAD~1"
     seeds = [int(s) for s in args.seeds.split(",")]
     seconds = f"{args.seconds:g}"
 

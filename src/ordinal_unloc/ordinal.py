@@ -5,16 +5,25 @@ The comparisons come either as the full N x N x N tensor
 slices only (``*_row_sums``), which never builds the tensor.  Both forms
 of one input kind take the same noise draws in the same order, from one
 generator of pair differences (``_noisy_differences``) that computes
-every block of slices in a workspace allocated once per call.  The
-tensor route writes each slice's pair signs through an upper-triangle
-mask and mirrors them, so the lower triangle holds their negations.
+every block of slices in a workspace allocated once per call.  When a
+call spans more than one block, has noise and may use more than one
+CPU, one helper thread draws the next block's noise while the caller
+works on the current one; it is the only code drawing from the
+generators during the call and draws in the same order, so the values
+and the bytes are those of drawing inline, and it is joined before the
+call returns.  The tensor route writes each slice's pair signs through
+an upper-triangle mask and mirrors them, so the lower triangle holds
+their negations.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import warnings
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +91,8 @@ class SignalMatrix:
 # Tensor entries filled per block of reference slices.  Temporaries scale
 # with the block, not with N^3; up to N = 64 the tensor is one block.  The
 # distance routes hold two float64 buffers of one block's pairs (under
-# 2 MB together), allocated once per call and reused for every block; from
+# 2 MB together), and two more for noise drawn ahead when the call spans
+# several blocks, allocated once per call and reused for every block; from
 # N = 363 on a block is a single slice.
 _BLOCK_ELEMENTS = 1 << 18
 
@@ -125,6 +135,14 @@ def _stack_orders(items, what):
     return orders.pop() if orders else 0
 
 
+def _usable_cpus():
+    """CPUs this process may run on; ``sched_getaffinity`` is not on every
+    platform."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _noisy_differences(distances, sigmas, rngs):
     """Per block of the stacked reference slices of a (G, N, N) distance
     stack (slice k of matrix g is row g*N + k): d_ik - d_jk + xi for every
@@ -133,6 +151,19 @@ def _noisy_differences(distances, sigmas, rngs):
     and pair, in slice and pair order; the blocks cut that stream where one
     (N, N(N-1)/2) draw would be cut, so the values and the generators'
     final states are the same.
+
+    When the stack spans more than one block, some sigma is positive and
+    the process may run on more than one CPU, one helper thread draws
+    block b + 1's noise into a second noise buffer while the caller
+    gathers block b and works on it.  numpy releases the interpreter lock
+    while it fills a buffer, so the draws overlap the caller's arithmetic;
+    on one CPU they cannot, and the hand-offs cost about a tenth of a
+    400-sensor tensor.  The helper is the only code that touches ``rngs``
+    during the call and takes the blocks and matrices in order, so it
+    draws the same values as an inline draw, and each value is scaled and
+    added with the same operations; the bytes cannot change.  The helper
+    is joined before the call returns, when the generator is closed early
+    and when an error is raised, so no thread outlives it.
 
     Yields (rows, differences, spare): every block is computed in one
     workspace allocated per call, so both arrays are valid only until the
@@ -147,21 +178,48 @@ def _noisy_differences(distances, sigmas, rngs):
         return
     size = (blocks[0].stop, len(i))
     work, other = np.empty(size), np.empty(size)
-    for rows in blocks:
-        diff, tmp = work[: rows.stop - rows.start], other[: rows.stop - rows.start]
-        # mode="clip" lets take write into out= directly; the indices are
-        # in range, so it clips nothing
-        np.take(dk[rows], i, axis=1, mode="clip", out=diff)
-        np.take(dk[rows], j, axis=1, mode="clip", out=tmp)
-        diff -= tmp
+
+    def noisy_parts(rows):
+        """(part of the block, g) for every matrix with noise in the rows"""
         for g in range(rows.start // n, (rows.stop - 1) // n + 1):
             if sigmas[g] > 0:
-                part = slice(max(g * n - rows.start, 0), (g + 1) * n - rows.start)
-                noise = tmp[part]
-                rngs[g].standard_normal(out=noise)
-                noise *= sigmas[g]
-                diff[part] += noise
-        yield rows, diff, tmp
+                yield slice(max(g * n - rows.start, 0), (g + 1) * n - rows.start), g
+
+    def draw(rows, noise):
+        for part, g in noisy_parts(rows):
+            rngs[g].standard_normal(out=noise[part])
+            noise[part] *= sigmas[g]
+        return noise
+
+    helper = None
+    if len(blocks) > 1 and any(sigma > 0 for sigma in sigmas) and _usable_cpus() > 1:
+        helper = ThreadPoolExecutor(max_workers=1)
+        ahead = helper.submit(draw, blocks[0], np.empty(size))
+        free = np.empty(size)
+    try:
+        for b, rows in enumerate(blocks):
+            diff, tmp = work[: rows.stop - rows.start], other[: rows.stop - rows.start]
+            if helper is not None:
+                # free held block b - 1's noise, which was added before
+                # that block was yielded
+                drawn = ahead
+                if b + 1 < len(blocks):
+                    ahead = helper.submit(draw, blocks[b + 1], free)
+            # mode="clip" lets take write into out= directly; the indices
+            # are in range, so it clips nothing
+            np.take(dk[rows], i, axis=1, mode="clip", out=diff)
+            np.take(dk[rows], j, axis=1, mode="clip", out=tmp)
+            diff -= tmp
+            if helper is None:
+                noise = draw(rows, tmp)
+            else:
+                noise = free = drawn.result()
+            for part, _ in noisy_parts(rows):
+                diff[part] += noise[part]
+            yield rows, diff, tmp
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
 
 
 def tensor_from_distances(
@@ -180,14 +238,16 @@ def tensor_from_distances(
     upper = _upper_mask(n)
     z = np.zeros((n, n, n), dtype=np.int8)
     rng = np.random.default_rng(noise.seed) if rng is None else rng
-    for ks, diff, _ in _noisy_differences(D.values[None], [noise.sigma], [rng]):
-        sign = _sign_int8(diff, 0.0)
-        for zk, sk in zip(z[ks], sign):
-            # the mask's True entries run in pair order; the lower triangle
-            # is still 0, so zk - zk.T mirrors the signs with opposite sign.
-            # IEEE negation is exact, so sgn(-a - x) == -sgn(a + x)
-            zk[upper] = sk
-            np.subtract(zk, zk.T, out=zk)
+    with closing(_noisy_differences(D.values[None], [noise.sigma], [rng])) as blocks:
+        for ks, diff, _ in blocks:
+            sign = _sign_int8(diff, 0.0)
+            for zk, sk in zip(z[ks], sign):
+                # the mask's True entries run in pair order; the lower
+                # triangle is still 0, so zk - zk.T mirrors the signs with
+                # opposite sign.  IEEE negation is exact, so
+                # sgn(-a - x) == -sgn(a + x)
+                zk[upper] = sk
+                np.subtract(zk, zk.T, out=zk)
     z.flags.writeable = False  # handed over without a copy
     return ComparisonTensor(z, D.n_anchors)
 
@@ -220,16 +280,18 @@ def distance_row_sums(
     g_count, n, _ = distances.shape
     i, j = pair_indices(n)
     out = np.empty((g_count * n, n), dtype=np.int64)
-    for rows, diff, spare in _noisy_differences(distances, sigmas, rngs):
-        # slice s of the block sums into bins s*N + i
-        base = np.arange(len(diff))[:, None] * n
-        # into the spare buffer: a new array would cost an allocation per
-        # block, and np.sign in place is several times slower than either
-        sign = np.sign(diff, out=spare).ravel()
-        size = len(diff) * n
-        sums = np.bincount((base + i).ravel(), sign, size)
-        sums -= np.bincount((base + j).ravel(), sign, size)
-        out[rows] = sums.reshape(len(diff), n)
+    with closing(_noisy_differences(distances, sigmas, rngs)) as blocks:
+        for rows, diff, spare in blocks:
+            # slice s of the block sums into bins s*N + i
+            base = np.arange(len(diff))[:, None] * n
+            # into the spare buffer: a new array would cost an allocation
+            # per block, and np.sign in place is several times slower than
+            # either
+            sign = np.sign(diff, out=spare).ravel()
+            size = len(diff) * n
+            sums = np.bincount((base + i).ravel(), sign, size)
+            sums -= np.bincount((base + j).ravel(), sign, size)
+            out[rows] = sums.reshape(len(diff), n)
     return out.reshape(g_count, n, n)
 
 
@@ -261,11 +323,14 @@ def _signal_ranks(signals):
 
 def _warn_sparse_slices(present):
     n = len(present)
-    if n < 2:
+    # slice k compares the pairs of the other N - 1 sensors; its own link
+    # is always missing, so with N <= 2 there is no such pair
+    if n < 3:
         return
-    # off-diagonal pairs of slice k with a missing end: all but c_k (c_k - 1)
+    # ordered pairs of those sensors with a missing end: all but c_k (c_k - 1)
     counts = present.sum(axis=1)
-    missing_frac = (n * (n - 1) - counts * (counts - 1)) / (n * (n - 1))
+    pairs = (n - 1) * (n - 2)
+    missing_frac = (pairs - counts * (counts - 1)) / pairs
     for k in np.nonzero(missing_frac > 0.5)[0]:
         warnings.warn(
             f"slice {k}: {missing_frac[k]:.0%} of comparisons missing; "

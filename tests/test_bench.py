@@ -1,4 +1,5 @@
 import json
+import threading
 import warnings
 from collections import Counter
 
@@ -319,6 +320,20 @@ def test_run_trial_warns_as_the_reference(kind):
                 assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
             seen += got_warnings
     assert seen["IllPosedWarning"] > 0 and seen["DegenerateFitWarning"] > 0
+
+
+def test_fig3_trial_starts_no_thread(monkeypatch):
+    """A fig3 stack of comparisons (4 noise levels of 21 sensors) is one
+    block, so its noise is drawn without the helper thread."""
+
+    def no_thread(thread):
+        raise AssertionError("run_trial started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    config = ExperimentConfig(kind="ordinal", trials=1, solver=FAST_SOLVER)
+    assert max(config.anchor_counts) + config.n_targets == 21
+    outcome = run_trial(config, 0)
+    assert outcome.sq_err.shape == (len(config.grid()), len(config.methods))
 
 
 def test_run_trial_rejects_nonfinite_direct_estimates_as_the_reference():

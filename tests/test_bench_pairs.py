@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -47,3 +49,18 @@ def test_summarize_quartiles_and_pairs_won():
     assert (seed_7["pairs_change_higher"], seed_7["pairs"]) == (0, 1)
     assert seed_7["parent_q1_median_q3"] == [9.125, 9.25, 9.375]
     assert seed_7["change_q1_median_q3"] == [8.0, 8.0, 8.0]
+
+
+def test_parent_dir_without_parent_is_an_error_before_any_run(monkeypatch, tmp_path, capsys):
+    """A ``--parent-dir`` copy cannot name its own commit, so the record
+    would carry ``HEAD~1`` whatever the copy holds."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("nothing may run before the arguments are checked")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--workload", "large-n", "--label", "x", "--parent-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--parent-dir needs --parent" in capsys.readouterr().err

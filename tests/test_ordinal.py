@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -139,6 +140,18 @@ def test_signals_nan_at_missing_link_accepted():
     assert z[0, 1, 2] == +1  # 1.0 is weaker power than 2.0: sensor 1 farther
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_complete_small_signal_matrix_warns_nothing(n):
+    """A slice's own link is no missing comparison: with every link
+    present, no slice is sparse however few the sensors."""
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])[:n, :n]
+    S = _signal_matrix(values, increasing=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SliceCoverageWarning)
+        tensor_from_signals(S)
+        signal_row_sums([S, S])
+
+
 def test_signals_asymmetric_rejected():
     values = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(Exception):
@@ -202,9 +215,11 @@ def _dense_tensor_from_signals(S):
     unusable = missk[:, :, None] | missk[:, None, :]
     z[unusable] = 0
     n = S.order
-    if n > 1:
-        off_diag = ~np.eye(n, dtype=bool)
-        missing_frac = (unusable & off_diag).sum(axis=(1, 2)) / (n * (n - 1))
+    if n > 2:
+        # pairs (i, j) with i != j, neither of them the reference k
+        eye = np.eye(n, dtype=bool)
+        counted = ~(eye[None] | eye[:, :, None] | eye[:, None, :])
+        missing_frac = (unusable & counted).sum(axis=(1, 2)) / ((n - 1) * (n - 2))
         for k in np.nonzero(missing_frac > 0.5)[0]:
             warnings.warn(
                 f"slice {k}: {missing_frac[k]:.0%} of comparisons missing; "
@@ -375,6 +390,142 @@ def test_block_workspace_does_not_leak(monkeypatch):
     for tensor in (first, second):
         assert not tensor.values.flags.writeable
         assert tensor.values.flags.owndata and tensor.values.base is None
+
+
+# -- noise drawn ahead on a helper thread ---------------------------------
+
+
+def _started_threads(monkeypatch):
+    """Lets the helper run, as with two usable CPUs, and returns the list
+    of every thread started from here on."""
+    monkeypatch.setattr(ordinal, "_usable_cpus", lambda: 2)
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def _route(route, d, rng):
+    """Row sums of the threshold comparisons of d, through one route."""
+    if route == "tensor":
+        tensor = tensor_from_distances(d, ComparisonNoiseModel(0.3), rng)
+        return tensor.values.sum(axis=2, dtype=np.int64)
+    (rows,) = distance_row_sums(d.values[None], [0.3], [rng])
+    return rows
+
+
+@pytest.mark.parametrize("route", ["tensor", "row_sums"])
+def test_prefetch_thread_is_joined_before_return(monkeypatch, route):
+    _set_block(monkeypatch, 21, 4)
+    started = _started_threads(monkeypatch)
+    before = threading.active_count()
+    _route(route, _field(21, 700), np.random.default_rng(1))
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("route", ["tensor", "row_sums"])
+def test_prefetch_needs_a_second_cpu(monkeypatch, route):
+    """On one CPU the draws cannot overlap the caller, so they are made
+    inline, with the same result."""
+    _set_block(monkeypatch, 21, 4)
+    d = _field(21, 704)
+    started = _started_threads(monkeypatch)
+    with_helper = _route(route, d, np.random.default_rng(1))
+    assert len(started) == 1
+
+    def no_thread(thread):
+        raise AssertionError("a thread was started on one CPU")
+
+    monkeypatch.setattr(ordinal, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    np.testing.assert_array_equal(_route(route, d, np.random.default_rng(1)), with_helper)
+
+
+def test_prefetch_thread_is_joined_on_early_close(monkeypatch):
+    _set_block(monkeypatch, 21, 4)
+    started = _started_threads(monkeypatch)
+    before = threading.active_count()
+    blocks = ordinal._noisy_differences(
+        _field(21, 701).values[None], [0.3], [np.random.default_rng(1)]
+    )
+    next(blocks)
+    assert len(started) == 1
+    blocks.close()
+    assert not started[0].is_alive() and threading.active_count() == before
+
+
+@pytest.mark.parametrize("route, kernel", [("tensor", "_sign_int8"), ("row_sums", "sign")])
+def test_prefetch_thread_is_joined_when_the_caller_raises(monkeypatch, route, kernel):
+    """The caller fails in its second block; the helper is joined before
+    the error leaves the call, although the traceback keeps the caller's
+    frame alive."""
+    _set_block(monkeypatch, 21, 4)
+    owner = ordinal if kernel == "_sign_int8" else np
+    function, calls = getattr(owner, kernel), []
+
+    def failing_in_second_block(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("caller failed")
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, kernel, failing_in_second_block)
+    started = _started_threads(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="caller failed") as failure:
+        _route(route, _field(21, 702), np.random.default_rng(1))
+    assert failure.traceback and len(started) == 1
+    assert not started[0].is_alive() and threading.active_count() == before
+
+
+class _FailingGenerator:
+    """Draws as ``rng`` does, but raises on the given call."""
+
+    def __init__(self, rng, fail_on):
+        self.rng, self.fail_on, self.calls = rng, fail_on, 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(out=out)
+
+
+def test_prefetch_draw_error_reaches_the_caller(monkeypatch):
+    _set_block(monkeypatch, 21, 4)
+    started = _started_threads(monkeypatch)
+    before = threading.active_count()
+    # one matrix: one draw per block, so the second call is block 2's
+    rng = _FailingGenerator(np.random.default_rng(1), fail_on=2)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        distance_row_sums(_field(21, 703).values[None], [0.3], [rng])
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_prefetch_shared_generator_matches_oracle_across_block_cut(monkeypatch):
+    """Two matrices of a stack share one generator, and a block holds the
+    last slice of the first and the first slices of the second: the
+    helper draws them in order, as one generator drawing each matrix's
+    whole (N, N(N-1)/2) noise in turn."""
+    n = 7
+    _set_block(monkeypatch, n, 3)
+    assert slice(6, 9) in ordinal._slice_blocks(2 * n, n)
+    ds = [_field(n, 800), _field(n, 801)]
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    started = _started_threads(monkeypatch)
+    stacked = distance_row_sums(np.stack([d.values for d in ds]), [0.3, 0.3], [rng, rng])
+    assert len(started) == 1
+    for g, d in enumerate(ds):
+        expected = _dense_tensor_from_distances(d, ComparisonNoiseModel(0.3), oracle_rng)
+        np.testing.assert_array_equal(stacked[g], expected.sum(axis=2, dtype=np.int64))
+    assert rng.random() == oracle_rng.random()
 
 
 @pytest.mark.parametrize("increasing", [True, False])
