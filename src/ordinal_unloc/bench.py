@@ -19,10 +19,10 @@ of the rss and toa kinds' comparisons:
 2. estimate: a group's comparison row sums (each grid point's noise drawn
    on its own stream, no N^3 comparison tensor built), proximities and
    per-anchor and per-target fits are each one stacked call;
-3. solve and score: every unfolding problem of the trial, of every grid
-   point and method, goes to ``unfold.solve_unfolding_arrays`` as stacked
-   anchor and delta rows in one batch, and each group's position errors,
-   Kendall taus and solver flags are computed at once.
+3. solve and score: every target column of the trial, of every grid
+   point and method, goes to ``unfold.solve_columns`` in one call, which
+   solves them in one batch, and each group's position errors, Kendall
+   taus and solver flags are computed at once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .funclearn import estimate_distances_stack
 from .ordinal import SignalMatrix, distance_row_sums, pair_indices, signal_row_sums
 from .rank import proximity_scores
 from .signals import MIN_LINK_DISTANCE, RssModel, rss_power
-from .unfold import SolverOptions, solve_unfolding_arrays, warn_ill_posed
+from .unfold import SolverOptions, solve_columns
 
 EXPERIMENT_KINDS = ("ordinal", "rss", "toa")
 _EXPERIMENT_IDS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
@@ -251,20 +251,15 @@ def _estimates(m, psi, draw):
     return np.stack([estimates, *draw.direct], axis=1)
 
 
-def _score(estimates, points, d_full, solved, positions, converged):
+def _score(estimates, draw, solution):
     """Per grid point and method of one group: the mean squared position
     error and mean Kendall tau over the solved target columns, and whether
-    any column went unsolved or unconverged.  ``solved`` is the (G, K, n)
-    mask of solved columns, whose positions and convergence flags come in
-    its order."""
-    m = estimates.shape[2]
-    located = np.full(solved.shape + (points.shape[2],), np.nan)
-    located[solved] = positions
-    ok = np.zeros(solved.shape, dtype=bool)
-    ok[solved] = converged
-    sq = ((located - points[:, None, m:]) ** 2).sum(axis=-1)
+    any column went unsolved or unconverged.  ``solution`` is the group's
+    ``ColumnSolution`` of its (G, K, m, n) ``estimates``."""
+    m, solved = estimates.shape[2], solution.solved
+    sq = ((solution.positions - draw.points[:, None, m:]) ** 2).sum(axis=-1)
     tau = _stacked_tau(
-        np.swapaxes(estimates, -1, -2), np.swapaxes(d_full[:, None, :m, m:], -1, -2)
+        np.swapaxes(estimates, -1, -2), np.swapaxes(draw.d_full[:, None, :m, m:], -1, -2)
     )
     sq_err, mean_tau = sq.mean(axis=-1), tau.mean(axis=-1)
     for g, k in np.argwhere(~solved.all(axis=-1)):
@@ -273,7 +268,7 @@ def _score(estimates, points, d_full, solved, positions, converged):
         sq_err[g, k], mean_tau[g, k] = (
             (np.mean(sq[g, k, cols]), np.mean(tau[g, k, cols])) if cols.any() else (np.nan,) * 2
         )
-    return sq_err, mean_tau, ~ok.all(axis=-1)
+    return sq_err, mean_tau, ~solution.converged.all(axis=-1)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
@@ -285,7 +280,6 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     trial goes to the solver in one batch, then each group is scored.
     """
     grid = config.grid()
-    n_methods = len(config.methods)
     root = np.random.SeedSequence(
         entropy=config.seed, spawn_key=(_EXPERIMENT_IDS[config.kind], trial_index)
     )
@@ -315,37 +309,18 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     psi = {m: proximity_scores(row_sums(*draws[m].comparisons)) for m in groups}
     estimates = {m: _estimates(m, psi[m], draws[m]) for m in groups}
 
-    # a target column whose squared estimates are not all finite is not
-    # solved, as column_problems leaves it; for a direct method the
-    # solver raises on it, as UnfoldingProblem does
-    anchors, delta, counts, solved = [], [], [], {}
-    for m, est in estimates.items():
-        sq = np.swapaxes(est, -1, -2) ** 2  # (G, K, n, m)
-        solved[m] = np.isfinite(sq).all(axis=-1)
-        solved[m][:, 1:] = True
-        shape = solved[m].shape + (m, _DIMENSION)
-        rows = np.broadcast_to(draws[m].points[:, None, None, :m], shape)[solved[m]]
-        anchors.append(rows.reshape(-1, _DIMENSION))
-        delta.append(sq[solved[m]].ravel())
-        counts.append(np.full(len(rows), m))
-        warn_ill_posed(m, _DIMENSION, count=len(rows), stacklevel=2)
-    positions, _, _, converged = solve_unfolding_arrays(
-        np.concatenate(anchors),
-        np.concatenate(delta),
-        np.concatenate(counts),
-        config.solver,
+    # a target column whose squared estimates are not all finite is left
+    # unsolved; for a direct method the trial raises on it instead
+    if not all(np.isfinite(d**2).all() for group in draws.values() for d in group.direct):
+        raise InputError("delta entries must be finite")
+    solutions = solve_columns(
+        [(draws[m].points[:, :m], est) for m, est in estimates.items()], config.solver
     )
 
-    shape = (len(grid), n_methods)
+    shape = (len(grid), len(config.methods))
     sq_err, tau, flagged = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
-    start = 0
-    for m, members in groups.items():
-        stop = start + int(solved[m].sum())
-        sq_err[members], tau[members], flagged[members] = _score(
-            estimates[m], draws[m].points, draws[m].d_full, solved[m],
-            positions[start:stop], converged[start:stop],
-        )  # fmt: skip
-        start = stop
+    for (m, members), solution in zip(groups.items(), solutions):
+        sq_err[members], tau[members], flagged[members] = _score(estimates[m], draws[m], solution)
     return TrialOutcome(sq_err, tau, flagged)
 
 

@@ -31,7 +31,7 @@ from .core import (
     point_distances,
     read_sensor_field,
 )
-from .funclearn import estimate_distances_batch
+from .funclearn import estimate_distances_stack
 from .ingest import (
     DEFAULT_KEEP_FRACTION,
     measurement_signal_matrix,
@@ -41,7 +41,7 @@ from .ingest import (
 )
 from .ordinal import signal_row_sums
 from .rank import proximity_scores
-from .unfold import SolverOptions, column_problems, solve_unfolding
+from .unfold import SolverOptions, solve_columns
 
 DEFAULT_TOA_NOISE_GRID = tuple(float(v) for v in np.logspace(-2, 2, 7))
 _REPORTED_PARSE_ERRORS = 5  # malformed rows named on stderr and in the manifest
@@ -83,13 +83,6 @@ def _float_list(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in text.split(",") if p.strip() != "")
     except ValueError:
         raise ConfigError(f"bad number list {text!r}") from None
-
-
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -157,32 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--keep-fraction", type=float, default=DEFAULT_KEEP_FRACTION)
     loc.add_argument("--aggregator", default="sample", help="median, mean or sample")
     loc.set_defaults(func=cmd_localize)
+    parser.commands = sub.choices  # subcommand name -> its parser, for --config
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Apply key=value file entries for flags not given on the command line."""
-    if not args.config:
-        return
-    path = Path(args.config)
+def _apply_config_file(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the key=value entries of a config file the defaults of the
+    subcommand's options.  Parsing the command line again then lets explicit
+    flags win and converts each file value with its flag's type."""
+    path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
-    explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    converters = {
-        "anchors": _int_list,
-        "sigma": _float_list,
-        "noise": _float_list,
-        "g_range": _float_list,
-        "targets": _positive_int,
-        "trials": _positive_int,
-        "seed": _nonnegative_int,
-        "threads": _positive_int,
-        "restarts": _positive_int,
-        "field_side": _float,
-        "calibration_g": _float,
-        "propagation_speed": _float,
-        "keep_fraction": _float,
-    }
+    keys = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
+    values = {}
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -191,12 +171,10 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in keys:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        if f"--{dest.replace('_', '-')}" in explicit:
-            continue
-        convert = converters.get(dest, str)
-        setattr(args, dest, convert(value))
+        values[dest] = value
+    command.set_defaults(**values)
 
 
 def _resolve_seed(args) -> int:
@@ -284,14 +262,16 @@ def cmd_benchmark(args) -> int:
     return 3 if result.unreliable.any() else 0
 
 
-def _positions_csv(field, estimates_per_target, labels) -> str:
+def _positions_csv(field, solution, labels) -> str:
+    """One row per solved (sample, target) under its sample's label, then
+    each target's average over its solved samples."""
     axes = ["x", "y", "z"][: field.dimension]
     lines = ["target_id," + "sample," + ",".join(axes)]
     for t, target_id in enumerate(field.target_ids):
-        rows = estimates_per_target[t]
-        for label, pos in zip(labels, rows):
+        rows = solution.positions[solution.solved[:, t], t]
+        for label, pos in zip(np.array(labels)[solution.solved[:, t]], rows):
             lines.append(f"{target_id},{label}," + ",".join(repr(float(c)) for c in pos))
-        average = np.mean(np.array(rows), axis=0)
+        average = np.mean(rows, axis=0)
         lines.append(f"{target_id},average," + ",".join(repr(float(c)) for c in average))
     return "\n".join(lines) + "\n"
 
@@ -351,15 +331,10 @@ def cmd_localize(args) -> int:
 
     # every sample has the same sensors: one stacked estimate, one solver batch
     psi = proximity_scores(signal_row_sums(matrices))
-    problems = []
-    for d_hat in estimate_distances_batch(psi, point_distances(field.anchors), field.m):
-        problems += column_problems(field.anchors, d_hat)
-    results = solve_unfolding(problems, opts)
-    estimates_per_target = [[] for _ in range(field.n)]
-    for k, res in enumerate(results):
-        if res is not None:
-            estimates_per_target[k % field.n].append(res.position)
-    if any(len(rows) == 0 for rows in estimates_per_target):
+    estimates, _ = estimate_distances_stack(psi, point_distances(field.anchors), field.m)
+    anchors = np.broadcast_to(field.anchors, (len(matrices),) + field.anchors.shape)
+    (solution,) = solve_columns([(anchors, estimates)], opts)
+    if not solution.solved.any(axis=0).all():
         raise OrdinalUnlocError("localization failed for at least one target")
 
     config = {
@@ -391,10 +366,10 @@ def cmd_localize(args) -> int:
     }
     _write_outputs(
         Path(args.out),
-        {"positions.csv": _positions_csv(field, estimates_per_target, labels)},
+        {"positions.csv": _positions_csv(field, solution, labels)},
         manifest,
     )
-    return 3 if any(res is None for res in results) else 0
+    return 0 if solution.solved.all() else 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -402,7 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, argv)
+        if args.config:
+            _apply_config_file(parser.commands[args.command], args.config)
+            args = parser.parse_args(argv)
         args.resolved_seed = _resolve_seed(args)
         return args.func(args)
     except ConfigError as exc:

@@ -169,10 +169,6 @@ def _check_anchor_block(d_y, m, shapes):
     return d_y
 
 
-def _flagged(failed):
-    return tuple(int(k) for k in np.flatnonzero(failed))
-
-
 def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistanceMatrix:
     """Per-anchor fits on anchor-to-anchor data, applied to target scores.
 
@@ -184,7 +180,8 @@ def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDis
     m = psi.n_anchors
     d_y = _check_anchor_block(d_y, m, [(m, m)])
     (estimates,), (failed,) = _preliminary(psi.values[None], d_y[None], m)
-    return EstimatedDistanceMatrix(estimates, "preliminary", _flagged(failed))
+    flagged = tuple(int(k) for k in np.flatnonzero(failed))
+    return EstimatedDistanceMatrix(estimates, "preliminary", flagged)
 
 
 def recalibrate(psi: ProximityMatrix, d_tilde: EstimatedDistanceMatrix) -> EstimatedDistanceMatrix:
@@ -230,15 +227,3 @@ def estimate_distances_stack(
     if not np.all(np.isfinite(estimates)):
         raise InputError("estimated distances must be finite")
     return estimates, failed
-
-
-def estimate_distances_batch(
-    psi: np.ndarray, d_y: np.ndarray, n_anchors: int
-) -> list[EstimatedDistanceMatrix]:
-    """``estimate_distances_stack`` as one ``EstimatedDistanceMatrix`` per
-    proximity matrix."""
-    estimates, failed = estimate_distances_stack(psi, d_y, n_anchors)
-    return [
-        EstimatedDistanceMatrix(out, "recalibrated", _flagged(f))
-        for out, f in zip(estimates, failed)
-    ]

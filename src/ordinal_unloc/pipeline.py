@@ -1,8 +1,8 @@
 """End-to-end composition of a comparison tensor: proximities ->
 distances -> positions.  The benchmark harness and the CLI skip the
-tensor: they aggregate comparison row sums (``ordinal.*_row_sums``) and
+tensor: they aggregate comparison row sums (``ordinal.*_row_sums``),
 estimate many matrices at once with ``funclearn.estimate_distances_stack``
-(the CLI through ``estimate_distances_batch``)."""
+and localize all their target columns with ``unfold.solve_columns``."""
 
 from __future__ import annotations
 

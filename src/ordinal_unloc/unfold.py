@@ -29,9 +29,10 @@ removes the roundoff that forming A^T A leaves with near-collinear anchors.
 
 Every problem reduces to these q-vectors whatever its anchor count, so
 ``solve_unfolding_arrays`` solves a batch of problems, given as stacked
-anchor rows, delta rows and per-problem anchor counts, in one pass, and
-``solve_unfolding`` wraps it for ``UnfoldingProblem`` objects.  Each
-problem's arithmetic touches only its own rows, so a result does not
+anchor rows, delta rows and per-problem anchor counts, in one pass.
+``solve_columns`` feeds it every target column of stacks of distance
+estimates, and ``solve_unfolding`` every ``UnfoldingProblem`` object.
+Each problem's arithmetic touches only its own rows, so a result does not
 depend on what else shares its batch.
 """
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -341,16 +343,88 @@ def solve_unfolding(
             opts,
         )
         for k, (i, problem) in enumerate(zip(members, batch)):
-            results[i] = LocalizationResult(
-                position=positions[k],
-                cost=float(costs[k]),
-                iterations=int(iterations[k]),
-                winning_restart=0,
-                converged=bool(converged[k]),
-                well_posed=problem.well_posed,
-                restart_costs=costs[k : k + 1],
-            )
+            results[i] = _result(positions, costs, iterations, converged, k, problem.well_posed)
     return results
+
+
+def _result(positions, costs, iterations, converged, k, well_posed) -> LocalizationResult:
+    """Problem k of a solved batch as a ``LocalizationResult``."""
+    return LocalizationResult(
+        position=positions[k],
+        cost=float(costs[k]),
+        iterations=int(iterations[k]),
+        winning_restart=0,
+        converged=bool(converged[k]),
+        well_posed=well_posed,
+        restart_costs=costs[k : k + 1],
+    )
+
+
+class ColumnSolution(NamedTuple):
+    """One group's target columns, shaped like its estimates less the
+    anchor axis: positions (G, ..., n, q), and per column the solved and
+    converged masks, the costs and the step counts.  An unsolved column
+    has NaN position and cost, 0 steps and is not converged."""
+
+    positions: np.ndarray
+    solved: np.ndarray
+    converged: np.ndarray
+    costs: np.ndarray
+    iterations: np.ndarray
+
+
+def _scatter(values, solved, fill):
+    """Rows of ``values`` where ``solved`` is True, ``fill`` elsewhere."""
+    out = np.full(solved.shape + values.shape[1:], fill, dtype=values.dtype)
+    out[solved] = values
+    return out
+
+
+def solve_columns(groups, opts: SolverOptions | None = None) -> list[ColumnSolution]:
+    """Localize every target column of every group in one solver batch.
+
+    Each group is a pair of anchors (G, m, q) and distance estimates
+    (G, ..., m, n): column j of ``estimates[g, ...]`` is one problem on
+    the anchors ``anchors[g]``, whose delta is the column squared.  A
+    column is solved when its squared estimates are all finite, and each
+    solved problem with fewer than q + 1 anchors warns one
+    IllPosedWarning.  All solved columns of all groups, which must share
+    q, go to one ``solve_unfolding_arrays`` call; one ``ColumnSolution``
+    per group comes back.
+    """
+    anchor_rows, delta, counts, masks = [], [], [], []
+    for anchors, estimates in groups:
+        anchors = np.asarray(anchors, dtype=float)
+        estimates = np.asarray(estimates, dtype=float)
+        g, m, q = anchors.shape
+        if estimates.ndim < 3 or len(estimates) != g or estimates.shape[-2] != m:
+            raise InputError(f"estimates {estimates.shape} do not match anchors {anchors.shape}")
+        sq = np.swapaxes(estimates, -1, -2) ** 2  # (G, ..., n, m)
+        solved = np.isfinite(sq).all(axis=-1)
+        layout = anchors.reshape((g,) + (1,) * (sq.ndim - 2) + (m, q))
+        rows = np.broadcast_to(layout, sq.shape + (q,))[solved]
+        anchor_rows.append(rows.reshape(-1, q))
+        delta.append(sq[solved].ravel())
+        counts.append(np.full(len(rows), m))
+        masks.append(solved)
+        warn_ill_posed(m, q, count=len(rows), stacklevel=3)
+    positions, costs, iterations, converged = solve_unfolding_arrays(
+        np.concatenate(anchor_rows), np.concatenate(delta), np.concatenate(counts), opts
+    )
+    out, start = [], 0
+    for solved in masks:
+        part = slice(start, start + int(solved.sum()))
+        out.append(
+            ColumnSolution(
+                _scatter(positions[part], solved, np.nan),
+                solved,
+                _scatter(converged[part], solved, False),
+                _scatter(costs[part], solved, np.nan),
+                _scatter(iterations[part], solved, 0),
+            )
+        )
+        start = part.stop
+    return out
 
 
 def unloc_localize(
@@ -368,27 +442,6 @@ def unloc_localize(
     return result
 
 
-def column_problems(anchors, d_hat: EstimatedDistanceMatrix) -> list[UnfoldingProblem | None]:
-    """One problem per target column of an estimated distance matrix.
-
-    Distance entries are squared to form delta; negative estimates become
-    positive under squaring and are counted via
-    ``EstimatedDistanceMatrix.negative_count`` upstream.  A column that
-    fails validation yields None.
-    """
-    if d_hat.stage != "recalibrated":
-        warnings.warn(
-            f"localizing from stage {d_hat.stage!r} estimates", UserWarning, stacklevel=3
-        )
-    problems: list[UnfoldingProblem | None] = []
-    for j in range(d_hat.n_targets):
-        try:
-            problems.append(UnfoldingProblem(anchors, d_hat.values[:, j] ** 2))
-        except InputError:
-            problems.append(None)
-    return problems
-
-
 def localize_all(
     anchors,
     d_hat: EstimatedDistanceMatrix,
@@ -396,6 +449,13 @@ def localize_all(
 ) -> list[LocalizationResult | None]:
     """Solve every column of an estimated distance matrix in one batch.
 
-    A failed column yields None without aborting the others.
+    A column whose squared estimates are not all finite yields None
+    without aborting the others.
     """
-    return solve_unfolding(column_problems(anchors, d_hat), opts)
+    if d_hat.stage != "recalibrated":
+        warnings.warn(f"localizing from stage {d_hat.stage!r} estimates", UserWarning, stacklevel=2)
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    (out,) = solve_columns([(anchors[None], d_hat.values[None])], opts)
+    arrays = out.positions[0], out.costs[0], out.iterations[0], out.converged[0]
+    well_posed = anchors.shape[0] >= anchors.shape[1] + 1
+    return [_result(*arrays, j, well_posed) if ok else None for j, ok in enumerate(out.solved[0])]

@@ -10,7 +10,8 @@ smaller of the two (``oracle_bound``).  ``reference_preliminary`` and
 ``reference_recalibrate`` fit one linear map per column in a Python loop;
 the column-wise fits must match them byte for byte.  ``reference_run_trial``
 is the Monte-Carlo trial computed one grid point at a time through the
-N^3 comparison tensor; the stacked, tensor-free ``bench.run_trial`` must
+N^3 comparison tensor, one ``UnfoldingProblem`` per target column
+(``column_problems``); the stacked, tensor-free ``bench.run_trial`` must
 match it byte for byte.
 """
 
@@ -49,7 +50,6 @@ from ordinal_unloc.unfold import (
     LocalizationResult,
     SolverOptions,
     UnfoldingProblem,
-    column_problems,
     solve_unfolding,
     unfolding_cost,
     unfolding_gradient,
@@ -338,6 +338,22 @@ def _symmetric_draws(n, draw, rng):
     out[iu, ju] = vals
     out[ju, iu] = vals
     return out
+
+
+def column_problems(anchors, d_hat: EstimatedDistanceMatrix) -> list[UnfoldingProblem | None]:
+    """One problem per target column of an estimated distance matrix.
+
+    Distance entries are squared to form delta; negative estimates become
+    positive under squaring.  A column that fails validation (its squared
+    estimates are not all finite) yields None.
+    """
+    problems: list[UnfoldingProblem | None] = []
+    for j in range(d_hat.n_targets):
+        try:
+            problems.append(UnfoldingProblem(anchors, d_hat.values[:, j] ** 2))
+        except InputError:
+            problems.append(None)
+    return problems
 
 
 def _direct_problems(anchors, d_est):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordinal_unloc import bench
+from ordinal_unloc import bench, unfold
 from ordinal_unloc.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -219,22 +219,24 @@ def test_json_payload():
 
 @pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
 def test_trial_batch_matches_problems_solved_alone(monkeypatch, kind):
-    """One batched solve per trial gives the bytes of every problem solved
-    on its own, at a cost no oracle beats."""
+    """Exactly one batched solve per trial gives the bytes of every problem
+    solved on its own, at a cost no oracle beats."""
     config = _small(kind, anchor_counts=(3, 5, 8), n_targets=2)
-    solved = []
+    solved, calls = [], []
 
     def recording(anchors, delta, counts, opts):
         results = solve_unfolding_arrays(anchors, delta, counts, opts)
         bounds = np.cumsum(counts)[:-1]
         problems = zip(np.split(anchors, bounds), np.split(delta, bounds))
         solved.extend(zip(problems, *results))
+        calls.append(len(counts))
         return results
 
-    monkeypatch.setattr(bench, "solve_unfolding_arrays", recording)
+    monkeypatch.setattr(unfold, "solve_unfolding_arrays", recording)
     for t in range(3):
         run_trial(config, t)
-    assert len(solved) == 3 * len(config.grid()) * len(config.methods) * 2
+    monkeypatch.undo()
+    assert calls == [len(config.grid()) * len(config.methods) * 2] * 3
     for (anchors, delta), position, cost, _, converged in solved:
         (alone,) = solve_unfolding([UnfoldingProblem(anchors, delta)], config.solver)
         assert position.tobytes() == alone.position.tobytes()

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ingest import _HEADER, _LINE
 
-from ordinal_unloc import __version__, cli
+from ordinal_unloc import __version__, cli, unfold
 from ordinal_unloc.cli import _int_list, build_parser, main
 from ordinal_unloc.core import ComparisonTensor, ConfigError, SensorField
 from ordinal_unloc.ingest import (
@@ -228,6 +228,33 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert _run(["simulate", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize(
+    "entry", ["func=x", "command=simulate", "config=other.cfg", "help=1", "measurements=other.csv"]
+)
+def test_config_file_accepts_only_option_keys(tmp_path, capsys, entry):
+    """Internal destinations, --config itself and the positional log file
+    are not option keys: each is an unknown key (exit 1), not a traceback or
+    a silently replaced input."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n\n{entry}\n")
+    out = tmp_path / "o"
+    assert _run(["localize", str(path), "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"run.cfg:3: unknown key {entry.split('=')[0]!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_loses_to_an_abbreviated_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials=7\nanchors=5\nsigma=0.0\n")
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(cfg), "--tri", "2", "--thr", "1", "--out", str(out)]
+    assert _run(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["trials"] == 2
+
+
 def test_benchmark_rss(tmp_path):
     out = tmp_path / "rss"
     code = _run(["benchmark", "--kind", "rss", "--anchors", "5", "--out", str(out)] + FAST)
@@ -320,8 +347,9 @@ def test_localize_sample_mode_rows(tmp_path):
 
 
 def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path):
-    """All samples are estimated in one stack from comparison row sums; the
-    solver gets the problems of each sample's tensor route, byte for byte."""
+    """All samples are estimated in one stack from comparison row sums, and
+    one solver batch gets the problems of each sample's tensor route, byte
+    for byte."""
     path = tmp_path / "meas.csv"
     _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
     parsed = parse_measurements(path)
@@ -331,21 +359,49 @@ def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path):
         sig = measurement_signal_matrix(links, "sample", sample_index=k)
         _, d_hat = localize_from_tensor(tensor_from_signals(sig), parsed.field.anchors)
         expected += [d_hat.values[:, j] ** 2 for j in range(d_hat.n_targets)]
-    solved = []
-    solve = cli.solve_unfolding
+    batches = []
+    solve = unfold.solve_unfolding_arrays
 
-    def recording(problems, opts):
-        solved.extend(problems)
-        return solve(problems, opts)
+    def recording(anchors, delta, counts, opts):
+        batches.append(np.split(delta, np.cumsum(counts)[:-1]))
+        return solve(anchors, delta, counts, opts)
 
     def refuse(self):
         raise AssertionError("a comparison tensor was built")
 
-    monkeypatch.setattr(cli, "solve_unfolding", recording)
+    monkeypatch.setattr(unfold, "solve_unfolding_arrays", recording)
     monkeypatch.setattr(ComparisonTensor, "__post_init__", refuse)
     code = _run(["localize", str(path), "--keep-fraction", "1.0", "--out", str(tmp_path / "loc")])
     assert code == 0
-    assert [p.delta.tobytes() for p in solved] == [delta.tobytes() for delta in expected]
+    assert len(batches) == 1
+    assert [delta.tobytes() for delta in batches[0]] == [delta.tobytes() for delta in expected]
+
+
+def test_localize_unsolved_column_keeps_sample_labels(monkeypatch, tmp_path):
+    """A sample whose estimates for a target overflow when squared is left
+    out of that target's rows; every other sample keeps its own label and
+    position, the average is over the solved samples, and the run exits 3."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    assert _run(_localize_args(path, tmp_path / "all")) == 0
+    stack = cli.estimate_distances_stack
+
+    def overflowing(psi, d_y, m):
+        estimates, failed = stack(psi, d_y, m)
+        estimates[0, :, 0] *= 1e160  # sample 1, target t1
+        return estimates, failed
+
+    monkeypatch.setattr(cli, "estimate_distances_stack", overflowing)
+    assert _run(_localize_args(path, tmp_path / "one-unsolved")) == 3
+    rows = {}
+    for name in ("all", "one-unsolved"):
+        lines = (tmp_path / name / "positions.csv").read_text().strip().split("\n")[1:]
+        rows[name] = [line.split(",") for line in lines]
+    assert [r[1] for r in rows["all"]] == ["1", "2", "3", "4", "5", "6", "average"]
+    assert rows["one-unsolved"][:-1] == rows["all"][1:-1]
+    solved = np.array([[float(c) for c in r[2:]] for r in rows["all"][1:-1]])
+    average = [repr(float(c)) for c in np.mean(solved, axis=0)]
+    assert rows["one-unsolved"][-1] == ["t1", "average", *average]
 
 
 def test_localize_nan_rssi_exit_code_2(tmp_path, capsys):
@@ -543,4 +599,58 @@ def test_localize_fuzzed_logs_exit_with_a_documented_code(
                 "--seed", "1", "--threads", "1", "--out", str(Path(tmp) / "out"),
             ]
         )  # fmt: skip
+    assert code in (0, 1, 2, 3)
+
+
+_CONFIG_KEYS = st.sampled_from(
+    [
+        "anchors", "sigma", "targets", "field-side", "field_side", "trials", "seed", "threads",
+        "restarts", "kind", "out", "keep-fraction", "keep_fraction", "aggregator", "field",
+        "noise", "g_range", "func", "command", "config", "help", "measurements", "version",
+    ]
+) | st.text(alphabet="abcdefghijklmnopqrstuvwxyz_- ", max_size=12)  # fmt: skip
+# small or malformed values only, so no run draws a large grid
+_CONFIG_VALUES = st.sampled_from(
+    [
+        "1", "2", "0", "-1", "x", "", "nan", "inf", "0.5", "1,2", "2:3", "3:2", "0:2:0",
+        "median", "mean", "sample", "ordinal", "rss", " 2 ", "a=b", "nonexistent.csv",
+    ]
+)  # fmt: skip
+
+
+@st.composite
+def _config_lines(draw):
+    """Comment, blank, key=value and '='-less lines in any mix."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        form = draw(st.sampled_from(["pair"] * 6 + ["comment", "blank", "bare"]))
+        if form == "pair":
+            lines.append(f"{draw(_CONFIG_KEYS)}={draw(_CONFIG_VALUES)}")
+        elif form == "comment":
+            lines.append(f"# {draw(_CONFIG_KEYS)}={draw(_CONFIG_VALUES)}")
+        elif form == "blank":
+            lines.append("")
+        else:
+            lines.append(draw(_CONFIG_KEYS))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["simulate", "localize"]), lines=_config_lines())
+@example(command="simulate", lines=["func=x"])
+def test_fuzzed_config_files_exit_with_a_documented_code(command, lines):
+    """Whatever a --config file holds, a run ends in 0, 1, 2 or 3 and never
+    in a traceback.  The flags given here (one trial, one worker, the output
+    directory) win over the file, so no run is large or writes elsewhere."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--threads", "1", "--out", str(Path(tmp) / "o")]
+        if command == "simulate":
+            argv += ["--trials", "1"]
+        else:
+            log = Path(tmp) / "meas.csv"
+            _synthetic_measurement_file(log)
+            argv.insert(1, str(log))
+        code = main(argv)
     assert code in (0, 1, 2, 3)

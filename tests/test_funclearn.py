@@ -14,7 +14,7 @@ from ordinal_unloc.funclearn import (
     LinearMap,
     UnderdeterminedFit,
     estimate_distances,
-    estimate_distances_batch,
+    estimate_distances_stack,
     fit_linear_map,
     preliminary_distances,
     recalibrate,
@@ -233,6 +233,15 @@ def _estimate_alone(psi, d_y):
     return _with_degenerate_warnings(estimate_distances, psi, d_y)
 
 
+def _assert_stack_entry(stack, k, expected):
+    """Matrix k of an ``estimate_distances_stack`` result has the bytes and
+    flagged anchors of ``expected``, a recalibrated estimate alone."""
+    estimates, failed = stack
+    assert estimates[k].tobytes() == expected.values.tobytes()
+    assert tuple(np.flatnonzero(failed[k])) == expected.flagged_anchors
+    assert expected.stage == "recalibrated"
+
+
 @pytest.mark.parametrize("m, n", [(2, 1), (5, 1), (10, 3), (20, 1)])
 def test_batch_matches_each_matrix_alone(m, n):
     """A stack holding a flagged (NaN-slope) anchor, a degenerate proximity
@@ -251,17 +260,17 @@ def test_batch_matches_each_matrix_alone(m, n):
             values[:m, 0] = -values[:m, 0]
         psis.append(ProximityMatrix(values, m))
         d_ys.append(d_y)
-    batch, warned = _with_degenerate_warnings(
-        estimate_distances_batch, np.stack([p.values for p in psis]), np.stack(d_ys), m
+    stack, warned = _with_degenerate_warnings(
+        estimate_distances_stack, np.stack([p.values for p in psis]), np.stack(d_ys), m
     )
     expected_warned = 0
-    for got, psi, d_y in zip(batch, psis, d_ys):
+    for k, (psi, d_y) in enumerate(zip(psis, d_ys)):
         expected, count = _estimate_alone(psi, d_y)
-        _assert_same_estimates(got, expected)
+        _assert_stack_entry(stack, k, expected)
         expected_warned += count
     assert warned == expected_warned >= 2
     if m > 2:
-        assert batch[1].flagged_anchors == (1,)
+        assert np.flatnonzero(stack[1][1]).tolist() == [1]
 
 
 def test_batch_shares_one_anchor_block():
@@ -269,31 +278,32 @@ def test_batch_shares_one_anchor_block():
     d, psi = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
     _, other = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
     stack = np.stack([psi.values, other.values])
-    batch = estimate_distances_batch(stack, d.block("Y"), 6)
-    for got, p in zip(batch, (psi, other)):
-        _assert_same_estimates(got, estimate_distances(p, d.block("Y")))
+    got = estimate_distances_stack(stack, d.block("Y"), 6)
+    for k, p in enumerate((psi, other)):
+        _assert_stack_entry(got, k, estimate_distances(p, d.block("Y")))
 
 
 def test_batch_shape_checks():
     rng = np.random.default_rng(46)
     d, psi = _pipeline_inputs(rng, m=5, n=1)
     stack = psi.values[None]
-    assert estimate_distances_batch(np.empty((0, 6, 6)), np.empty((0, 5, 5)), 5) == []
+    estimates, failed = estimate_distances_stack(np.empty((0, 6, 6)), np.empty((0, 5, 5)), 5)
+    assert estimates.shape == (0, 5, 1) and failed.shape == (0, 5)
     with pytest.raises(InputError):
-        estimate_distances_batch(psi.values, d.block("Y"), 5)
+        estimate_distances_stack(psi.values, d.block("Y"), 5)
     with pytest.raises(InputError):
-        estimate_distances_batch(stack, np.zeros((2, 5, 5)), 5)
+        estimate_distances_stack(stack, np.zeros((2, 5, 5)), 5)
     with pytest.raises(InputError):
-        estimate_distances_batch(stack, np.zeros((4, 4)), 5)
+        estimate_distances_stack(stack, np.zeros((4, 4)), 5)
     with pytest.raises(UnderdeterminedFit):
-        estimate_distances_batch(stack, np.zeros((1, 1)), 1)
+        estimate_distances_stack(stack, np.zeros((1, 1)), 1)
     all_failed = np.full((5, 5), np.nan)
     with pytest.raises(UnderdeterminedFit, match="every anchor fit failed"):
-        estimate_distances_batch(stack, all_failed, 5)
+        estimate_distances_stack(stack, all_failed, 5)
     # a non-finite target score stops the batch where it stops the matrix alone
     values = psi.values.copy()
     values[5, 2] = np.inf
     with pytest.raises(InputError, match="must be finite"):
         estimate_distances(ProximityMatrix(values, 5), d.block("Y"))
     with pytest.raises(InputError, match="must be finite"):
-        estimate_distances_batch(np.stack([psi.values, values]), d.block("Y"), 5)
+        estimate_distances_stack(np.stack([psi.values, values]), d.block("Y"), 5)
