@@ -16,21 +16,22 @@ from .core import (
     pairwise_distances,
     read_sensor_field,
 )
-from .funclearn import LinearMap, estimate_distances, fit_linear_map
+from .funclearn import estimate_distances, estimate_distances_stack
 from .ordinal import (
     ComparisonNoiseModel,
     SignalMatrix,
+    distance_row_sums,
+    signal_row_sums,
     tensor_from_distances,
     tensor_from_signals,
 )
 from .pipeline import localize_from_tensor
-from .rank import aggregate_proximities, enumerate_pairs, incidence_matrix, ls_rank
+from .rank import aggregate_proximities, proximity_scores
 from .unfold import (
     LocalizationResult,
     SolverOptions,
     localize_all,
-    unfolding_cost,
-    unfolding_gradient,
+    solve_columns,
     unloc_localize,
 )
 
@@ -41,7 +42,6 @@ __all__ = [
     "DistanceMatrix",
     "GroundTruthUnavailable",
     "InputError",
-    "LinearMap",
     "LocalizationResult",
     "OrdinalUnlocError",
     "ProximityMatrix",
@@ -49,18 +49,17 @@ __all__ = [
     "SignalMatrix",
     "SolverOptions",
     "aggregate_proximities",
-    "enumerate_pairs",
+    "distance_row_sums",
     "estimate_distances",
-    "fit_linear_map",
-    "incidence_matrix",
+    "estimate_distances_stack",
     "localize_all",
     "localize_from_tensor",
-    "ls_rank",
     "pairwise_distances",
+    "proximity_scores",
     "read_sensor_field",
+    "signal_row_sums",
+    "solve_columns",
     "tensor_from_distances",
     "tensor_from_signals",
-    "unfolding_cost",
-    "unfolding_gradient",
     "unloc_localize",
 ]

@@ -37,7 +37,13 @@ import numpy as np
 
 from .core import ConfigError, InputError, point_distances
 from .funclearn import estimate_distances_stack
-from .ordinal import SignalMatrix, distance_row_sums, pair_indices, signal_row_sums
+from .ordinal import (
+    SignalMatrix,
+    _usable_cpus,
+    distance_row_sums,
+    pair_indices,
+    signal_row_sums,
+)
 from .rank import proximity_scores
 from .signals import MIN_LINK_DISTANCE, RssModel, rss_power
 from .unfold import SolverOptions, solve_columns
@@ -216,9 +222,9 @@ def _rss_draw(config, m, _, rngs, model):
     )
     power = rss_power(model, np.maximum(d_full, MIN_LINK_DISTANCE), exponents)
     # (i) the ordinal pipeline on raw powers; (ii) fixed calibration
-    # exponent and (iii) genie-aided per-link exponent inversions.  The
-    # inversions stay inline: signals.invert_rss raises on underflowed
-    # power, which here makes a non-finite estimate
+    # exponent and (iii) genie-aided per-link exponent inversions
+    # d = (P_T alpha / P_R)^(1/G).  Underflowed power makes a non-finite
+    # estimate, on which run_trial raises
     gain = model.transmit_power * model.hardware_gain
     block = exponents[:, :m, m:]
     direct = tuple(
@@ -332,13 +338,15 @@ def _trial_worker(args):
 def run_benchmark(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Aggregate trials into RMSE curves with standard errors.
 
-    The reduction runs in trial-index order, so the result is identical
-    for any worker count.
+    Up to ``threads`` worker processes run the trials, but no more than
+    there are trials or CPUs this process may run on.  The reduction runs
+    in trial-index order, so the result is identical for any worker count.
     """
     trials = config.trials
-    if threads > 1:
-        chunk = max(1, trials // (threads * 4))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, trials, _usable_cpus())
+    if workers > 1:
+        chunk = max(1, trials // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(_trial_worker, ((config, t) for t in range(trials)), chunksize=chunk)
             )

@@ -177,6 +177,14 @@ def _apply_config_file(command: argparse.ArgumentParser, path: str) -> None:
     command.set_defaults(**values)
 
 
+def _check_paths(args) -> None:
+    """An empty path would name the current directory: ``--out ""`` would
+    write there and ``--field ""`` would try to read it."""
+    for dest in ("out", "field"):
+        if getattr(args, dest, None) == "":
+            raise ConfigError(f"--{dest} must not be empty")
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -380,6 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             _apply_config_file(parser.commands[args.command], args.config)
             args = parser.parse_args(argv)
+        _check_paths(args)
         args.resolved_seed = _resolve_seed(args)
         return args.func(args)
     except ConfigError as exc:

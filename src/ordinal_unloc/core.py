@@ -188,9 +188,6 @@ class ComparisonTensor:
     def order(self) -> int:
         return self.values.shape[0]
 
-    def slice(self, k: int) -> np.ndarray:
-        return self.values[k]
-
 
 @dataclass(frozen=True)
 class ProximityMatrix:

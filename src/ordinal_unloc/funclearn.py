@@ -43,15 +43,11 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class EstimatedDistanceMatrix:
-    """m x n anchor-to-target distance estimates (YX orientation).
-
-    ``stage`` is "preliminary" after the per-anchor maps and
-    "recalibrated" after the per-target re-fit.  Negative entries are
-    possible and deliberately preserved; squaring happens in the solver.
-    """
+    """m x n recalibrated anchor-to-target distance estimates (YX
+    orientation).  Negative entries are possible and deliberately
+    preserved; squaring happens in the solver."""
 
     values: np.ndarray
-    stage: str
     flagged_anchors: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -60,8 +56,6 @@ class EstimatedDistanceMatrix:
             raise InputError(f"estimate matrix must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InputError("estimated distances must be finite")
-        if self.stage not in ("preliminary", "recalibrated"):
-            raise InputError(f"unknown stage {self.stage!r}")
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -160,45 +154,11 @@ def _recalibrate(psi, d_tilde, m):
     return offset.reshape(g, 1, n) + slope.reshape(g, 1, n) * psi[:, :m, m:]
 
 
-def _check_anchor_block(d_y, m, shapes):
-    d_y = np.asarray(d_y, dtype=float)
-    if m < 2:
-        raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
-    if d_y.shape not in shapes:
-        raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
-    return d_y
-
-
-def preliminary_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistanceMatrix:
-    """Per-anchor fits on anchor-to-anchor data, applied to target scores.
-
-    Anchor k's map is fit on the m points (psi^Y_k, d^Y_k), including the
-    self pair (psi_kk, 0), then applied to the target entries of slice k.
-    An anchor whose fit fails (its slope is not a number) is flagged and
-    gets the mean of the other anchors' estimates.
-    """
-    m = psi.n_anchors
-    d_y = _check_anchor_block(d_y, m, [(m, m)])
-    (estimates,), (failed,) = _preliminary(psi.values[None], d_y[None], m)
-    flagged = tuple(int(k) for k in np.flatnonzero(failed))
-    return EstimatedDistanceMatrix(estimates, "preliminary", flagged)
-
-
-def recalibrate(psi: ProximityMatrix, d_tilde: EstimatedDistanceMatrix) -> EstimatedDistanceMatrix:
-    """Per-target re-fit so each estimate column is affine in the target
-    slice's anchor proximities (positive slope), restoring their order."""
-    m = psi.n_anchors
-    if d_tilde.n_anchors != m or psi.order != m + d_tilde.n_targets:
-        raise InputError("proximity and estimate shapes disagree")
-    if m < 2 and d_tilde.n_targets:
-        raise UnderdeterminedFit(f"need at least 2 points, got {m}")
-    (out,) = _recalibrate(psi.values[None], d_tilde.values[None], m)
-    return EstimatedDistanceMatrix(out, "recalibrated", d_tilde.flagged_anchors)
-
-
 def estimate_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistanceMatrix:
-    """Both stages end to end: per-anchor fits, then per-target recalibration."""
-    return recalibrate(psi, preliminary_distances(psi, d_y))
+    """Both stages on one proximity matrix: ``estimate_distances_stack`` on
+    a stack of one."""
+    (estimates,), (failed,) = estimate_distances_stack(psi.values[None], d_y, psi.n_anchors)
+    return EstimatedDistanceMatrix(estimates, tuple(int(k) for k in np.flatnonzero(failed)))
 
 
 def estimate_distances_stack(
@@ -210,15 +170,20 @@ def estimate_distances_stack(
     anchors, and ``d_y[g]`` its anchor-to-anchor distances (one (m, m)
     block serves every matrix).  Each stage fits every column of every
     matrix in one stacked call.  Returns the (G, m, n) recalibrated
-    estimates and the (G, m) mask of flagged anchors; each matrix gets the
-    bytes, flagged anchors and warnings of ``estimate_distances`` on it
-    alone, and non-finite estimates raise as they would there.
+    estimates and the (G, m) mask of flagged anchors (anchors whose fit
+    failed, given the mean of the other anchors' preliminary estimates).
+    Each matrix gets the bytes, flagged anchors and warnings it gets in a
+    stack of its own, and non-finite estimates raise.
     """
     m = n_anchors
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 3 or psi.shape[1] != psi.shape[2] or psi.shape[1] < m:
         raise InputError(f"need a stack of square proximity matrices, got shape {psi.shape}")
-    d_y = _check_anchor_block(d_y, m, [(m, m), (len(psi), m, m)])
+    if m < 2:
+        raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
+    d_y = np.asarray(d_y, dtype=float)
+    if d_y.shape not in [(m, m), (len(psi), m, m)]:
+        raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
     d_y = np.broadcast_to(d_y, (len(psi), m, m))
     estimates, failed = _preliminary(psi, d_y, m)
     if not np.all(np.isfinite(estimates)):

@@ -1,8 +1,9 @@
 """End-to-end composition of a comparison tensor: proximities ->
-distances -> positions.  The benchmark harness and the CLI skip the
-tensor: they aggregate comparison row sums (``ordinal.*_row_sums``),
-estimate many matrices at once with ``funclearn.estimate_distances_stack``
-and localize all their target columns with ``unfold.solve_columns``."""
+distances -> positions, for callers that hold an N x N x N
+``ComparisonTensor``.  Each stage is a thin adapter of the array stage
+that the Monte-Carlo trials and ``localize`` run without a tensor:
+``rank.proximity_scores``, ``funclearn.estimate_distances_stack`` and
+``unfold.solve_columns``."""
 
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
-"""Physical transmission models (RSS power law, Gaussian TOA) and the
-distance inversions used by the fixed-calibration and genie baselines."""
+"""The RSS power law that generates the received powers of the Monte-Carlo
+trials' rss kind.  The trials invert it, and draw their Gaussian arrival
+times, inline (``bench._rss_draw``, ``bench._toa_draw``)."""
 
 from __future__ import annotations
 
@@ -15,15 +16,11 @@ MIN_LINK_DISTANCE = 1e-6
 
 @dataclass(frozen=True)
 class RssModel:
-    """Received power P_R = P_T * alpha * d^-G.
-
-    The path-loss exponent source is either a fixed value or a per-link
-    uniform draw on [exponent_low, exponent_high].
-    """
+    """Received power P_R = P_T * alpha * d^-G, with a per-link path-loss
+    exponent G drawn uniformly on [exponent_low, exponent_high]."""
 
     transmit_power: float = 1.0
     hardware_gain: float = 1.0
-    exponent: float | None = None
     exponent_low: float = 2.0
     exponent_high: float = 6.0
 
@@ -38,53 +35,9 @@ class RssModel:
             )
 
 
-@dataclass(frozen=True)
-class ToaModel:
-    """Noisy time-of-arrival: tau ~ N(d / c, sigma_t^2)."""
-
-    propagation_speed: float = 1.0
-    sigma_t: float = 0.0
-
-    def __post_init__(self):
-        if not self.propagation_speed > 0:
-            raise InputError("propagation speed must be positive")
-        if self.sigma_t < 0:
-            raise InputError("TOA standard deviation must be nonnegative")
-
-
 def rss_power(model: RssModel, d, exponent):
     """Power received over a link of length d with path-loss exponent G."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise InputError("link distance must be positive for power generation")
     return model.transmit_power * model.hardware_gain * d ** (-np.asarray(exponent, dtype=float))
-
-
-def sample_path_loss_exponent(a, b, rng: np.random.Generator, size=None):
-    """Per-link independent uniform draw on [a, b]."""
-    if a > b:
-        raise InputError(f"need a <= b, got a={a}, b={b}")
-    return rng.uniform(a, b, size=size)
-
-
-def toa_sample(model: ToaModel, d, rng: np.random.Generator, size=None):
-    """Gaussian TOA draw; may be negative (kept, it is a measurement model)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise InputError("distance must be nonnegative")
-    return rng.normal(d / model.propagation_speed, model.sigma_t, size=size)
-
-
-def invert_rss(model: RssModel, p_r, exponent):
-    """Algebraic inversion d = (P_T alpha / P_R)^(1/G).
-
-    Exact when the generating exponent is used (genie case); biased when a
-    fixed calibration exponent is applied to per-link exponents.
-    """
-    p_r = np.asarray(p_r, dtype=float)
-    exponent = np.asarray(exponent, dtype=float)
-    if np.any(p_r <= 0):
-        raise InputError("received power must be positive")
-    if np.any(exponent <= 0):
-        raise InputError("path-loss exponent must be positive")
-    return (model.transmit_power * model.hardware_gain / p_r) ** (1.0 / exponent)

@@ -31,9 +31,9 @@ Every problem reduces to these q-vectors whatever its anchor count, so
 ``solve_unfolding_arrays`` solves a batch of problems, given as stacked
 anchor rows, delta rows and per-problem anchor counts, in one pass.
 ``solve_columns`` feeds it every target column of stacks of distance
-estimates, and ``solve_unfolding`` every ``UnfoldingProblem`` object.
-Each problem's arithmetic touches only its own rows, so a result does not
-depend on what else shares its batch.
+estimates, and ``unloc_localize`` one problem.  Each problem's
+arithmetic touches only its own rows, so a result does not depend on
+what else shares its batch.
 """
 
 from __future__ import annotations
@@ -106,50 +106,6 @@ def warn_ill_posed(m, q, count=1, stacklevel=2):
                 IllPosedWarning,
                 stacklevel=stacklevel + 1,
             )
-
-
-@dataclass(frozen=True)
-class UnfoldingProblem:
-    """One target: anchors (m x q) and squared-distance targets delta (m,)."""
-
-    anchors: np.ndarray
-    delta: np.ndarray
-
-    def __post_init__(self):
-        anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        delta = np.asarray(self.delta, dtype=float).ravel()
-        m, q = anchors.shape
-        if m == 0:
-            raise InputError("cannot localize with zero anchors")
-        if delta.shape[0] != m:
-            raise InputError(f"delta length {delta.shape[0]} != anchor count {m}")
-        if not np.all(np.isfinite(delta)):
-            raise InputError("delta entries must be finite")
-        warn_ill_posed(m, q, stacklevel=3)
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "delta", delta)
-
-    @property
-    def well_posed(self) -> bool:
-        m, q = self.anchors.shape
-        return m >= q + 1
-
-
-def unfolding_cost(x, anchors, delta) -> float:
-    """Sum of squared residuals between squared distances and targets delta."""
-    x = np.asarray(x, dtype=float)
-    anchors = np.asarray(anchors, dtype=float)
-    r = ((x - anchors) ** 2).sum(axis=1) - np.asarray(delta, dtype=float)
-    return float((r**2).sum())
-
-
-def unfolding_gradient(x, anchors, delta) -> np.ndarray:
-    """Analytic gradient: sum_i 4 (||x - y_i||^2 - delta_i)(x - y_i)."""
-    x = np.asarray(x, dtype=float)
-    anchors = np.asarray(anchors, dtype=float)
-    u = x - anchors
-    r = (u**2).sum(axis=1) - np.asarray(delta, dtype=float)
-    return 4.0 * (r[:, None] * u).sum(axis=0)
 
 
 def _secular(u, beta, e, m, shift, sum_b):
@@ -320,33 +276,6 @@ def solve_unfolding_arrays(anchors, delta, counts, opts: SolverOptions | None = 
     return positions, costs, iterations, converged
 
 
-def solve_unfolding(
-    problems: list[UnfoldingProblem | None], opts: SolverOptions | None = None
-) -> list[LocalizationResult | None]:
-    """Minimize the unfolding cost of many problems in one batched run.
-
-    Problems of any anchor count share one batch of
-    ``solve_unfolding_arrays``; a call that mixes dimensions solves one
-    batch per dimension.  None entries come back as None.
-    """
-    results: list[LocalizationResult | None] = [None] * len(problems)
-    by_dimension: dict[int, list[int]] = {}
-    for i, problem in enumerate(problems):
-        if problem is not None:
-            by_dimension.setdefault(problem.anchors.shape[1], []).append(i)
-    for members in by_dimension.values():
-        batch = [problems[i] for i in members]
-        positions, costs, iterations, converged = solve_unfolding_arrays(
-            np.concatenate([p.anchors for p in batch]),
-            np.concatenate([p.delta for p in batch]),
-            [p.anchors.shape[0] for p in batch],
-            opts,
-        )
-        for k, (i, problem) in enumerate(zip(members, batch)):
-            results[i] = _result(positions, costs, iterations, converged, k, problem.well_posed)
-    return results
-
-
 def _result(positions, costs, iterations, converged, k, well_posed) -> LocalizationResult:
     """Problem k of a solved batch as a ``LocalizationResult``."""
     return LocalizationResult(
@@ -427,19 +356,20 @@ def solve_columns(groups, opts: SolverOptions | None = None) -> list[ColumnSolut
     return out
 
 
-def unloc_localize(
-    anchors,
-    delta,
-    opts: SolverOptions | None = None,
-    column: int = 0,
-) -> LocalizationResult:
-    """Minimize the unfolding cost of one problem.
-
-    ``column`` is accepted for callers that number their targets; it does
-    not affect the result.
-    """
-    (result,) = solve_unfolding([UnfoldingProblem(anchors, delta)], opts)
-    return result
+def unloc_localize(anchors, delta, opts: SolverOptions | None = None) -> LocalizationResult:
+    """Minimize the unfolding cost of one problem: anchors (m x q) and
+    squared-distance targets delta (m,)."""
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    delta = np.asarray(delta, dtype=float).ravel()
+    m, q = anchors.shape
+    if m == 0:
+        raise InputError("cannot localize with zero anchors")
+    if delta.shape[0] != m:
+        raise InputError(f"delta length {delta.shape[0]} != anchor count {m}")
+    if not np.all(np.isfinite(delta)):
+        raise InputError("delta entries must be finite")
+    warn_ill_posed(m, q)
+    return _result(*solve_unfolding_arrays(anchors, delta, [m], opts), 0, m >= q + 1)
 
 
 def localize_all(
@@ -452,8 +382,6 @@ def localize_all(
     A column whose squared estimates are not all finite yields None
     without aborting the others.
     """
-    if d_hat.stage != "recalibrated":
-        warnings.warn(f"localizing from stage {d_hat.stage!r} estimates", UserWarning, stacklevel=2)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     (out,) = solve_columns([(anchors[None], d_hat.values[None])], opts)
     arrays = out.positions[0], out.costs[0], out.iterations[0], out.converged[0]

@@ -1,23 +1,26 @@
-"""Per-problem reference implementations kept as oracles for the exact
-unfolding solver in ``unfold`` and the column-wise fits in ``funclearn``.
+"""Reference implementations kept as oracles for the production stages.
 
 ``reference_localize`` solves one unfolding problem by local descent: a
 damped-Newton descent vectorized over its restarts, then a Newton polish
 one restart at a time.  ``reference_grid`` evaluates the cost on nested
 grids.  Neither is guaranteed to find the global minimum, but both return
-a point and its cost, so the exact solver's cost must not be above the
-smaller of the two (``oracle_bound``).  ``reference_preliminary`` and
-``reference_recalibrate`` fit one linear map per column in a Python loop;
-the column-wise fits must match them byte for byte.  ``reference_run_trial``
-is the Monte-Carlo trial computed one grid point at a time through the
-N^3 comparison tensor, one ``UnfoldingProblem`` per target column
-(``column_problems``); the stacked, tensor-free ``bench.run_trial`` must
-match it byte for byte.
+a point and its cost (``unfolding_cost``), so the exact solver's cost must
+not be above the smaller of the two (``oracle_bound``).
+``reference_preliminary`` and ``reference_recalibrate`` fit one linear map
+per column in a Python loop; the column-wise fits must match them byte for
+byte.  ``ls_rank`` and ``ls_rank_pinv`` solve one comparison slice,
+flattened along the edge list of the complete graph, through its
+incidence matrix; the row-sum scores of ``rank`` must match them.
+``reference_run_trial`` is the Monte-Carlo trial computed one grid point
+at a time through the N^3 comparison tensor, one unfolding problem per
+target column (``column_problems``); the stacked, tensor-free
+``bench.run_trial`` must match it byte for byte.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +49,94 @@ from ordinal_unloc.ordinal import (
 )
 from ordinal_unloc.rank import aggregate_proximities
 from ordinal_unloc.signals import MIN_LINK_DISTANCE, RssModel
-from ordinal_unloc.unfold import (
-    LocalizationResult,
-    SolverOptions,
-    UnfoldingProblem,
-    solve_unfolding,
-    unfolding_cost,
-    unfolding_gradient,
-)
+from ordinal_unloc.unfold import LocalizationResult, SolverOptions, solve_unfolding_arrays
+
+
+# -- least-squares rank aggregation through the incidence matrix -----------
+
+
+@dataclass(frozen=True)
+class PairEnumeration:
+    """Lexicographic list of all unordered pairs (i, j), i < j, 0-based."""
+
+    n_items: int
+    pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pairs)
+
+
+def enumerate_pairs(n: int) -> PairEnumeration:
+    if n < 2:
+        raise InputError(f"need at least 2 items to enumerate pairs, got {n}")
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    return PairEnumeration(n, pairs)
+
+
+def incidence_matrix(enum: PairEnumeration) -> np.ndarray:
+    """M x N edge-node incidence matrix: +1 at i, -1 at j per pair row."""
+    b = np.zeros((enum.n_pairs, enum.n_items))
+    rows = np.arange(enum.n_pairs)
+    i_idx = np.array([p[0] for p in enum.pairs])
+    j_idx = np.array([p[1] for p in enum.pairs])
+    b[rows, i_idx] = 1.0
+    b[rows, j_idx] = -1.0
+    return b
+
+
+def flatten_slice(z_slice: np.ndarray, enum: PairEnumeration) -> np.ndarray:
+    """Upper-triangular entries of a slice in enumeration order."""
+    z_slice = np.asarray(z_slice)
+    if z_slice.shape != (enum.n_items, enum.n_items):
+        raise InputError(
+            f"slice shape {z_slice.shape} does not match enumeration over {enum.n_items}"
+        )
+    i_idx = np.array([p[0] for p in enum.pairs])
+    j_idx = np.array([p[1] for p in enum.pairs])
+    return z_slice[i_idx, j_idx].astype(float)
+
+
+def ls_rank(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Zero-sum score vector minimizing ||B psi - z|| on the complete graph.
+
+    B^T B = N I - 1 1^T for the complete graph, so the pseudoinverse acts
+    as 1/N on the zero-sum subspace and the solution is just B^T z / N.
+    """
+    z = np.asarray(z, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != z.shape[0]:
+        raise InputError(f"incidence rows {b.shape[0]} != comparison length {z.shape[0]}")
+    return b.T @ z / b.shape[1]
+
+
+def ls_rank_pinv(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """General-graph route via the Laplacian pseudoinverse, centered to
+    zero sum.  Accuracy on incomplete graphs is uncharacterized."""
+    z = np.asarray(z, dtype=float)
+    b = np.asarray(b, dtype=float)
+    psi = np.linalg.pinv(b.T @ b) @ (b.T @ z)
+    return psi - psi.mean()
+
+
+# -- the unfolding cost and multi-start and grid solvers -------------------
+
+
+def unfolding_cost(x, anchors, delta) -> float:
+    """Sum of squared residuals between squared distances and targets delta."""
+    x = np.asarray(x, dtype=float)
+    anchors = np.asarray(anchors, dtype=float)
+    r = ((x - anchors) ** 2).sum(axis=1) - np.asarray(delta, dtype=float)
+    return float((r**2).sum())
+
+
+def unfolding_gradient(x, anchors, delta) -> np.ndarray:
+    """Analytic gradient: sum_i 4 (||x - y_i||^2 - delta_i)(x - y_i)."""
+    x = np.asarray(x, dtype=float)
+    anchors = np.asarray(anchors, dtype=float)
+    u = x - anchors
+    r = (u**2).sum(axis=1) - np.asarray(delta, dtype=float)
+    return 4.0 * (r[:, None] * u).sum(axis=0)
 
 
 _INITIAL_DAMPING = 1e-3
@@ -305,7 +388,7 @@ def reference_preliminary(
             raise UnderdeterminedFit("every anchor fit failed")
         ok = [k for k in range(m) if k not in flagged]
         estimates[flagged] = estimates[ok].mean(axis=0)
-    return EstimatedDistanceMatrix(estimates, "preliminary", tuple(flagged))
+    return EstimatedDistanceMatrix(estimates, tuple(flagged))
 
 
 def reference_recalibrate(
@@ -321,7 +404,7 @@ def reference_recalibrate(
     for j in range(d_tilde.n_targets):
         g = reference_fit(psi_yx[:, j], d_tilde.values[:, j])
         out[:, j] = g(psi_yx[:, j])
-    return EstimatedDistanceMatrix(out, "recalibrated", d_tilde.flagged_anchors)
+    return EstimatedDistanceMatrix(out, d_tilde.flagged_anchors)
 
 
 # -- the Monte-Carlo trial, one grid point at a time through the tensor ----
@@ -340,24 +423,56 @@ def _symmetric_draws(n, draw, rng):
     return out
 
 
-def column_problems(anchors, d_hat: EstimatedDistanceMatrix) -> list[UnfoldingProblem | None]:
-    """One problem per target column of an estimated distance matrix.
+def _problem(anchors, delta):
+    """One unfolding problem as (anchors, delta), checked and warned about
+    as ``unfold.unloc_localize`` checks one."""
+    if not np.all(np.isfinite(delta)):
+        raise InputError("delta entries must be finite")
+    m, q = anchors.shape
+    if m < q + 1:
+        warnings.warn(
+            f"{m} anchors in {q}-D is below the well-posedness threshold {q + 1}",
+            IllPosedWarning,
+            stacklevel=3,
+        )
+    return anchors, delta
+
+
+def column_problems(anchors, d_hat: EstimatedDistanceMatrix) -> list[tuple | None]:
+    """One (anchors, delta) problem per target column of an estimated
+    distance matrix.
 
     Distance entries are squared to form delta; negative estimates become
     positive under squaring.  A column that fails validation (its squared
     estimates are not all finite) yields None.
     """
-    problems: list[UnfoldingProblem | None] = []
+    problems: list[tuple | None] = []
     for j in range(d_hat.n_targets):
         try:
-            problems.append(UnfoldingProblem(anchors, d_hat.values[:, j] ** 2))
+            problems.append(_problem(anchors, d_hat.values[:, j] ** 2))
         except InputError:
             problems.append(None)
     return problems
 
 
 def _direct_problems(anchors, d_est):
-    return [UnfoldingProblem(anchors, d_est[:, j] ** 2) for j in range(d_est.shape[1])]
+    return [_problem(anchors, d_est[:, j] ** 2) for j in range(d_est.shape[1])]
+
+
+def _solve(problems, opts):
+    """(position, converged) per problem, all problems solved in one
+    ``solve_unfolding_arrays`` batch; None problems give None."""
+    batch = [p for p in problems if p is not None]
+    if not batch:
+        return [None] * len(problems)
+    positions, _, _, converged = solve_unfolding_arrays(
+        np.concatenate([anchors for anchors, _ in batch]),
+        np.concatenate([delta for _, delta in batch]),
+        [len(anchors) for anchors, _ in batch],
+        opts,
+    )
+    solved = iter(zip(positions, converged))
+    return [None if p is None else next(solved) for p in problems]
 
 
 def _ordinal_grid_point(config, m, sigma, rng):
@@ -432,9 +547,10 @@ def _position_error_and_tau(results, d_hat, targets, d_true_yx):
         if res is None:
             flagged = True
             continue
-        if not res.converged:
+        position, converged = res
+        if not converged:
             flagged = True
-        errs.append(((res.position - targets[j]) ** 2).sum())
+        errs.append(((position - targets[j]) ** 2).sum())
         taus.append(_kendall_tau(d_hat[:, j], d_true_yx[:, j]))
     if not errs:
         return np.nan, np.nan, True
@@ -462,7 +578,7 @@ def reference_run_trial(config, trial_index) -> bench.TrialOutcome:
         else:
             solves.append(_toa_grid_point(config, m, noise, rng))
     problems = [p for methods in solves for method in methods for p in method[0]]
-    results = iter(solve_unfolding(problems, config.solver))
+    results = iter(_solve(problems, config.solver))
     for g, methods in enumerate(solves):
         for k, (method_problems, estimates, targets, true_yx) in enumerate(methods):
             method_results = [next(results) for _ in method_problems]

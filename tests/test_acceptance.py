@@ -30,8 +30,15 @@ from ordinal_unloc.ingest import (
 )
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances, tensor_from_signals
 from ordinal_unloc.pipeline import localize_from_tensor
-from ordinal_unloc.rank import enumerate_pairs, incidence_matrix, ls_rank, ls_rank_pinv
-from ordinal_unloc.unfold import SolverOptions, unfolding_cost, unfolding_gradient, unloc_localize
+from ordinal_unloc.unfold import SolverOptions, unloc_localize
+from reference_solvers import (
+    enumerate_pairs,
+    incidence_matrix,
+    ls_rank,
+    ls_rank_pinv,
+    unfolding_cost,
+    unfolding_gradient,
+)
 
 MASTER_SEED = 20260823
 

@@ -24,9 +24,8 @@ from ordinal_unloc.ordinal import ComparisonNoiseModel, SignalMatrix
 from ordinal_unloc.unfold import (
     LocalizationResult,
     SolverOptions,
-    UnfoldingProblem,
-    solve_unfolding,
     solve_unfolding_arrays,
+    unloc_localize,
 )
 import reference_solvers
 from reference_solvers import oracle_bound, reference_run_trial
@@ -172,6 +171,42 @@ def test_threaded_reduction_matches_serial():
     np.testing.assert_array_equal(serial.flagged_fraction, threaded.flagged_fraction)
 
 
+def test_process_pool_is_capped_by_trials_and_cpus(monkeypatch):
+    """A large ``threads`` starts no more workers than there are trials or
+    CPUs the process may run on, and one usable CPU starts no pool.  The
+    recorder stands in for the pool and starts no process."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Recorder)
+    cfg = _small("ordinal", anchor_counts=(5,), noise_grid=(0.3,), trials=3)
+    serial = run_benchmark(cfg, threads=1)
+    assert sizes == []
+    capped = run_benchmark(cfg, threads=5000)
+    assert all(size <= 3 for size in sizes)
+    assert result_to_csv(capped) == result_to_csv(serial)
+    sizes.clear()
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 8)
+    run_benchmark(cfg, threads=5000)
+    run_benchmark(_small("ordinal", anchor_counts=(5,), noise_grid=(0.3,), trials=20), 5000)
+    assert sizes == [3, 8]
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    run_benchmark(cfg, threads=5000)
+    assert sizes == [3, 8]
+
+
 def test_rss_suite_genie_is_exact():
     cfg = _small("rss", anchor_counts=(6,), trials=10)
     result = run_benchmark(cfg)
@@ -238,7 +273,7 @@ def test_trial_batch_matches_problems_solved_alone(monkeypatch, kind):
     monkeypatch.undo()
     assert calls == [len(config.grid()) * len(config.methods) * 2] * 3
     for (anchors, delta), position, cost, _, converged in solved:
-        (alone,) = solve_unfolding([UnfoldingProblem(anchors, delta)], config.solver)
+        alone = unloc_localize(anchors, delta, config.solver)
         assert position.tobytes() == alone.position.tobytes()
         assert cost == alone.cost and converged == alone.converged
         assert cost <= oracle_bound(anchors, delta)
@@ -282,7 +317,6 @@ def test_run_trial_builds_no_per_grid_point_objects(monkeypatch, kind):
         DistanceMatrix,
         ComparisonNoiseModel,
         EstimatedDistanceMatrix,
-        UnfoldingProblem,
         LocalizationResult,
     ):
         monkeypatch.setattr(cls, "__post_init__", refuse)
@@ -370,7 +404,7 @@ def test_unsolved_ordinal_columns_score_as_the_reference(monkeypatch):
     def single(psi, d_y):
         d_hat = alone(psi, d_y)
         values = overflowing(d_hat.values, d_hat.n_anchors)
-        return EstimatedDistanceMatrix(values, d_hat.stage, d_hat.flagged_anchors)
+        return EstimatedDistanceMatrix(values, d_hat.flagged_anchors)
 
     monkeypatch.setattr(bench, "estimate_distances_stack", stacked)
     monkeypatch.setattr(reference_solvers, "estimate_distances", single)

@@ -215,6 +215,42 @@ def test_bad_experiment_parameters_exit_code_1(tmp_path, capsys, source, command
     assert not (tmp_path / "run" / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, source",
+    [
+        ("simulate", "out", "flag"),
+        ("simulate", "out", "config"),
+        ("benchmark", "out", "flag"),
+        ("localize", "out", "flag"),
+        ("localize", "field", "flag"),
+        ("localize", "field", "config"),
+    ],
+)
+def test_empty_path_flags_exit_code_1(tmp_path, monkeypatch, capsys, command, flag, source):
+    """An empty --out or --field would name the current directory: it is a
+    config error naming the flag, and nothing is written there."""
+    log = tmp_path / "meas.csv"
+    _synthetic_measurement_file(log)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = {
+        "simulate": ["simulate", "--anchors", "5", "--sigma", "0.0"] + FAST,
+        "benchmark": ["benchmark", "--kind", "rss", "--anchors", "5"] + FAST,
+        "localize": ["localize", str(log), "--seed", "7"],
+    }[command]
+    if source == "flag":
+        argv += [f"--{flag}", ""]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}=\n")
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"config error: --{flag} must not be empty" in err and "Traceback" not in err
+    assert list(cwd.iterdir()) == []
+
+
 def test_seed_zero_accepted(tmp_path):
     out = tmp_path / "run"
     argv = ["simulate", "--anchors", "5", "--sigma", "0.0", "--out", str(out)]

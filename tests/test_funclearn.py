@@ -13,11 +13,11 @@ from ordinal_unloc.funclearn import (
     EstimatedDistanceMatrix,
     LinearMap,
     UnderdeterminedFit,
+    _preliminary,
+    _recalibrate,
     estimate_distances,
     estimate_distances_stack,
     fit_linear_map,
-    preliminary_distances,
-    recalibrate,
 )
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
 from ordinal_unloc.rank import aggregate_proximities
@@ -70,13 +70,13 @@ def test_linear_map_rejects_nonpositive_slope():
 
 
 def test_estimate_matrix_properties():
-    m = EstimatedDistanceMatrix(np.array([[1.0, -0.5], [2.0, 0.0]]), "preliminary")
+    m = EstimatedDistanceMatrix(np.array([[1.0, -0.5], [2.0, 0.0]]))
     assert m.n_anchors == 2 and m.n_targets == 2
     assert m.negative_count == 1
     with pytest.raises(InputError):
-        EstimatedDistanceMatrix(np.array([[np.nan]]), "preliminary")
+        EstimatedDistanceMatrix(np.array([[np.nan]]))
     with pytest.raises(InputError):
-        EstimatedDistanceMatrix(np.zeros((2, 2)), "final")
+        EstimatedDistanceMatrix(np.zeros(3))
 
 
 def _pipeline_inputs(rng, m=6, n=2, sigma=0.0):
@@ -90,14 +90,12 @@ def test_stages_and_shapes():
     rng = np.random.default_rng(4)
     d, psi = _pipeline_inputs(rng)
     d_y = d.block("Y")
-    prelim = preliminary_distances(psi, d_y)
-    assert prelim.stage == "preliminary"
-    assert prelim.values.shape == (6, 2)
-    final = recalibrate(psi, prelim)
-    assert final.stage == "recalibrated"
-    assert final.values.shape == (6, 2)
+    prelim, failed = _preliminary(psi.values[None], d_y[None], 6)
+    assert prelim.shape == (1, 6, 2) and failed.shape == (1, 6)
+    final = _recalibrate(psi.values[None], prelim, 6)
+    assert final.shape == (1, 6, 2)
     composed = estimate_distances(psi, d_y)
-    np.testing.assert_array_equal(composed.values, final.values)
+    assert composed.values.tobytes() == final[0].tobytes()
 
 
 def test_recalibrated_columns_affine_in_target_scores():
@@ -142,21 +140,19 @@ def test_degenerate_anchor_column_clamps_without_flagging():
     values[:, 2] = 0.0
     broken = ProximityMatrix(values, psi.n_anchors)
     with pytest.warns(DegenerateFitWarning):
-        prelim = preliminary_distances(broken, d.block("Y"))
+        prelim, failed = _preliminary(broken.values[None], d.block("Y")[None], 5)
     # anchor 2's proximity column is constant but its distance column is
     # not, so the fit clamps; the anchor is not flagged, only hard failures are
-    assert prelim.values.shape == (5, 1)
+    assert prelim.shape == (1, 5, 1) and not failed.any()
 
 
 def test_shape_mismatches_rejected():
     rng = np.random.default_rng(7)
     d, psi = _pipeline_inputs(rng, m=5, n=1)
-    with pytest.raises(InputError):
-        preliminary_distances(psi, np.zeros((4, 4)))
-    prelim = preliminary_distances(psi, d.block("Y"))
-    bad_psi = ProximityMatrix(np.zeros((4, 4)), 3)
-    with pytest.raises(InputError):
-        recalibrate(bad_psi, prelim)
+    with pytest.raises(InputError, match="must be 5x5"):
+        estimate_distances(psi, np.zeros((4, 4)))
+    with pytest.raises(InputError, match="square proximity matrices"):
+        estimate_distances_stack(np.zeros((1, 4, 4)), d.block("Y"), 5)
 
 
 # -- column-wise fits against the per-column reference loops ---------------
@@ -170,9 +166,11 @@ def _with_degenerate_warnings(fn, *args):
 
 
 def _assert_same_estimates(got, expected):
-    assert got.values.tobytes() == expected.values.tobytes()
-    assert got.flagged_anchors == expected.flagged_anchors
-    assert got.stage == expected.stage
+    """``got`` is a stack of one (estimates, failed) pair; ``expected`` an
+    ``EstimatedDistanceMatrix`` of the reference loops."""
+    estimates, failed = got
+    assert estimates[0].tobytes() == expected.values.tobytes()
+    assert tuple(np.flatnonzero(failed[0])) == expected.flagged_anchors
 
 
 @pytest.mark.parametrize("case", ["plain", "constant", "negative", "all-constant", "nan-anchor"])
@@ -192,18 +190,18 @@ def test_columnwise_fits_match_reference(case):
         elif case == "nan-anchor" and m > 2:
             d_y[:, 1] = np.nan  # the anchor's fit fails and it is flagged
         psi = ProximityMatrix(values, m)
-        prelim, warned = _with_degenerate_warnings(preliminary_distances, psi, d_y)
+        prelim, warned = _with_degenerate_warnings(_preliminary, values[None], d_y[None], m)
         expected, expected_warned = _with_degenerate_warnings(reference_preliminary, psi, d_y)
         _assert_same_estimates(prelim, expected)
         assert warned == expected_warned
         if case in ("constant", "all-constant"):
             assert warned >= 1
-        final, warned = _with_degenerate_warnings(recalibrate, psi, prelim)
-        expected, expected_warned = _with_degenerate_warnings(reference_recalibrate, psi, prelim)
-        _assert_same_estimates(final, expected)
+        final, warned = _with_degenerate_warnings(_recalibrate, values[None], prelim[0], m)
+        expected, expected_warned = _with_degenerate_warnings(reference_recalibrate, psi, expected)
+        _assert_same_estimates((final, prelim[1]), expected)
         assert warned == expected_warned
         if case == "nan-anchor" and m > 2:
-            assert prelim.flagged_anchors == (1,)
+            assert np.flatnonzero(prelim[1][0]).tolist() == [1]
 
 
 def test_degenerate_warning_counts_per_column():
@@ -212,7 +210,7 @@ def test_degenerate_warning_counts_per_column():
     values = psi.values.copy()
     values[:, [1, 4]] = 0.0
     broken = ProximityMatrix(values, psi.n_anchors)
-    _, warned = _with_degenerate_warnings(preliminary_distances, broken, d.block("Y"))
+    _, warned = _with_degenerate_warnings(_preliminary, values[None], d.block("Y")[None], 6)
     _, expected = _with_degenerate_warnings(reference_preliminary, broken, d.block("Y"))
     assert warned == expected == 2
 
@@ -239,7 +237,6 @@ def _assert_stack_entry(stack, k, expected):
     estimates, failed = stack
     assert estimates[k].tobytes() == expected.values.tobytes()
     assert tuple(np.flatnonzero(failed[k])) == expected.flagged_anchors
-    assert expected.stage == "recalibrated"
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (5, 1), (10, 3), (20, 1)])

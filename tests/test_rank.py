@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from conftest import random_field_distances
 from ordinal_unloc.core import ComparisonTensor, DistanceMatrix, InputError
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
-from ordinal_unloc.rank import (
-    aggregate_proximities,
+from ordinal_unloc.rank import aggregate_proximities, proximity_scores
+from reference_solvers import (
     enumerate_pairs,
     flatten_slice,
     incidence_matrix,
     ls_rank,
     ls_rank_pinv,
-    proximity_scores,
 )
 
 

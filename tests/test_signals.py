@@ -3,16 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinal_unloc import bench
+from ordinal_unloc.bench import ExperimentConfig
 from ordinal_unloc.core import InputError
-from ordinal_unloc.signals import (
-    MIN_LINK_DISTANCE,
-    RssModel,
-    ToaModel,
-    invert_rss,
-    rss_power,
-    sample_path_loss_exponent,
-    toa_sample,
-)
+from ordinal_unloc.signals import RssModel, rss_power
+
+
+def _rss_draw(seed, m=6, n=4, **kw):
+    """One grid point of the trial's rss kind: its ``bench._GroupDraw``,
+    whose direct estimates are the fixed-exponent and genie inversions."""
+    config = ExperimentConfig(kind="rss", anchor_counts=(m,), n_targets=n, **kw)
+    model = RssModel(
+        transmit_power=config.transmit_power,
+        hardware_gain=config.hardware_gain,
+        exponent_low=config.exponent_low,
+        exponent_high=config.exponent_high,
+    )
+    return bench._rss_draw(config, m, None, [np.random.default_rng(seed)], model)
+
+
+def _toa_draw(seed, variance, m=6, n=4, **kw):
+    """One grid point of the trial's toa kind at normalized variance
+    ``variance`` (0 included, which a config's grid refuses): its draw,
+    with the direct estimates c * tau, and its arrival times tau."""
+    config = ExperimentConfig(kind="toa", anchor_counts=(m,), n_targets=n, noise_grid=(1.0,), **kw)
+    draw = bench._toa_draw(config, m, [variance], [np.random.default_rng(seed)])
+    ((signals,),) = draw.comparisons
+    return draw, signals.values
 
 
 def test_rss_power_worked_example():
@@ -45,71 +62,57 @@ def test_rss_model_validation():
         RssModel(exponent_low=5.0, exponent_high=3.0)
 
 
-def test_toa_model_validation():
-    with pytest.raises(InputError):
-        ToaModel(propagation_speed=0.0)
-    with pytest.raises(InputError):
-        ToaModel(sigma_t=-0.5)
-
-
 def test_toa_noiseless_is_exact_travel_time():
-    model = ToaModel(propagation_speed=2.0, sigma_t=0.0)
-    rng = np.random.default_rng(0)
-    np.testing.assert_allclose(toa_sample(model, [0.0, 1.0, 3.0], rng), [0.0, 0.5, 1.5])
+    draw, toa = _toa_draw(0, 0.0, propagation_speed=2.0)
+    np.testing.assert_array_equal(toa, draw.d_full[0] / 2.0)
+    np.testing.assert_array_equal(draw.direct[0][0], draw.d_full[0, :6, 6:])
 
 
 def test_toa_sample_statistics():
-    model = ToaModel(propagation_speed=1.0, sigma_t=0.2)
-    rng = np.random.default_rng(1)
-    draws = toa_sample(model, np.full(20000, 3.0), rng)
-    assert draws.mean() == pytest.approx(3.0, abs=0.01)
-    assert draws.std() == pytest.approx(0.2, abs=0.01)
+    draw, toa = _toa_draw(1, 0.04, m=150, n=50)
+    iu, ju = np.triu_indices(200, k=1)
+    noise = (toa - draw.d_full[0])[iu, ju]
+    assert noise.mean() == pytest.approx(0.0, abs=0.01)
+    assert noise.std() == pytest.approx(0.2, abs=0.01)
+    np.testing.assert_array_equal(toa, toa.T)
 
 
 def test_toa_can_be_negative_near_zero_distance():
-    model = ToaModel(sigma_t=1.0)
-    rng = np.random.default_rng(2)
-    draws = toa_sample(model, np.zeros(100), rng)
-    assert (draws < 0).any()
+    draw, _ = _toa_draw(2, 1.0, field_side=0.01)
+    assert (draw.direct[0] < 0).any()
 
 
 def test_exponent_draws_within_bounds():
-    rng = np.random.default_rng(3)
-    g = sample_path_loss_exponent(2.0, 6.0, rng, size=1000)
-    assert g.min() >= 2.0 and g.max() <= 6.0
+    # on links far longer than 1 the exponent is log(P_T alpha / P_R) / log(d)
+    draw = _rss_draw(3, m=20, n=20, field_side=1000.0, transmit_power=2.0)
+    ((signals,),) = draw.comparisons
+    d = draw.d_full[0]
+    long = d > 10.0
+    g = np.log(2.0 / signals.values[long]) / np.log(d[long])
+    assert long.sum() > 700
+    assert g.min() >= 2.0 - 1e-9 and g.max() <= 6.0 + 1e-9
     assert g.mean() == pytest.approx(4.0, abs=0.15)
-    with pytest.raises(InputError):
-        sample_path_loss_exponent(6.0, 2.0, rng)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.floats(min_value=MIN_LINK_DISTANCE, max_value=1e3),
-    st.floats(min_value=2.0, max_value=6.0),
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=1e-3, max_value=1e3),
     st.floats(min_value=0.1, max_value=10.0),
 )
-def test_rss_roundtrip_is_exact(d, g, p_t):
-    """Genie inversion with the generating exponent recovers the distance."""
-    model = RssModel(transmit_power=p_t)
-    p_r = rss_power(model, d, g)
-    assert invert_rss(model, p_r, g) == pytest.approx(d, rel=1e-9)
+def test_rss_roundtrip_is_exact(seed, side, p_t):
+    """Genie inversion with the generating exponents recovers the distances."""
+    draw = _rss_draw(seed, field_side=side, transmit_power=p_t)
+    np.testing.assert_allclose(draw.direct[1][0], draw.d_full[0, :6, 6:], rtol=1e-9, atol=0)
 
 
-def test_invert_rss_fixed_exponent_bias_direction():
-    # true G = 6 with calibration G = 4 on a long link underestimates badly
-    model = RssModel()
-    d = 10.0
-    p_r = rss_power(model, d, 6.0)
-    d_hat = invert_rss(model, p_r, 4.0)
-    assert d_hat == pytest.approx(10.0 ** (6.0 / 4.0))
-    assert d_hat > d
-
-
-def test_invert_rss_validation():
-    with pytest.raises(InputError):
-        invert_rss(RssModel(), 0.0, 4.0)
-    with pytest.raises(InputError):
-        invert_rss(RssModel(), 1.0, 0.0)
+def test_fixed_exponent_rss_bias_direction():
+    # true G = 6 with calibration G = 4 turns d into d^(6/4): long links
+    # are overestimated badly
+    draw = _rss_draw(4, field_side=100.0, exponent_low=6.0, exponent_high=6.0)
+    d = draw.d_full[0, :6, 6:]
+    np.testing.assert_allclose(draw.direct[0][0], d**1.5, rtol=1e-12)
+    assert (draw.direct[0][0] > d)[d > 1.0].all() and (d > 1.0).any()
 
 
 def test_rss_power_monotone_decreasing_in_distance():

@@ -1,4 +1,5 @@
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,14 +11,11 @@ from ordinal_unloc.funclearn import EstimatedDistanceMatrix
 from ordinal_unloc.unfold import (
     LocalizationResult,
     SolverOptions,
-    UnfoldingProblem,
     localize_all,
-    solve_unfolding,
-    unfolding_cost,
-    unfolding_gradient,
+    solve_unfolding_arrays,
     unloc_localize,
 )
-from reference_solvers import oracle_bound, reference_localize
+from reference_solvers import oracle_bound, reference_localize, unfolding_cost, unfolding_gradient
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -87,13 +85,16 @@ def test_winner_dominates_restarts():
     assert result.converged
 
 
-def test_restarts_seed_and_column_do_not_change_results():
+def test_restarts_and_seed_do_not_change_results():
     rng = np.random.default_rng(13)
     anchors = rng.uniform(0, 1, (5, 2))
     delta = rng.uniform(0, 1.5, 5)
     a = unloc_localize(anchors, delta, SolverOptions(seed=7))
-    for opts, column in ((SolverOptions(seed=8), 0), (SolverOptions(restarts=1), 3)):
-        _assert_identical(unloc_localize(anchors, delta, opts, column=column), a)
+    for opts in (SolverOptions(seed=8), SolverOptions(restarts=1)):
+        b = unloc_localize(anchors, delta, opts)
+        _assert_identical(b, a)
+        assert b.restart_costs.tobytes() == a.restart_costs.tobytes()
+        assert b.well_posed == a.well_posed
 
 
 def test_underdetermined_warns_not_fails():
@@ -109,9 +110,11 @@ def test_underdetermined_warns_not_fails():
 
 
 def test_input_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^cannot localize with zero anchors$"):
+        unloc_localize(np.empty((0, 2)), [])
+    with pytest.raises(InputError, match="^delta length 3 != anchor count 4$"):
         unloc_localize(SQUARE, np.ones(3))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^delta entries must be finite$"):
         unloc_localize(SQUARE, [1.0, np.inf, 1.0, 1.0])
     with pytest.raises(ConfigError):
         SolverOptions(restarts=0)
@@ -122,22 +125,16 @@ def test_input_validation():
 def test_localize_all_squares_by_default():
     x_true = np.array([0.4, 0.8])
     d = np.sqrt(_delta(SQUARE, x_true))
-    est = EstimatedDistanceMatrix(d[:, None], "recalibrated")
+    est = EstimatedDistanceMatrix(d[:, None])
     (result,) = localize_all(SQUARE, est)
     np.testing.assert_allclose(result.position, x_true, atol=1e-7)
-
-
-def test_localize_all_warns_on_preliminary_stage():
-    est = EstimatedDistanceMatrix(np.ones((4, 1)), "preliminary")
-    with pytest.warns(UserWarning, match="preliminary"):
-        localize_all(SQUARE, est)
 
 
 def test_localize_all_negative_estimates_survive_squaring():
     x_true = np.array([0.4, 0.8])
     d = np.sqrt(_delta(SQUARE, x_true))
     d[0] = -d[0]
-    est = EstimatedDistanceMatrix(d[:, None], "recalibrated")
+    est = EstimatedDistanceMatrix(d[:, None])
     assert est.negative_count == 1
     (result,) = localize_all(SQUARE, est)
     np.testing.assert_allclose(result.position, x_true, atol=1e-7)
@@ -154,13 +151,32 @@ def test_result_arrays_immutable():
 # -- exact solver against the multi-start and grid oracles -----------------
 
 
+class Solved(NamedTuple):
+    """One problem's row of a ``solve_unfolding_arrays`` batch."""
+
+    position: np.ndarray
+    cost: float
+    iterations: int
+    converged: bool
+
+
+def _solve_batch(problems, opts=None):
+    """Solve (anchors, delta) problems of one dimension in one
+    ``solve_unfolding_arrays`` call."""
+    arrays = solve_unfolding_arrays(
+        np.concatenate([anchors for anchors, _ in problems]),
+        np.concatenate([delta for _, delta in problems]),
+        [len(anchors) for anchors, _ in problems],
+        opts,
+    )
+    return [Solved(*row) for row in zip(*arrays)]
+
+
 def _assert_identical(result, expected):
     assert result.position.tobytes() == expected.position.tobytes()
-    assert result.restart_costs.tobytes() == expected.restart_costs.tobytes()
     assert np.float64(result.cost).tobytes() == np.float64(expected.cost).tobytes()
     assert result.iterations == expected.iterations
     assert result.converged == expected.converged
-    assert result.well_posed == expected.well_posed
 
 
 def _assert_same(result, expected):
@@ -173,12 +189,12 @@ def _assert_same(result, expected):
 
 def _assert_exact(problem, result):
     """Cost not above either oracle's, reported at the returned position,
-    with the root converged and the bookkeeping of a single start."""
-    assert result.cost <= oracle_bound(problem.anchors, problem.delta)
-    cost = unfolding_cost(result.position, problem.anchors, problem.delta)
+    with the root converged."""
+    anchors, delta = problem
+    assert result.cost <= oracle_bound(anchors, delta)
+    cost = unfolding_cost(result.position, anchors, delta)
     assert result.cost == pytest.approx(cost, rel=1e-12, abs=1e-30)
-    assert result.converged and result.well_posed == problem.well_posed
-    assert result.winning_restart == 0 and result.restart_costs.tolist() == [result.cost]
+    assert result.converged
 
 
 def _random_problems(rng, anchor_counts, noise, q=2):
@@ -187,7 +203,7 @@ def _random_problems(rng, anchor_counts, noise, q=2):
         anchors = rng.uniform(0, 1, (m, q))
         delta = _delta(anchors, rng.uniform(0, 1, q))
         delta = delta + rng.normal(0.0, noise, m) if noise else delta
-        problems.append(UnfoldingProblem(anchors, delta))
+        problems.append((anchors, delta))
     return problems
 
 
@@ -206,12 +222,12 @@ def test_batched_solver_matches_reference(m, noise, options):
     opts = _OPTIONS[options]
     rng = np.random.default_rng(1000 * m + int(10 * noise))
     problems = _random_problems(rng, [m] * 12, noise)
-    results = solve_unfolding(problems, opts)
+    results = _solve_batch(problems, opts)
     if options == "capped":
         # the cap bounds the root-finder's steps; a capped root is reported
         # as not converged, never as a wrong converged answer
         assert max(r.iterations for r in results) <= opts.max_iterations
-        uncapped = solve_unfolding(problems)
+        uncapped = _solve_batch(problems)
         for result, full in zip(results, uncapped):
             if result.converged:
                 _assert_identical(result, full)
@@ -226,21 +242,21 @@ def _collinear(noise):
     rng = np.random.default_rng(31)
     anchors = np.outer(rng.uniform(0, 1, 6), [1.0, 0.5]) + [0.2, 0.1]
     delta = _delta(anchors, [0.3, 0.8]) + rng.normal(0.0, noise, 6)
-    return UnfoldingProblem(anchors, delta)
+    return anchors, delta
 
 
 # symmetric about the x-axis, with every anchor at the same squared
 # distance 1.25: phi has no root inside its interval (the hard case), and
 # the two optima (0, +-0.612) are mirror images
-_HARD_CASE = UnfoldingProblem([[-1.0, 0.0], [1.0, 0.0], [0.0, -0.5], [0.0, 0.5]], np.full(4, 1.25))
+_HARD_CASE = (np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -0.5], [0.0, 0.5]]), np.full(4, 1.25))
 
 _DEGENERATE = {
     "collinear": lambda: _collinear(0.0),
     "collinear-noisy": lambda: _collinear(0.05),
     "hard-case": lambda: _HARD_CASE,
-    "coincident": lambda: UnfoldingProblem([[0.5, 0.5]] * 3, [0.04, 0.09, 0.01]),
-    "negative-delta": lambda: UnfoldingProblem([[0.5, 0.5]], [-0.3]),
-    "planar-in-3d": lambda: UnfoldingProblem(
+    "coincident": lambda: (np.array([[0.5, 0.5]] * 3), np.array([0.04, 0.09, 0.01])),
+    "negative-delta": lambda: (np.array([[0.5, 0.5]]), np.array([-0.3])),
+    "planar-in-3d": lambda: (
         np.hstack([SQUARE, np.zeros((4, 1))]), _delta(SQUARE, [0.2, 0.7]) + 0.09
     ),
 }
@@ -249,9 +265,12 @@ _DEGENERATE = {
 @pytest.mark.filterwarnings("ignore::ordinal_unloc.core.IllPosedWarning")
 @pytest.mark.parametrize("case", list(_DEGENERATE))
 def test_degenerate_geometry_matches_oracles(case):
-    problem = _DEGENERATE[case]()
-    (result,) = solve_unfolding([problem])
+    anchors, delta = problem = _DEGENERATE[case]()
+    result = unloc_localize(anchors, delta)
     _assert_exact(problem, result)
+    m, q = anchors.shape
+    assert result.well_posed == (m >= q + 1)
+    assert result.winning_restart == 0 and result.restart_costs.tolist() == [result.cost]
 
 
 @pytest.mark.parametrize("target", [(0.3, 0.8), (0.7, -0.4), (1.5, 0.2)])
@@ -267,7 +286,7 @@ def test_near_collinear_noiseless_cost_is_roundoff(target):
 
 
 def test_hard_case_takes_the_null_vector():
-    (result,) = solve_unfolding([_HARD_CASE])
+    result = unloc_localize(*_HARD_CASE)
     assert result.iterations == 0
     # phi(0) = 0.875 - 1.25 here, so the null-vector component is sqrt(0.375)
     np.testing.assert_allclose(np.abs(result.position), [0.0, np.sqrt(1.25 - 0.875)], atol=1e-15)
@@ -279,21 +298,17 @@ def test_mixed_batch_matches_each_problem_alone():
     counts = [5, 20, 3, 5, 2, 20, 3, 10, 5, 1]
     problems = _random_problems(rng, counts, 0.1) + _random_problems(rng, counts, 0.0, q=3)
     problems += [_collinear(0.05), _HARD_CASE]
-    problems.insert(4, None)
-    results = solve_unfolding(problems)
-    assert results[4] is None
-    for problem, result in zip(problems, results):
-        if problem is None:
-            continue
-        (alone,) = solve_unfolding([problem])
-        _assert_identical(result, alone)
-        _assert_exact(problem, result)
+    for q in (2, 3):
+        batch = [p for p in problems if p[0].shape[1] == q]
+        for problem, result in zip(batch, _solve_batch(batch)):
+            _assert_identical(result, unloc_localize(*problem))
+            _assert_exact(problem, result)
 
 
 def test_wide_batch_matches_reference():
     rng = np.random.default_rng(22)
     problems = _random_problems(rng, [380] * 4, 0.05) + _random_problems(rng, [380], 0.0)
-    for problem, result in zip(problems, solve_unfolding(problems)):
+    for problem, result in zip(problems, _solve_batch(problems)):
         _assert_exact(problem, result)
 
 
@@ -301,10 +316,7 @@ def test_unloc_localize_matches_reference():
     rng = np.random.default_rng(23)
     anchors = rng.uniform(0, 1, (7, 2))
     delta = rng.uniform(0, 1.5, 7)
-    _assert_exact(
-        UnfoldingProblem(anchors, delta),
-        unloc_localize(anchors, delta, SolverOptions(seed=5), column=2),
-    )
+    _assert_exact((anchors, delta), unloc_localize(anchors, delta, SolverOptions(seed=5)))
 def _ill_posed_warnings(solve):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -316,7 +328,7 @@ def test_ill_posed_warning_once_per_problem():
     rng = np.random.default_rng(24)
     anchors = rng.uniform(0, 1, (2, 2))
     d = np.sqrt(_delta(anchors, rng.uniform(0, 1, 2)))[:, None] * [1.0, 1.1, 0.9]
-    est = EstimatedDistanceMatrix(d, "recalibrated")
+    est = EstimatedDistanceMatrix(d)
     results, count = _ill_posed_warnings(lambda: localize_all(anchors, est, SolverOptions(seed=3)))
     expected, expected_count = _ill_posed_warnings(
         lambda: [
@@ -333,7 +345,7 @@ def test_localize_all_non_finite_column_gives_none():
     anchors = rng.uniform(0, 1, (5, 2))
     d = np.sqrt(np.stack([_delta(anchors, rng.uniform(0, 1, 2)) for _ in range(3)], axis=1))
     d[2, 1] = 1e200  # finite estimate whose square overflows
-    est = EstimatedDistanceMatrix(d, "recalibrated")
+    est = EstimatedDistanceMatrix(d)
     results = localize_all(anchors, est, SolverOptions(seed=4))
     assert results[1] is None
     for j in (0, 2):
