@@ -4,7 +4,9 @@
 4 corner anchors on a 4m x 5m rectangle, one interior target, per-link
 path-loss exponent drawn uniformly from [2, 6], repeated noisy reads per
 directed link.  The true target position is printed so the localization
-error can be checked by hand.
+error can be checked by hand.  The records come from a generator that the
+writer streams to the file, so a log of any length is written in bounded
+memory.
 """
 
 import argparse
@@ -15,7 +17,9 @@ from ordinal_unloc.core import SensorField
 from ordinal_unloc.ingest import MeasurementRecord, write_measurement_file
 
 
-def build(path, seed, repeats, noise_db):
+def synthetic_log(seed, repeats, noise_db):
+    """The field, the true target and a generator of the records, which
+    draws each read's noise when the record is taken."""
     rng = np.random.default_rng(seed)
     anchors = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 5.0], [0.0, 5.0]])
     target = rng.uniform([0.5, 0.5], [3.5, 4.5])
@@ -28,21 +32,26 @@ def build(path, seed, repeats, noise_db):
     draws = rng.uniform(2.0, 6.0, iu.size)
     exponents[iu, ju] = draws
     exponents[ju, iu] = draws
-    records = []
-    line = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            base = -10.0 * exponents[i, j] * np.log10(d)
-            for _ in range(repeats):
-                records.append(
-                    MeasurementRecord(
+
+    def records():
+        line = 0
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                d = float(np.linalg.norm(pts[i] - pts[j]))
+                base = -10.0 * exponents[i, j] * np.log10(d)
+                for _ in range(repeats):
+                    yield MeasurementRecord(
                         ids[i], ids[j], float(line), base + noise_db * rng.normal(), line
                     )
-                )
-                line += 1
+                    line += 1
+
+    return field, target, records()
+
+
+def build(path, seed, repeats, noise_db):
+    field, target, records = synthetic_log(seed, repeats, noise_db)
     write_measurement_file(path, field, records)
     return target
 

@@ -108,11 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, threads_help=None):
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=_nonnegative_int, default=None)
-        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+        p.add_argument(
+            "--threads", type=_positive_int, default=os.cpu_count() or 1, help=threads_help
+        )
         p.add_argument(
             "--restarts",
             type=_positive_int,
@@ -144,7 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     ben.set_defaults(func=cmd_benchmark)
 
     loc = sub.add_parser("localize", help="file-based measurement pipeline", epilog=_EPILOG)
-    common(loc)
+    common(
+        loc,
+        threads_help="validated but unused: localize runs in one process; accepted "
+        "because existing command lines, such as perfbench's, pass it",
+    )
     loc.add_argument("measurements", help="measurement file (roster, '---', records)")
     loc.add_argument("--field", default=None, help="sensor field CSV overriding the roster")
     loc.add_argument("--keep-fraction", type=float, default=DEFAULT_KEEP_FRACTION)

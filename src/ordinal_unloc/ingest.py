@@ -9,7 +9,14 @@ records (no quote, three commas a line, exact ids, numbers, no self link)
 is split once and cast in bulk; any other chunk goes through the
 line-by-line parser, the one place that decides a ``RowError``.  A clean
 chunk yields what that parser would, and chunks are taken in file order,
-so records and errors keep it.
+so records and errors keep it.  The file text is dropped once it is split
+into lines, and each chunk's lines once the chunk is parsed, so the text,
+the lines and the columns are never all held at once.
+
+``write_measurement_file`` is the parser's inverse.  It streams records
+from any iterable in chunks of ``_CHUNK_LINES`` lines through a temporary
+file that replaces the target only when complete, and it rejects ids the
+parser would not read back unchanged.
 
 The line-of-sight selection of the hardware workflow is approximated by a
 top-fraction power filter per directed link; the Ricean K-factor route is
@@ -21,9 +28,10 @@ from __future__ import annotations
 import csv
 import functools
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +49,7 @@ from .ordinal import SignalMatrix
 SEPARATOR = "---"
 RECORD_HEADER = ("tx_id", "rx_id", "timestamp_ms", "rssi_dbm")
 DEFAULT_KEEP_FRACTION = 0.01
-_CHUNK_LINES = 4096  # record lines parsed per bulk chunk
+_CHUNK_LINES = 4096  # record lines per parsed or written chunk
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,8 @@ def parse_measurements(path) -> MeasurementSet:
     """Parse a measurement file; raises InputError on structural problems
     and on non-finite readings, collects malformed record rows with line
     numbers instead of aborting."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_measurement_text(text)
+    # no local holds the text, so the parser frees it once it is split
+    return parse_measurement_text(Path(path).read_text(encoding="utf-8"))
 
 
 def _record_lines(lines, first_line):
@@ -218,28 +226,31 @@ def _bulk_rows(lines, first_line, index):
 
 
 def _parse_records(lines, first_line, index):
-    """Record columns and row errors of the lines after the record header,
-    in file order, one chunk of ``_CHUNK_LINES`` lines at a time."""
+    """Record columns and row errors of ``lines``, the lines after the
+    record header, in file order, one chunk of ``_CHUNK_LINES`` lines at a
+    time.  Empties ``lines`` as it goes, so when the caller hands over its
+    only reference each chunk's lines are freed once parsed."""
     # padded ids miss the index; #-led ids (possible when quoted in the
     # roster) must too, since their lines are comments
     bulk_index = {s: k for s, k in index.items() if not s.startswith("#")}
-    columns = [np.empty(len(lines), dtype) for _, dtype in _COLUMNS]
+    parts = [[np.empty(0, dtype)] for _, dtype in _COLUMNS]
     errors: list[RowError] = []
-    count = 0
-    for start in range(0, len(lines), _CHUNK_LINES):
-        chunk, at = lines[start : start + _CHUNK_LINES], first_line + start
+    at = first_line
+    while lines:
+        chunk = lines[:_CHUNK_LINES]
+        del lines[:_CHUNK_LINES]
         rows = _bulk_rows(chunk, at, bulk_index)
         if rows is None:
             rows = _checked_rows(chunk, at, index, errors)
-        k = len(rows[0])
-        for column, values in zip(columns, rows):
-            column[count : count + k] = values
-        count += k
-    return [column[:count] for column in columns], errors
+        for part, values, (_, dtype) in zip(parts, rows, _COLUMNS):
+            part.append(np.asarray(values, dtype))
+        at += len(chunk)
+    return [np.concatenate(part) for part in parts], errors
 
 
 def parse_measurement_text(text: str) -> MeasurementSet:
     lines = text.splitlines()
+    del text  # the last reference when parse_measurements passed it
     try:
         sep_at = next(i for i, line in enumerate(lines) if line.strip() == SEPARATOR)
     except StopIteration:
@@ -257,12 +268,15 @@ def parse_measurement_text(text: str) -> MeasurementSet:
 
     # records start after the header line; line numbers count from 1
     records_at = len(lines)
-    header_row = next(_record_lines(lines[sep_at + 1 :], sep_at + 2), None)
+    header_row = next(_record_lines(islice(lines, sep_at + 1, None), sep_at + 2), None)
     if header_row is not None:
         records_at, line = header_row
         if tuple(c.strip().lower() for c in _cells(line)) != RECORD_HEADER:
             raise InputError(f"line {records_at}: expected header {','.join(RECORD_HEADER)}")
-    columns, errors = _parse_records(lines[records_at:], records_at + 1, index)
+    # hand the record lines over: _parse_records frees them chunk by chunk,
+    # so they are gone before MeasurementSet copies the columns
+    del lines[:records_at]
+    columns, errors = _parse_records(lines, records_at + 1, index)
     ms = MeasurementSet(field, *columns, tuple(errors))
     # a NaN compares false both ways and would corrupt the selection order
     finite = np.isfinite(ms.timestamp_ms) & np.isfinite(ms.rssi_dbm)
@@ -358,14 +372,30 @@ def measurement_signal_matrix(
 
 def _id_cell(sensor_id: str) -> str:
     """``sensor_id`` as a CSV cell the parser reads back: quoted, inner
-    quotes doubled, if it holds a comma or a quote or starts with ``#``."""
+    quotes doubled, if it holds a comma or a quote or starts with ``#``.
+    Raises InputError for an id that no cell reads back: one holding a
+    character ``str.splitlines`` breaks on, or padded with whitespace,
+    which the parser strips."""
+    if len(sensor_id.splitlines()) > 1:
+        raise InputError(f"sensor id {sensor_id!r} holds a line break")
+    if sensor_id != sensor_id.strip():
+        raise InputError(f"sensor id {sensor_id!r} has leading or trailing whitespace")
     if "," in sensor_id or '"' in sensor_id or sensor_id.startswith("#"):
         return '"' + sensor_id.replace('"', '""') + '"'
     return sensor_id
 
 
 def write_measurement_file(path, field: SensorField, records) -> None:
-    """Inverse of the parser, for synthetic datasets and round trips."""
+    """Inverse of the parser, for synthetic datasets and round trips.
+
+    ``records`` may be any iterable; it is consumed once and written
+    ``_CHUNK_LINES`` lines at a time, so only one chunk of text is held.
+    The file is written under a temporary name beside ``path`` and moved
+    onto it when complete, so a record that fails to format leaves
+    ``path`` as it was and no temporary file.  A roster id that would not
+    read back raises InputError before anything is written; such an id in
+    a record raises when the record is reached.
+    """
     cell = functools.cache(_id_cell)
     lines = ["id,role,x,y" + (",z" if field.dimension == 3 else "")]
     for sensor_id, coords in zip(field.anchor_ids, field.anchors):
@@ -378,8 +408,21 @@ def write_measurement_file(path, field: SensorField, records) -> None:
         lines.append(f"{cell(sensor_id)},target,{coords}")
     lines.append(SEPARATOR)
     lines.append(",".join(RECORD_HEADER))
-    for rec in records:
-        lines.append(
-            f"{cell(rec.tx)},{cell(rec.rx)},{float(rec.timestamp_ms)!r},{float(rec.rssi_dbm)!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    record_lines = (
+        f"{cell(rec.tx)},{cell(rec.rx)},{float(rec.timestamp_ms)!r},{float(rec.rssi_dbm)!r}\n"
+        for rec in records
+    )
+    path = Path(path)
+    # open(..., "x") creates the file as Path.write_text would, its mode
+    # set by the umask (tempfile.mkstemp would make it 0600)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    file = open(tmp, "x", encoding="utf-8")
+    try:
+        with file:
+            file.write("\n".join(lines) + "\n")
+            while chunk := list(islice(record_lines, _CHUNK_LINES)):
+                file.write("".join(chunk))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

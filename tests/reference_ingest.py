@@ -5,15 +5,19 @@
 module into ``MeasurementRecord`` objects; ``select_strong_links`` sorts
 each directed link's records by RSSI in Python; ``_pooled_links`` groups
 records per unordered pair in a dict and ``measurement_signal_matrix``
-reduces each pool on its own.  The production code must match these byte
-for byte on finite readings (it rejects non-finite ones, which these
-accept).
+reduces each pool on its own; ``write_measurement_file`` joins the whole
+file into one string before writing it.  The production code must match
+these byte for byte on finite readings (it rejects non-finite ones, which
+these accept, and ids that would not read back, which this writer
+writes).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -151,3 +155,32 @@ def measurement_signal_matrix(
     return SignalMatrix(
         values, increasing_with_distance=False, n_anchors=ms.field.m, missing=missing
     )
+
+
+def _id_cell(sensor_id: str) -> str:
+    """``sensor_id`` as a CSV cell the parser reads back: quoted, inner
+    quotes doubled, if it holds a comma or a quote or starts with ``#``."""
+    if "," in sensor_id or '"' in sensor_id or sensor_id.startswith("#"):
+        return '"' + sensor_id.replace('"', '""') + '"'
+    return sensor_id
+
+
+def write_measurement_file(path, field: SensorField, records) -> None:
+    """Inverse of the parser, for synthetic datasets and round trips."""
+    cell = functools.cache(_id_cell)
+    lines = ["id,role,x,y" + (",z" if field.dimension == 3 else "")]
+    for sensor_id, coords in zip(field.anchor_ids, field.anchors):
+        lines.append(f"{cell(sensor_id)},anchor," + ",".join(repr(float(c)) for c in coords))
+    for k, sensor_id in enumerate(field.target_ids):
+        if field.targets is not None:
+            coords = ",".join(repr(float(c)) for c in field.targets[k])
+        else:
+            coords = "," if field.dimension == 3 else ""
+        lines.append(f"{cell(sensor_id)},target,{coords}")
+    lines.append(SEPARATOR)
+    lines.append(",".join(RECORD_HEADER))
+    for rec in records:
+        lines.append(
+            f"{cell(rec.tx)},{cell(rec.rx)},{float(rec.timestamp_ms)!r},{float(rec.rssi_dbm)!r}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

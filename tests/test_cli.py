@@ -559,6 +559,19 @@ def test_localize_field_override_without_targets(tmp_path, capsys):
     assert "target ids" in capsys.readouterr().err
 
 
+def test_localize_threads_flag_is_inert(tmp_path):
+    # localize runs in one process; --threads is validated and otherwise unused
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    assert _run(_localize_args(path, tmp_path / "one", "--threads", "1")) == 0
+    assert _run(_localize_args(path, tmp_path / "two", "--threads", "2")) == 0
+    assert (tmp_path / "one" / "positions.csv").read_bytes() == (
+        tmp_path / "two" / "positions.csv"
+    ).read_bytes()
+    (threads,) = [a for a in build_parser().commands["localize"]._actions if a.dest == "threads"]
+    assert threads.help.startswith("validated but unused")
+
+
 def test_localize_manifest_records_counts(tmp_path):
     path = tmp_path / "meas.csv"
     _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)

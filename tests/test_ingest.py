@@ -1,3 +1,6 @@
+import re
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -430,3 +433,182 @@ def test_plain_ids_are_written_unquoted(tmp_path):
     assert text.splitlines()[1] == "a1,anchor," + ",".join(
         repr(float(c)) for c in parse_measurements(path).field.anchors[0]
     )
+
+
+# -- the streaming writer --------------------------------------------------
+
+
+def _quoted_ids_log():
+    ids = ("a,1", "a 2", 'a"3', "#a4")
+    anchors = [(0.0, 0.0), (4.0, 0.0), (4.0, 5.0)]
+    field = SensorField(2, anchors, declared_targets=1, anchor_ids=ids[:3], target_ids=ids[3:])
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    return field, [MeasurementRecord(*p, float(k), -40.0 - k, k) for k, p in enumerate(pairs)]
+
+
+def _field_log(field, n_records):
+    ids = field.anchor_ids + field.target_ids
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    rng = np.random.default_rng(11)
+    records = [
+        MeasurementRecord(*pairs[k % len(pairs)], float(k), float(rng.normal(-60, 5)), k)
+        for k in range(n_records)
+    ]
+    return field, records
+
+
+_ANCHORS_3D = [(0.0, 0.0, 0.0), (4.0, 0.0, 0.5), (0.0, 5.0, 1.0), (4.0, 5.0, 2.5)]
+_WRITER_LOGS = {
+    "quoted ids": _quoted_ids_log,
+    "3-D field": lambda: _field_log(SensorField(3, _ANCHORS_3D, [(1.0, 2.0, 0.5)]), 40),
+    "3-D targets without coordinates": lambda: _field_log(
+        SensorField(3, _ANCHORS_3D, declared_targets=2), 40
+    ),
+    "targets without coordinates": lambda: _field_log(
+        SensorField(2, [(0.0, 0.0), (4.0, 0.0), (4.0, 5.0)], declared_targets=2), 40
+    ),
+    "zero records": lambda: _field_log(SensorField(2, [(0, 0), (1, 0), (0, 1)], [(0.2, 0.3)]), 0),
+    "more than one chunk": lambda: _field_log(
+        SensorField(2, [(0, 0), (1, 0), (0, 1)], declared_targets=2),
+        2 * ingest._CHUNK_LINES + 17,
+    ),
+}
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("log", _WRITER_LOGS)
+def test_writer_bytes_match_the_join_based_oracle(tmp_path, log, as_generator):
+    field, records = _WRITER_LOGS[log]()
+    ref.write_measurement_file(tmp_path / "oracle.csv", field, records)
+    given = (r for r in records) if as_generator else records
+    write_measurement_file(tmp_path / "log.csv", field, given)
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_writer_failure_leaves_no_partial_or_temporary_file(tmp_path):
+    # the bad record sits in the second chunk, after the first was written
+    field, records = _WRITER_LOGS["more than one chunk"]()
+    records[ingest._CHUNK_LINES + 5] = MeasurementRecord("a1", "a2", 1.0, "loud", 0)
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError):
+        write_measurement_file(path, field, iter(records))
+    assert list(tmp_path.iterdir()) == []
+    # a file already at the path is left as it was
+    path.write_text("earlier log\n")
+    with pytest.raises(ValueError):
+        write_measurement_file(path, field, iter(records))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "earlier log\n"
+
+
+def test_writer_creates_the_file_as_write_text_would(tmp_path):
+    field, records = _quoted_ids_log()
+    write_measurement_file(tmp_path / "log.csv", field, records)
+    (tmp_path / "plain.txt").write_text("")
+    assert (tmp_path / "log.csv").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+_UNREADABLE_IDS = ["a\nb", "a\x0bb", "a\u2028b", "a\r", " a", "a ", "\ta"]
+
+
+@pytest.mark.parametrize("role", ["anchor", "target"])
+@pytest.mark.parametrize("bad", _UNREADABLE_IDS)
+def test_writer_rejects_ids_that_do_not_read_back(tmp_path, bad, role):
+    ids = ["a1", "a2", "a3", "t1"]
+    ids[0 if role == "anchor" else 3] = bad
+    anchors = [(0.0, 0.0), (4.0, 0.0), (4.0, 5.0)]
+    field = SensorField(2, anchors, declared_targets=1, anchor_ids=tuple(ids[:3]), target_ids=(ids[3],))
+
+    def untouched():
+        raise AssertionError("records were read before the roster was checked")
+        yield
+
+    with pytest.raises(InputError, match=re.escape(repr(bad))):
+        write_measurement_file(tmp_path / "log.csv", field, untouched())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", _UNREADABLE_IDS)
+def test_writer_rejects_record_ids_that_do_not_read_back(tmp_path, bad):
+    field, records = _WRITER_LOGS["more than one chunk"]()
+    records[ingest._CHUNK_LINES + 5] = MeasurementRecord("a1", bad, 1.0, -50.0, 0)
+    with pytest.raises(InputError, match=re.escape(repr(bad))):
+        write_measurement_file(tmp_path / "log.csv", field, records)
+    assert list(tmp_path.iterdir()) == []
+
+
+_ID = st.text(st.characters(codec="utf-8"), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(_ID, min_size=4, max_size=4, unique=True))
+def test_ids_the_writer_accepts_read_back_unchanged(tmp_path_factory, ids):
+    anchors = [(0.0, 0.0), (4.0, 0.0), (4.0, 5.0)]
+    field = SensorField(2, anchors, declared_targets=1, anchor_ids=tuple(ids[:3]), target_ids=(ids[3],))
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    records = [MeasurementRecord(*p, float(k), -40.0 - k, k) for k, p in enumerate(pairs)]
+    path = tmp_path_factory.mktemp("ids") / "log.csv"
+    try:
+        write_measurement_file(path, field, records)
+    except InputError:
+        assert any(len(s.splitlines()) > 1 or s != s.strip() for s in ids)
+        return
+    ms = parse_measurements(path)
+    assert ms.sensor_ids == tuple(ids)
+    assert ms.parse_errors == ()
+    assert [(r.tx, r.rx) for r in ms.records] == pairs
+
+
+# -- memory: tracemalloc peaks ---------------------------------------------
+
+
+def _traced_peak(call):
+    """``call()``'s result and the peak of the memory it allocated, as
+    tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _held(lines):
+    """Bytes that holding ``lines`` as a list of strings takes."""
+    return sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+
+
+def test_writer_holds_about_one_chunk_of_text(tmp_path):
+    field, records = _WRITER_LOGS["more than one chunk"]()
+    n = 3 * ingest._CHUNK_LINES
+    ids = field.anchor_ids + field.target_ids
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+
+    def generated():
+        for k in range(n):
+            yield MeasurementRecord(*pairs[k % len(pairs)], float(k), -60.0 - k / 7, k)
+
+    path = tmp_path / "log.csv"
+    _, peak = _traced_peak(lambda: write_measurement_file(path, field, generated()))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 1 + field.m + field.n + 2 + n
+    chunk = lines[-ingest._CHUNK_LINES :]
+    one_chunk = _held(chunk) + sys.getsizeof("".join(chunk))
+    # measured at 1.5 chunks; the join-based writer, which holds all three
+    # chunks' lines and then their joined text, measured 3.7
+    assert peak < 2.5 * one_chunk
+
+
+def test_parser_never_holds_text_lines_and_columns_together(tmp_path):
+    n = 50_000
+    path, text = _long_log(tmp_path, n)
+    lines = text.splitlines()
+    columns = n * sum(np.dtype(dtype).itemsize for _, dtype in ingest._COLUMNS)
+    bound = sys.getsizeof(text) + _held(lines) + columns
+    del text, lines
+    ms, peak = _traced_peak(lambda: parse_measurements(path))
+    assert len(ms.records) == n
+    # measured at 0.75 of the bound.  With the text, the lines and both
+    # column copies alive at once it measured 1.27; with only the text freed
+    # early, 1.04, as a chunk's split cells outweigh the text at this size
+    assert peak < bound
