@@ -4,14 +4,17 @@ File layout: a sensor roster (same CSV as the field format, targets may
 omit coordinates), a line ``---``, then measurement rows with header
 ``tx_id,rx_id,timestamp_ms,rssi_dbm``.
 
-Record lines are parsed in chunks of ``_CHUNK_LINES``.  A chunk of clean
-records (no quote, three commas a line, exact ids, numbers, no self link)
-is split once and cast in bulk; any other chunk goes through the
-line-by-line parser, the one place that decides a ``RowError``.  A clean
-chunk yields what that parser would, and chunks are taken in file order,
-so records and errors keep it.  The file text is dropped once it is split
-into lines, and each chunk's lines once the chunk is parsed, so the text,
-the lines and the columns are never all held at once.
+Record lines are parsed in chunks of ``_CHUNK_LINES``.  Each chunk is first
+offered to numpy's C reader (``np.loadtxt``) and kept when it is clean:
+no quote, no NUL and no blank line in the chunk, and a reader that raises
+nothing and returns one row per line, so every line has four cells, two
+ids that are exactly roster ids, two numbers and no self link.  Any other
+chunk goes through the line-by-line parser, the one place that decides a
+``RowError``.  A clean chunk yields what that parser would, and chunks
+are taken in file order, so records and errors keep it.  The file text is
+dropped once it is split into lines, and each chunk's lines once the
+chunk is parsed, so the text, the lines and the columns are never all
+held at once.
 
 ``write_measurement_file`` is the parser's inverse.  It streams records
 from any iterable in chunks of ``_CHUNK_LINES`` lines through a temporary
@@ -31,7 +34,7 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +100,26 @@ class MeasurementSet:
     parse_errors: tuple[RowError, ...] = ()
 
     def __post_init__(self):
-        for name, dtype in _COLUMNS:
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        shapes = {getattr(self, name).shape for name, _ in _COLUMNS}
-        if len(shapes) != 1 or self.line.ndim != 1:
+        # the caller may still hold the arrays it passed, so keep copies
+        self._set_columns([_frozen(getattr(self, name), dtype) for name, dtype in _COLUMNS])
+
+    @classmethod
+    def _owning(cls, field, columns, parse_errors=()) -> MeasurementSet:
+        """A set that keeps ``columns`` themselves, in ``_COLUMNS`` order,
+        instead of copies.  Only for fresh arrays of the column dtypes that
+        nothing else holds; they are read-only from here on."""
+        ms = object.__new__(cls)
+        object.__setattr__(ms, "field", field)
+        object.__setattr__(ms, "parse_errors", parse_errors)
+        for column in columns:
+            column.flags.writeable = False
+        ms._set_columns(columns)
+        return ms
+
+    def _set_columns(self, columns):
+        for (name, _), column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, column)
+        if len({c.shape for c in columns}) != 1 or self.line.ndim != 1:
             raise InputError("measurement columns must be 1-D and of equal length")
 
     @property
@@ -112,8 +131,8 @@ class MeasurementSet:
         return _RecordView(self)
 
     def _take(self, rows: np.ndarray) -> MeasurementSet:
-        columns = {name: getattr(self, name)[rows] for name, _ in _COLUMNS}
-        return MeasurementSet(self.field, parse_errors=self.parse_errors, **columns)
+        columns = [getattr(self, name)[rows] for name, _ in _COLUMNS]
+        return MeasurementSet._owning(self.field, columns, self.parse_errors)
 
 
 class _RecordView(Sequence):
@@ -202,27 +221,65 @@ def _checked_rows(lines, first_line, index, errors):
     return tx, rx, stamps, powers, line_nos
 
 
-def _bulk_rows(lines, first_line, index):
+@dataclass(frozen=True)
+class _BulkIds:
+    """The roster ids a clean chunk may name, sorted, with their indices,
+    and the record dtype ``np.loadtxt`` reads a chunk with."""
+
+    ids: np.ndarray
+    codes: np.ndarray
+    dtype: np.dtype
+
+    @classmethod
+    def of(cls, index) -> _BulkIds:
+        # #-led ids (possible when quoted in the roster) stay out, since
+        # their unquoted lines are comments; so do ids holding a NUL, which
+        # a U field would drop when trailing.  Padded cells miss the ids, as
+        # roster ids are stripped.  A cell one character longer than every
+        # id still misses them when the U field truncates it.
+        eligible = {s: k for s, k in index.items() if not s.startswith("#") and "\0" not in s}
+        cell = f"U{1 + max(map(len, eligible), default=0)}"
+        ids = np.array(list(eligible), dtype=cell)
+        order = np.argsort(ids)
+        codes = np.fromiter(eligible.values(), np.intp, len(eligible))[order]
+        dtype = np.dtype(
+            [("tx", cell), ("rx", cell), ("timestamp_ms", float), ("rssi_dbm", float)]
+        )
+        return cls(ids[order], codes, dtype)
+
+    def codes_of(self, cells: np.ndarray) -> np.ndarray | None:
+        """Index of each cell's id, or None if a cell is not exactly an id."""
+        if not self.ids.size:
+            return None
+        at = np.minimum(np.searchsorted(self.ids, cells), self.ids.size - 1)
+        return self.codes[at] if (self.ids[at] == cells).all() else None
+
+
+def _bulk_rows(lines, first_line, bulk: _BulkIds):
     """Record columns of ``lines`` if every line is a clean record, else
-    None.  Clean means no quote, exactly four cells, ids that are keys of
-    ``index`` as they stand, numbers ``float`` reads and no self link, so
-    ``_checked_rows`` would accept every line with the same values.
-    ``float`` ignores the padding that ``_checked_rows`` strips."""
-    n = len(lines)
-    text = ",".join(lines)
-    if '"' in text or list(map(str.count, lines, repeat(","))).count(3) != n:
+    None.  Clean means no quote, NUL or blank line, and ``np.loadtxt``
+    reads one row per line: four cells, ids that are ``bulk`` ids as they
+    stand and numbers, with no self link.  Then ``_checked_rows`` would
+    accept every line with the same values: the reader's numbers are
+    ``float``'s (it rejects the ``_`` and non-ASCII digits ``float`` takes)
+    and it ignores the padding ``_checked_rows`` strips."""
+    text = "".join(lines)
+    # the reader splits no quoted cell, reads a trailing NUL as nothing and
+    # skips blank lines, warning when a chunk holds nothing else
+    if '"' in text or "\0" in text or not all(lines):
         return None
-    cells = text.split(",")
     try:
-        tx = np.fromiter(map(index.__getitem__, cells[0::4]), np.intp, n)
-        rx = np.fromiter(map(index.__getitem__, cells[1::4]), np.intp, n)
-        stamps = np.fromiter(map(float, cells[2::4]), float, n)
-        powers = np.fromiter(map(float, cells[3::4]), float, n)
-    except (KeyError, ValueError):
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=bulk.dtype)
+    except ValueError:
         return None
-    if (tx == rx).any():
+    if rows.size != len(lines):
         return None
-    return tx, rx, stamps, powers, np.arange(first_line, first_line + n)
+    tx, rx = bulk.codes_of(rows["tx"]), bulk.codes_of(rows["rx"])
+    if tx is None or rx is None or (tx == rx).any():
+        return None
+    # copies, so the chunk's id cells are not kept alive by its columns
+    stamps, powers = rows["timestamp_ms"].copy(), rows["rssi_dbm"].copy()
+    return tx, rx, stamps, powers, np.arange(first_line, first_line + rows.size)
 
 
 def _parse_records(lines, first_line, index):
@@ -230,16 +287,14 @@ def _parse_records(lines, first_line, index):
     record header, in file order, one chunk of ``_CHUNK_LINES`` lines at a
     time.  Empties ``lines`` as it goes, so when the caller hands over its
     only reference each chunk's lines are freed once parsed."""
-    # padded ids miss the index; #-led ids (possible when quoted in the
-    # roster) must too, since their lines are comments
-    bulk_index = {s: k for s, k in index.items() if not s.startswith("#")}
+    bulk = _BulkIds.of(index)
     parts = [[np.empty(0, dtype)] for _, dtype in _COLUMNS]
     errors: list[RowError] = []
     at = first_line
     while lines:
         chunk = lines[:_CHUNK_LINES]
         del lines[:_CHUNK_LINES]
-        rows = _bulk_rows(chunk, at, bulk_index)
+        rows = _bulk_rows(chunk, at, bulk)
         if rows is None:
             rows = _checked_rows(chunk, at, index, errors)
         for part, values, (_, dtype) in zip(parts, rows, _COLUMNS):
@@ -273,11 +328,10 @@ def parse_measurement_text(text: str) -> MeasurementSet:
         records_at, line = header_row
         if tuple(c.strip().lower() for c in _cells(line)) != RECORD_HEADER:
             raise InputError(f"line {records_at}: expected header {','.join(RECORD_HEADER)}")
-    # hand the record lines over: _parse_records frees them chunk by chunk,
-    # so they are gone before MeasurementSet copies the columns
+    # hand the record lines over: _parse_records frees them chunk by chunk
     del lines[:records_at]
     columns, errors = _parse_records(lines, records_at + 1, index)
-    ms = MeasurementSet(field, *columns, tuple(errors))
+    ms = MeasurementSet._owning(field, columns, tuple(errors))
     # a NaN compares false both ways and would corrupt the selection order
     finite = np.isfinite(ms.timestamp_ms) & np.isfinite(ms.rssi_dbm)
     if not finite.all():
@@ -295,14 +349,41 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=keys.size)
 
 
+_KEY_MAX = np.iinfo(np.intp).max  # the largest sort key _strongest_first builds
+
+
+def _strongest_first(link: np.ndarray, n_links: int, rssi: np.ndarray) -> np.ndarray:
+    """``np.lexsort((-rssi, link))`` for links in [0, n_links): by link,
+    strongest first, equal RSSI (+0.0 and -0.0 too) in record order.  One
+    stable integer sort of link and dense RSSI rank does it faster, when
+    that key fits."""
+    # the dense rank of -rssi, as np.unique's inverse but with fewer
+    # temporaries, which raised the op's peak memory: NaNs sort last and
+    # share one rank
+    by_value = np.argsort(-rssi)
+    ordered = rssi[by_value]
+    new_value = np.zeros(rssi.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new_value[1:])
+    new_value[1:] &= ~np.isnan(ordered[:-1])
+    del ordered
+    key = np.empty(rssi.size, dtype=np.intp)
+    key[by_value] = np.cumsum(new_value)
+    del by_value, new_value
+    n_values = int(key.max(initial=-1)) + 1
+    if n_links * n_values > _KEY_MAX:
+        return np.lexsort((-rssi, link))
+    key += link * n_values
+    return np.argsort(key, kind="stable")
+
+
 def select_strong_links(ms: MeasurementSet, keep_fraction: float = DEFAULT_KEEP_FRACTION) -> MeasurementSet:
     """Per directed link, keep the top ceil(fraction * count) records by
     RSSI (ties resolved by timestamp order); record order is preserved."""
     if not 0 < keep_fraction <= 1:
         raise InputError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    link = ms.tx * len(ms.sensor_ids) + ms.rx
-    # stable: within a link, strongest first and equal RSSI in record order
-    order = np.lexsort((-ms.rssi_dbm, link))
+    n = len(ms.sensor_ids)
+    link = ms.tx * n + ms.rx
+    order = _strongest_first(link, n * n, ms.rssi_dbm)
     starts, counts = _runs(link[order])
     n_keep = np.ceil(keep_fraction * counts)  # the float64 product math.ceil would round
     rank = np.arange(order.size) - np.repeat(starts, counts)
@@ -357,10 +438,20 @@ def measurement_signal_matrix(
                 f"{counts[p]} retained records, needed {sample_index}"
             )
         pooled = rssi[starts + (sample_index - 1)]
+    elif aggregator == "median":
+        # np.median of each pool: the mean of its one or two middle values,
+        # summed as numpy sums them, from 0.0, so a -0.0 sum reads 0.0
+        pool = np.repeat(np.arange(starts.size), counts)
+        ordered = rssi[np.lexsort((rssi, pool))]
+        mid = starts + counts // 2
+        pooled = ordered[mid] + 0.0
+        even = counts % 2 == 0
+        pooled[even] = (ordered[mid[even] - 1] + pooled[even]) / 2
+        # np.median gives NaN for a pool holding one; NaN sorts last
+        pooled[np.isnan(ordered[starts + counts - 1])] = np.nan
     else:
-        # one reduction per pool: a segmented sum could round differently
-        reduce = np.median if aggregator == "median" else np.mean
-        pooled = [reduce(rssi[s : s + c]) for s, c in zip(starts.tolist(), counts.tolist())]
+        # one mean per pool: a segmented sum could round differently
+        pooled = [np.mean(rssi[s : s + c]) for s, c in zip(starts.tolist(), counts.tolist())]
     values = np.zeros((n, n))
     missing = np.ones((n, n), dtype=bool)
     values[i, j] = values[j, i] = pooled

@@ -1,6 +1,7 @@
 import re
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from ordinal_unloc import ingest
 from ordinal_unloc.core import InputError, SensorField
 from ordinal_unloc.ingest import (
     MeasurementRecord,
+    MeasurementSet,
     measurement_signal_matrix,
     min_link_sample_count,
     parse_measurement_text,
@@ -240,6 +242,8 @@ def test_records_view_matches_columns():
 
 _IDS = ["a1", "a2", "a3", "t1", "t2"]
 _ROSTER = "id,role,x,y\nt1,target,,\na1,anchor,0,0\na2,anchor,4,0\nt2,target,,\na3,anchor,4,5"
+# a NUL id ahead of a1, which a U field would read as a1
+_ROSTERS = [_ROSTER] * 3 + [_ROSTER.replace("\na1,", "\na1\x00,anchor,1,1\na1,")]
 _NUMBERS = ["0", "1", "2.5", "1e-3", "1_0", "-0.0", "-40", "-40.0", "-4e1", "-4_0", "-41.5"]
 _BAD_NUMBERS = ["", "x", "1__0", "1,5", "-"]
 
@@ -259,13 +263,16 @@ def _row(*cells):
 _SENSOR = _cell(st.sampled_from(_IDS))
 _NUMBER = _cell(st.sampled_from(_NUMBERS))
 _GOOD = _row(_SENSOR, _SENSOR, _NUMBER, _NUMBER)
-_ANY_SENSOR = _cell(st.sampled_from(_IDS + ["zz", "a1,a2", "A1", ""]))
-_ANY_NUMBER = _cell(st.sampled_from(_NUMBERS + _BAD_NUMBERS))
+# NULs, and cells that extend an id past the reader's field width
+_ODD_SENSORS = ["zz", "a1,a2", "A1", "", "a1\x00", "\x00a1", "\x00", "a1x", "a1a1a1a1"]
+_ANY_SENSOR = _cell(st.sampled_from(_IDS + _ODD_SENSORS))
+_ANY_NUMBER = _cell(st.sampled_from(_NUMBERS + _BAD_NUMBERS + ["1\x00", "\x00"]))
 _BAD = st.one_of(
     _row(_ANY_SENSOR, _ANY_SENSOR, _ANY_NUMBER, _ANY_NUMBER),
     st.lists(_ANY_NUMBER, min_size=1, max_size=6).map(",".join),
 )
-_OTHER = st.sampled_from(["", "   ", "\t", "# note", "  # a1,a2,0,-40", "#,,,"])
+# "\n" * 8 joins into a run of blank lines longer than a chunk
+_OTHER = st.sampled_from(["", "   ", "\t", "# note", "  # a1,a2,0,-40", "#,,,", "\n" * 8])
 _LINE = st.one_of(*[_GOOD] * 6, _BAD, _OTHER)
 _HEADER = st.sampled_from(
     ["tx_id,rx_id,timestamp_ms,rssi_dbm"] * 5
@@ -287,9 +294,12 @@ def _outcome(fn, *args, **kwargs):
 
 def _parsed(text):
     """Columns and row errors of ``parse_measurement_text``, or its
-    InputError message."""
+    InputError message.  Fails on any warning, such as the one
+    ``np.loadtxt`` gives for a chunk of blank lines."""
     try:
-        ms = parse_measurement_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = parse_measurement_text(text)
     except InputError as exc:
         return str(exc)
     return ms.sensor_ids, list(ms.records), ms.parse_errors
@@ -297,13 +307,14 @@ def _parsed(text):
 
 @settings(max_examples=300, deadline=None)
 @given(
+    roster=st.sampled_from(_ROSTERS),
     lead=st.lists(st.sampled_from(["", "# comment", "  "]), max_size=2),
     header=_HEADER,
     body=st.integers(0, 60).flatmap(lambda n: st.lists(_LINE, min_size=n, max_size=n)),
     tail=st.sampled_from(["", "\n", "\n\n  \n"]),
 )
-def test_columnar_ingest_matches_record_oracle(lead, header, body, tail):
-    text = _ROSTER + "\n---\n" + "\n".join([*lead, header, *body]) + tail
+def test_columnar_ingest_matches_record_oracle(roster, lead, header, body, tail):
+    text = roster + "\n---\n" + "\n".join([*lead, header, *body]) + tail
     try:
         expected = ref.parse_measurement_text(text)
     except InputError as exc:
@@ -433,6 +444,152 @@ def test_plain_ids_are_written_unquoted(tmp_path):
     assert text.splitlines()[1] == "a1,anchor," + ",".join(
         repr(float(c)) for c in parse_measurements(path).field.anchors[0]
     )
+
+
+def test_numpy_reader_behaves_as_the_bulk_route_assumes():
+    """The checks of ``_bulk_rows`` rest on four behaviours of
+    ``np.loadtxt``; a numpy that changes one fails here rather than
+    changing parsed records."""
+    dtype = ingest._BulkIds.of({"a1": 0, "a2": 1}).dtype  # ids as U3
+
+    def read(lines):  # the call _bulk_rows makes
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype).tolist()
+
+    # blank lines are skipped, so they leave a read short of its lines
+    assert read(["a1,a2,0,-1", "", "a2,a1,1,-2"]) == [("a1", "a2", 0, -1), ("a2", "a1", 1, -2)]
+    # a wrong column count raises
+    for line in ["a1,a2,0", "a1,a2,0,-1,2"]:
+        with pytest.raises(ValueError):
+            read(["a1,a2,0,-1", line])
+    # U fields keep whitespace (a padded id is no id) and drop trailing NULs
+    padded = read([" a1,a2\t,0,-1", "a1\x00,a2,0,-1"])
+    assert padded == [(" a1", "a2\t", 0, -1), ("a1", "a2", 0, -1)]
+    # over-long fields truncate to the width, one more than the longest id
+    assert read(["a1a1a1a1,a2x,0,-1"]) == [("a1a", "a2x", 0, -1)]
+
+
+def test_parsed_and_selected_sets_own_their_columns(monkeypatch):
+    ms = parse_measurement_text(_text())
+    columns = [np.array(getattr(ms, name)) for name, _ in ingest._COLUMNS]
+    public = MeasurementSet(ms.field, *columns)
+    owning = MeasurementSet._owning(ms.field, columns)
+    for (name, _), column in zip(ingest._COLUMNS, columns):
+        assert not np.shares_memory(getattr(public, name), column)
+        assert np.shares_memory(getattr(owning, name), column)
+        assert not column.flags.writeable
+    # the parser and the selection build their columns and copy none
+    monkeypatch.setattr(ingest, "_frozen", None)
+    parsed = parse_measurement_text(_text())
+    kept = select_strong_links(parsed, 0.5)
+    for name, _ in ingest._COLUMNS:
+        assert not getattr(parsed, name).flags.writeable
+        assert not getattr(kept, name).flags.writeable
+        assert not np.shares_memory(getattr(kept, name), getattr(parsed, name))
+
+
+def _log_text(n_anchors, n_targets, rows):
+    """A log of ``n_anchors`` anchors ``a<k>``, ``n_targets`` targets
+    ``t<k>`` and ``rows`` (tx, rx, rssi cell) in that order."""
+    roster = [f"a{k},anchor,{k},{k % 7}" for k in range(1, n_anchors + 1)]
+    roster += [f"t{k},target,," for k in range(1, n_targets + 1)]
+    records = [f"{tx},{rx},{k},{rssi}" for k, (tx, rx, rssi) in enumerate(rows)]
+    header = "tx_id,rx_id,timestamp_ms,rssi_dbm"
+    return _text("\n".join(["id,role,x,y", *roster]), "\n".join([header, *records]))
+
+
+def _random_rows(rng, ids, n, rssi):
+    pairs = rng.choice(len(ids), (n, 2))
+    return [(ids[i], ids[j], r) for (i, j), r in zip(pairs, rssi) if i != j]
+
+
+def _whole_dbm_log(rng):
+    ids = [f"a{k}" for k in range(1, 6)] + ["t1", "t2", "t3"]
+    return _log_text(5, 3, _random_rows(rng, ids, 600, rng.integers(-70, -60, 600)))
+
+
+def _signed_zeros_log(rng):
+    cells = rng.choice(["0.0", "-0.0", "0", "-0", "-1.0"], 200)
+    return _log_text(3, 1, _random_rows(rng, ["a1", "a2", "a3", "t1"], 200, cells))
+
+
+def _single_records_log(rng):
+    ids = ["a1", "a2", "a3", "t1", "t2"]
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    rows = [(tx, rx, f"{-50 - k}") for k, (tx, rx) in enumerate(pairs)]
+    return _log_text(3, 2, rows + [("a1", "a2", "-50"), ("a1", "a2", "-40.5")])
+
+
+def _wide_roster_log(rng):
+    # link ids pass 16 bits: 300 sensors give 90,000 directed links
+    ids = [f"a{k}" for k in range(1, 201)] + [f"t{k}" for k in range(1, 101)]
+    return _log_text(200, 100, _random_rows(rng, ids, 3000, rng.integers(-90, -40, 3000)))
+
+
+_SELECTION_LOGS = {
+    "whole dBm": _whole_dbm_log,
+    "signed zeros": _signed_zeros_log,
+    "single records": _single_records_log,
+    "300 sensors": _wide_roster_log,
+}
+
+
+@pytest.mark.parametrize("key_max", [None, 0], ids=["integer sort", "lexsort fallback"])
+@pytest.mark.parametrize("log", _SELECTION_LOGS)
+def test_strong_links_match_the_oracle(log, key_max, monkeypatch):
+    if key_max is not None:  # a bound every key exceeds
+        monkeypatch.setattr(ingest, "_KEY_MAX", key_max)
+    text = _SELECTION_LOGS[log](np.random.default_rng(3))
+    ms, expected = parse_measurement_text(text), ref.parse_measurement_text(text)
+    assert ms.parse_errors == expected.parse_errors == ()
+    for keep in (0.15, 0.2, 0.5, 1.0):
+        kept, kept_ref = select_strong_links(ms, keep), ref.select_strong_links(expected, keep)
+        assert list(kept.records) == list(kept_ref.records)
+
+
+_READINGS = [-40.0, -41.5, -90.0, 0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # past 16 readings numpy's argsort no longer keeps equal values in order
+    rows=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_READINGS)), max_size=120),
+    key_max=st.sampled_from([None, 0]),
+)
+def test_strongest_first_is_the_lexsort(rows, key_max):
+    # readings a caller may hand the public constructor, NaN included
+    link = np.array([k for k, _ in rows], dtype=np.intp)
+    rssi = np.array([r for _, r in rows], dtype=float)
+    bound = ingest._KEY_MAX if key_max is None else key_max
+    with (
+        mock.patch.object(ingest, "_KEY_MAX", bound),
+        mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort,
+    ):
+        order = ingest._strongest_first(link, 3, rssi)
+    assert lexsort.called == (key_max == 0 and rssi.size > 0)
+    np.testing.assert_array_equal(order, np.lexsort((-rssi, link)))
+
+
+def test_median_matches_the_oracle_on_signed_zeros_and_large_values():
+    pools = {
+        ("a1", "a2"): ["-0.0"],  # np.median reads 0.0
+        ("a2", "t1"): ["-0.0"],
+        ("t1", "a2"): ["-0.0"],  # pooled with a2-t1: an even pool of -0.0
+        ("a1", "a3"): ["1.7e308"] * 3,  # odd: no sum of the middle value with itself
+        ("a2", "a3"): ["-1.7e308", "1e308", "-1e308"],
+        ("a1", "t1"): ["-40", "-41.5", "-39", "-45", "-38"],
+        ("a3", "t1"): ["5e-324", "-5e-324", "0.0", "-0.0"],
+    }
+    rows = [(tx, rx, cell) for (tx, rx), cells in pools.items() for cell in cells]
+    text = _log_text(3, 1, rows)
+    ms, expected = parse_measurement_text(text), ref.parse_measurement_text(text)
+    got = _outcome(measurement_signal_matrix, ms, "median")
+    assert got == _outcome(ref.measurement_signal_matrix, expected, "median")
+    assert not isinstance(got, str)
+    # a NaN the parser would reject, off the middle of its pool, still
+    # makes the median NaN, as np.median does
+    odd = MeasurementSet(ms.field, [0, 0, 0], [1, 1, 1], [0, 1, 2], [-40, -41, np.nan], [0, 1, 2])
+    with pytest.raises(InputError, match="not finite"):
+        measurement_signal_matrix(odd, "median")
 
 
 # -- the streaming writer --------------------------------------------------
