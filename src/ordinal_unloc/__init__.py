@@ -8,12 +8,10 @@ from .core import (
     ComparisonTensor,
     ConfigError,
     DistanceMatrix,
-    GroundTruthUnavailable,
     InputError,
     OrdinalUnlocError,
     ProximityMatrix,
     SensorField,
-    pairwise_distances,
     read_sensor_field,
 )
 from .funclearn import estimate_distances, estimate_distances_stack
@@ -40,7 +38,6 @@ __all__ = [
     "ComparisonTensor",
     "ConfigError",
     "DistanceMatrix",
-    "GroundTruthUnavailable",
     "InputError",
     "LocalizationResult",
     "OrdinalUnlocError",
@@ -54,7 +51,6 @@ __all__ = [
     "estimate_distances_stack",
     "localize_all",
     "localize_from_tensor",
-    "pairwise_distances",
     "proximity_scores",
     "read_sensor_field",
     "signal_row_sums",

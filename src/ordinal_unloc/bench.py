@@ -27,7 +27,6 @@ of the rss and toa kinds' comparisons:
 
 from __future__ import annotations
 
-import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -45,12 +44,13 @@ from .ordinal import (
     signal_row_sums,
 )
 from .rank import proximity_scores
-from .signals import MIN_LINK_DISTANCE, RssModel, rss_power
 from .unfold import SolverOptions, solve_columns
 
 EXPERIMENT_KINDS = ("ordinal", "rss", "toa")
 _EXPERIMENT_IDS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
 _DIMENSION = 2  # the simulated fields are planar
+# random placements can collide; powers are generated at no less than this
+MIN_LINK_DISTANCE = 1e-6
 _METHODS = {
     "ordinal": ("ordinal_unloc",),
     "rss": ("ordinal_unloc", "unloc_fixed_g", "unloc_genie"),
@@ -80,8 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not self.anchor_counts or any(m < 1 for m in self.anchor_counts):
-            raise ConfigError("anchor_counts must be a non-empty list of positive counts")
+        if not self.anchor_counts or any(m < 2 for m in self.anchor_counts):
+            raise ConfigError("anchor_counts must be a non-empty list of counts >= 2")
         if self.n_targets < 1:
             raise ConfigError("n_targets must be >= 1")
         for name in (
@@ -213,19 +213,21 @@ def _ordinal_draw(config, m, sigmas, rngs):
     return _GroupDraw(points, d_full, (d_full, sigmas, rngs), ())
 
 
-def _rss_draw(config, m, _, rngs, model):
+def _rss_draw(config, m, _, rngs):
+    """Received powers P_R = P_T alpha d^-G, with a per-link path-loss
+    exponent G drawn uniformly on [exponent_low, exponent_high]."""
     points, d_full = _layouts(config, m, rngs)
     size = len(pair_indices(m + config.n_targets)[0])
     exponents = _symmetric(
         [rng.uniform(config.exponent_low, config.exponent_high, size) for rng in rngs],
         m + config.n_targets,
     )
-    power = rss_power(model, np.maximum(d_full, MIN_LINK_DISTANCE), exponents)
+    gain = config.transmit_power * config.hardware_gain
+    power = gain * np.maximum(d_full, MIN_LINK_DISTANCE) ** (-exponents)
     # (i) the ordinal pipeline on raw powers; (ii) fixed calibration
     # exponent and (iii) genie-aided per-link exponent inversions
     # d = (P_T alpha / P_R)^(1/G).  Underflowed power makes a non-finite
     # estimate, on which run_trial raises
-    gain = model.transmit_power * model.hardware_gain
     block = exponents[:, :m, m:]
     direct = tuple(
         (gain / power[:, :m, m:]) ** (1.0 / exps)
@@ -294,17 +296,6 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     for g, (m, _) in enumerate(grid):
         groups.setdefault(m, []).append(g)
     draw = _DRAWS[config.kind]
-    if config.kind == "rss":
-        # one power law per trial; the config has checked what RssModel checks
-        draw = functools.partial(
-            draw,
-            model=RssModel(
-                transmit_power=config.transmit_power,
-                hardware_gain=config.hardware_gain,
-                exponent_low=config.exponent_low,
-                exponent_high=config.exponent_high,
-            ),
-        )
     draws = {
         m: draw(config, m, [grid[g][1] for g in members], [rngs[g] for g in members])
         for m, members in groups.items()

@@ -139,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--noise", type=_float_list, default=None, help="c*sigma_T^2 grid (toa)")
     ben.add_argument("--targets", type=_positive_int, default=1)
     ben.add_argument("--field-side", type=float, default=None, help="default 10 (rss), 200 (toa)")
-    ben.add_argument("--g-range", type=_float_list, default=(2.0, 6.0))
-    ben.add_argument("--calibration-g", type=float, default=4.0)
-    ben.add_argument("--propagation-speed", type=float, default=1.0)
+    ben.add_argument("--g-range", type=_float_list, default=None)
+    ben.add_argument("--calibration-g", type=float, default=None)
+    ben.add_argument("--propagation-speed", type=float, default=None)
     ben.add_argument("--trials", type=_positive_int, default=2000)
     ben.set_defaults(func=cmd_benchmark)
 
@@ -221,59 +221,58 @@ def _manifest_stub(command: str, config: dict, seed: int) -> dict:
     }
 
 
-def _experiment_config(args, kind, noise_grid, field_side) -> ExperimentConfig:
-    g_range = tuple(args.g_range) if hasattr(args, "g_range") else (2.0, 6.0)
-    if len(g_range) != 2:
-        raise ConfigError(f"g-range needs exactly two values, got {g_range}")
-    return ExperimentConfig(
+def _run_experiment(args, kind, **settings) -> int:
+    """Run one Monte-Carlo experiment from the flags that simulate and
+    benchmark share plus the subcommand's ``settings``; any setting not
+    given keeps its ``ExperimentConfig`` default."""
+    config = ExperimentConfig(
         kind=kind,
         anchor_counts=tuple(args.anchors),
         n_targets=args.targets,
-        field_side=field_side,
-        noise_grid=noise_grid,
         trials=args.trials,
         seed=args.resolved_seed,
-        exponent_low=g_range[0],
-        exponent_high=g_range[1],
-        calibration_exponent=getattr(args, "calibration_g", 4.0),
-        propagation_speed=getattr(args, "propagation_speed", 1.0),
         solver=SolverOptions(restarts=args.restarts),
+        **settings,
     )
+    manifest = _manifest_stub(args.command, asdict(config), config.seed)
+    result = run_benchmark(config, threads=args.threads)
+    _write_outputs(
+        Path(args.out),
+        {"results.csv": result_to_csv(result), "results.json": result_to_json(result)},
+        manifest,
+    )
+    return 3 if result.unreliable.any() else 0
 
 
 def cmd_simulate(args) -> int:
     if args.kind != "ordinal":
         raise ConfigError(f"simulate supports kind 'ordinal', got {args.kind!r}")
-    config = _experiment_config(args, "ordinal", tuple(args.sigma), args.field_side)
-    manifest = _manifest_stub("simulate", asdict(config), config.seed)
-    result = run_benchmark(config, threads=args.threads)
-    _write_outputs(
-        Path(args.out),
-        {"results.csv": result_to_csv(result), "results.json": result_to_json(result)},
-        manifest,
+    return _run_experiment(
+        args, "ordinal", noise_grid=tuple(args.sigma), field_side=args.field_side
     )
-    return 3 if result.unreliable.any() else 0
 
 
 def cmd_benchmark(args) -> int:
     if args.kind not in ("rss", "toa"):
         raise ConfigError(f"benchmark kind must be 'rss' or 'toa', got {args.kind!r}")
+    settings = {}
+    if args.g_range is not None:
+        if len(args.g_range) != 2:
+            raise ConfigError(f"g-range needs exactly two values, got {tuple(args.g_range)}")
+        settings["exponent_low"], settings["exponent_high"] = args.g_range
+    if args.calibration_g is not None:
+        settings["calibration_exponent"] = args.calibration_g
+    if args.propagation_speed is not None:
+        settings["propagation_speed"] = args.propagation_speed
     if args.kind == "rss":
         # room-scale field; sub-unit distances make the fixed-G bias vanish
-        field_side = args.field_side if args.field_side is not None else 10.0
-        config = _experiment_config(args, "rss", (), field_side)
+        field_side, noise = 10.0, ()
     else:
-        field_side = args.field_side if args.field_side is not None else 200.0
-        noise = tuple(args.noise) if args.noise is not None else DEFAULT_TOA_NOISE_GRID
-        config = _experiment_config(args, "toa", noise, field_side)
-    manifest = _manifest_stub("benchmark", asdict(config), config.seed)
-    result = run_benchmark(config, threads=args.threads)
-    _write_outputs(
-        Path(args.out),
-        {"results.csv": result_to_csv(result), "results.json": result_to_json(result)},
-        manifest,
-    )
-    return 3 if result.unreliable.any() else 0
+        field_side = 200.0
+        noise = DEFAULT_TOA_NOISE_GRID if args.noise is None else tuple(args.noise)
+    if args.field_side is not None:
+        field_side = args.field_side
+    return _run_experiment(args, args.kind, field_side=field_side, noise_grid=noise, **settings)
 
 
 def _positions_csv(field, solution, labels) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +27,8 @@ class InputError(OrdinalUnlocError):
     """Invalid input data or file (parse failures, bad values)."""
 
 
-class GroundTruthUnavailable(OrdinalUnlocError):
-    """An operation needed target coordinates that are not present."""
-
-
 class IllPosedWarning(UserWarning):
     """Fewer anchors than the geometric minimum for unique localization."""
-
-
-_BLOCKS = ("Y", "X", "YX", "XY")
 
 
 def _frozen(a, dtype=float):
@@ -44,11 +37,18 @@ def _frozen(a, dtype=float):
     return a
 
 
-def _check_finite_coordinates(points, role):
+def _coordinates(points, q, role):
+    """The (count, q) float coordinates of one role's sensors, all finite."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.size == 0:
+        points = points.reshape(0, q)
+    if points.shape[1] != q:
+        raise InputError(f"{role} coordinates must have length {q}, got shape {points.shape}")
     bad = ~np.isfinite(points)
     if bad.any():
         i, c = np.argwhere(bad)[0]
         raise InputError(f"{role} {i} coordinate {c} is {points[i, c]}, not finite")
+    return _frozen(points)
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,10 @@ class SensorField:
         q = int(self.dimension)
         if q < 1:
             raise InputError(f"dimension must be positive, got {q}")
-        anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        if anchors.size == 0:
-            anchors = anchors.reshape(0, q)
-        if anchors.shape[1] != q:
-            raise InputError(
-                f"anchor coordinates must have length {q}, got shape {anchors.shape}"
-            )
-        _check_finite_coordinates(anchors, "anchor")
-        object.__setattr__(self, "anchors", _frozen(anchors))
+        object.__setattr__(self, "anchors", _coordinates(self.anchors, q, "anchor"))
         if self.targets is not None:
-            targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
-            if targets.size == 0:
-                targets = targets.reshape(0, q)
-            if targets.shape[1] != q:
-                raise InputError(
-                    f"target coordinates must have length {q}, got shape {targets.shape}"
-                )
-            _check_finite_coordinates(targets, "target")
-            object.__setattr__(self, "targets", _frozen(targets))
+            targets = _coordinates(self.targets, q, "target")
+            object.__setattr__(self, "targets", targets)
             object.__setattr__(self, "declared_targets", targets.shape[0])
         elif self.declared_targets is None:
             object.__setattr__(self, "declared_targets", 0)
@@ -118,24 +103,6 @@ class SensorField:
     def n(self) -> int:
         return int(self.declared_targets)
 
-    @property
-    def n_sensors(self) -> int:
-        return self.m + self.n
-
-
-def _block_slice(values, m, which, transpose_xy):
-    if which == "Y":
-        return values[:m, :m]
-    if which == "X":
-        return values[m:, m:]
-    if which == "YX":
-        return values[:m, m:]
-    if which == "XY":
-        if transpose_xy:
-            return values[:m, m:].T
-        return values[m:, :m]
-    raise InputError(f"unknown block selector {which!r}; expected one of {_BLOCKS}")
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -156,10 +123,6 @@ class DistanceMatrix:
     @property
     def order(self) -> int:
         return self.values.shape[0]
-
-    def block(self, which: str) -> np.ndarray:
-        """One of the four blocks; XY is the transpose of the stored YX."""
-        return _block_slice(self.values, self.n_anchors, which, transpose_xy=True)
 
 
 @dataclass(frozen=True)
@@ -192,8 +155,7 @@ class ComparisonTensor:
 @dataclass(frozen=True)
 class ProximityMatrix:
     """Rank-aggregation scores; column k is the zero-sum score vector for
-    reference sensor k.  Unlike the distance matrix this is not symmetric,
-    so the XY block is the actual lower-left submatrix."""
+    reference sensor k.  Unlike the distance matrix this is not symmetric."""
 
     values: np.ndarray
     n_anchors: int
@@ -207,9 +169,6 @@ class ProximityMatrix:
     @property
     def order(self) -> int:
         return self.values.shape[0]
-
-    def block(self, which: str) -> np.ndarray:
-        return _block_slice(self.values, self.n_anchors, which, transpose_xy=False)
 
 
 def check_finite_distances(values) -> None:
@@ -232,19 +191,6 @@ def point_distances(points) -> np.ndarray:
     n = d.shape[-1]
     d[..., np.arange(n), np.arange(n)] = 0.0
     return d
-
-
-def pairwise_distances(field: SensorField) -> DistanceMatrix:
-    """Exact Euclidean distance matrix of a field with known coordinates."""
-    if field.n > 0 and field.targets is None:
-        raise GroundTruthUnavailable(
-            "ground truth unavailable: field declares targets without coordinates"
-        )
-    if field.targets is not None and field.n > 0:
-        pts = np.vstack([field.anchors, field.targets])
-    else:
-        pts = field.anchors
-    return DistanceMatrix(point_distances(pts), field.m)
 
 
 def _parse_sensor_rows(rows, dimension_hint=None):

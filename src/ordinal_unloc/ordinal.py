@@ -40,7 +40,6 @@ class ComparisonNoiseModel:
     """Gaussian comparison noise, one draw per unordered pair per slice."""
 
     sigma: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
@@ -231,13 +230,13 @@ def tensor_from_distances(
 
     For every reference sensor k and unordered pair {i, j}, one noise value
     is drawn and negated for the mirrored entry, so each slice is exactly
-    skew-symmetric.  Without ``rng`` the draws come from a generator
-    seeded by ``noise.seed``.
+    skew-symmetric.  Without ``rng`` the draws come from a fresh
+    ``default_rng()``.
     """
     n = D.order
     upper = _upper_mask(n)
     z = np.zeros((n, n, n), dtype=np.int8)
-    rng = np.random.default_rng(noise.seed) if rng is None else rng
+    rng = np.random.default_rng() if rng is None else rng
     with closing(_noisy_differences(D.values[None], [noise.sigma], [rng])) as blocks:
         for ks, diff, _ in blocks:
             sign = _sign_int8(diff, 0.0)

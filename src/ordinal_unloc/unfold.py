@@ -80,8 +80,8 @@ class SolverOptions:
 @dataclass(frozen=True)
 class LocalizationResult:
     """``iterations`` counts the root-finder's steps (0 in the hard case),
-    ``converged`` says the root met its tolerance, ``winning_restart`` is
-    always 0 and ``restart_costs`` holds the one cost."""
+    ``converged`` says the root met its tolerance and ``winning_restart``
+    is always 0."""
 
     position: np.ndarray
     cost: float
@@ -89,11 +89,9 @@ class LocalizationResult:
     winning_restart: int
     converged: bool
     well_posed: bool
-    restart_costs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "position", _frozen(self.position))
-        object.__setattr__(self, "restart_costs", _frozen(self.restart_costs))
 
 
 def warn_ill_posed(m, q, count=1, stacklevel=2):
@@ -285,7 +283,6 @@ def _result(positions, costs, iterations, converged, k, well_posed) -> Localizat
         winning_restart=0,
         converged=bool(converged[k]),
         well_posed=well_posed,
-        restart_costs=costs[k : k + 1],
     )
 
 

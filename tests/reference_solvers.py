@@ -48,7 +48,6 @@ from ordinal_unloc.ordinal import (
     tensor_from_signals,
 )
 from ordinal_unloc.rank import aggregate_proximities
-from ordinal_unloc.signals import MIN_LINK_DISTANCE, RssModel
 from ordinal_unloc.unfold import LocalizationResult, SolverOptions, solve_unfolding_arrays
 
 
@@ -284,7 +283,6 @@ def reference_localize(
         winning_restart=winner,
         converged=bool(converged),
         well_posed=well_posed,
-        restart_costs=costs,
     )
 
 
@@ -370,8 +368,8 @@ def reference_preliminary(
         raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
     if d_y.shape != (m, m):
         raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
-    psi_y = psi.block("Y")
-    psi_xy = psi.block("XY")  # target rows, anchor slices
+    psi_y = psi.values[:m, :m]
+    psi_xy = psi.values[m:, :m]  # target rows, anchor slices
     n = psi_xy.shape[0]
     estimates = np.empty((m, n))
     flagged = []
@@ -399,7 +397,7 @@ def reference_recalibrate(
     m = psi.n_anchors
     if d_tilde.n_anchors != m or psi.order != m + d_tilde.n_targets:
         raise InputError("proximity and estimate shapes disagree")
-    psi_yx = psi.block("YX")  # anchor rows, target slices
+    psi_yx = psi.values[:m, m:]  # anchor rows, target slices
     out = np.empty_like(d_tilde.values)
     for j in range(d_tilde.n_targets):
         g = reference_fit(psi_yx[:, j], d_tilde.values[:, j])
@@ -489,25 +487,18 @@ def _rss_grid_point(config, m, rng):
     n = config.n_targets
     anchors = rng.uniform(0, config.field_side, size=(m, 2))
     targets = rng.uniform(0, config.field_side, size=(n, 2))
-    model = RssModel(
-        transmit_power=config.transmit_power,
-        hardware_gain=config.hardware_gain,
-        exponent_low=config.exponent_low,
-        exponent_high=config.exponent_high,
-    )
+    gain = config.transmit_power * config.hardware_gain
     d_full = point_distances(np.vstack([anchors, targets]))
     d_true_yx = d_full[:m, m:]
     exponents = _symmetric_draws(
         m + n, lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
     )
-    power = model.transmit_power * model.hardware_gain * np.maximum(
-        d_full, MIN_LINK_DISTANCE
-    ) ** (-exponents)
+    power = gain * np.maximum(d_full, 1e-6) ** (-exponents)
     sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
     d_hat = _estimate_from_tensor(tensor_from_signals(sig), anchors)
     methods = [(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx)]
     for exps in (np.full((m, n), config.calibration_exponent), exponents[:m, m:]):
-        d_est = (model.transmit_power * model.hardware_gain / power[:m, m:]) ** (1.0 / exps)
+        d_est = (gain / power[:m, m:]) ** (1.0 / exps)
         methods.append((_direct_problems(anchors, d_est), d_est, targets, d_true_yx))
     return methods
 

@@ -20,7 +20,7 @@ from ordinal_unloc.bench import (
 )
 from ordinal_unloc.core import ComparisonTensor, ConfigError, DistanceMatrix, InputError
 from ordinal_unloc.funclearn import EstimatedDistanceMatrix
-from ordinal_unloc.ordinal import ComparisonNoiseModel, SignalMatrix
+from ordinal_unloc.ordinal import ComparisonNoiseModel
 from ordinal_unloc.unfold import (
     LocalizationResult,
     SolverOptions,
@@ -104,8 +104,9 @@ def test_config_validation():
         ExperimentConfig(kind="nope")
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="ordinal", trials=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(kind="ordinal", anchor_counts=())
+    for counts in ((), (1,), (5, 1)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="ordinal", anchor_counts=counts)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="ordinal", noise_grid=(-0.1,))
     with pytest.raises(ConfigError):
@@ -115,6 +116,8 @@ def test_config_validation():
         dict(propagation_speed=0.0),
         dict(calibration_exponent=np.nan),
         dict(transmit_power=-1.0),
+        dict(transmit_power=0.0),
+        dict(hardware_gain=0.0),
         dict(exponent_low=1.0, exponent_high=3.0),
         dict(exponent_low=6.0, exponent_high=2.0),
         dict(exponent_high=np.inf),

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ingest import _HEADER, _LINE
 
-from ordinal_unloc import __version__, cli, unfold
+from ordinal_unloc import __version__, bench, cli, unfold
 from ordinal_unloc.cli import _int_list, build_parser, main
 from ordinal_unloc.core import ComparisonTensor, ConfigError, SensorField
 from ordinal_unloc.ingest import (
@@ -213,6 +213,22 @@ def test_bad_experiment_parameters_exit_code_1(tmp_path, capsys, source, command
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not (tmp_path / "run" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["benchmark", "--kind", "rss"]])
+@pytest.mark.parametrize("anchors", ["1", "5,1"])
+def test_one_anchor_grid_is_a_config_error(tmp_path, capsys, monkeypatch, command, anchors):
+    """A grid point with one anchor is refused before any trial is drawn."""
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench, "run_trial", no_trial)
+    argv = command + ["--anchors", anchors, "--out", str(tmp_path / "run")] + FAST
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "counts >= 2" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

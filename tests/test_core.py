@@ -6,77 +6,36 @@ from hypothesis import strategies as st
 from ordinal_unloc.core import (
     ComparisonTensor,
     DistanceMatrix,
-    GroundTruthUnavailable,
     IllPosedWarning,
     InputError,
-    ProximityMatrix,
     SensorField,
-    pairwise_distances,
     parse_sensor_field,
+    point_distances,
     read_sensor_field,
 )
 
 
 def test_pairwise_345_triangle():
-    field = SensorField(2, [(0, 0), (3, 4)])
-    d = pairwise_distances(field)
-    assert d.values[0, 1] == 5.0
-    assert d.values[1, 0] == 5.0
+    d = point_distances([(0, 0), (3, 4)])
+    assert d[0, 1] == 5.0
+    assert d[1, 0] == 5.0
 
 
 def test_pairwise_single_sensor_is_zero():
-    d = pairwise_distances(SensorField(2, [(1.0, 2.0)]))
-    assert d.values.shape == (1, 1)
-    assert d.values[0, 0] == 0.0
+    d = point_distances([(1.0, 2.0)])
+    assert d.shape == (1, 1)
+    assert d[0, 0] == 0.0
 
 
 def test_pairwise_with_target_row():
     field = SensorField(2, [(0, 0), (1, 0)], targets=[(0, 1)])
-    d = pairwise_distances(field)
-    np.testing.assert_allclose(d.values[2], [1.0, np.sqrt(2.0), 0.0])
-    assert d.n_anchors == 2
-
-
-def test_pairwise_requires_ground_truth():
-    field = SensorField(2, [(0, 0), (1, 0)], declared_targets=1)
-    with pytest.raises(GroundTruthUnavailable):
-        pairwise_distances(field)
+    d = point_distances(np.vstack([field.anchors, field.targets]))
+    np.testing.assert_allclose(d[2], [1.0, np.sqrt(2.0), 0.0])
 
 
 def test_few_anchors_warns_not_rejects():
     with pytest.warns(IllPosedWarning):
         SensorField(2, [(0, 0), (1, 0)])
-
-
-def test_block_views():
-    field = SensorField(2, [(0, 0), (1, 0)], targets=[(0, 1)])
-    d = pairwise_distances(field)
-    assert d.block("Y").shape == (2, 2)
-    np.testing.assert_array_equal(d.block("XY"), d.block("YX").T)
-    with pytest.raises(InputError):
-        d.block("Q")
-
-
-def test_block_view_no_targets_degenerate():
-    d = pairwise_distances(SensorField(2, [(0, 0), (3, 4)]))
-    assert d.block("YX").shape == (2, 0)
-    assert d.block("X").shape == (0, 0)
-
-
-def test_block_roundtrip_reassembles():
-    rng = np.random.default_rng(0)
-    field = SensorField(2, rng.uniform(0, 1, (4, 2)), targets=rng.uniform(0, 1, (3, 2)))
-    d = pairwise_distances(field)
-    top = np.hstack([d.block("Y"), d.block("YX")])
-    bottom = np.hstack([d.block("XY"), d.block("X")])
-    np.testing.assert_array_equal(np.vstack([top, bottom]), d.values)
-
-
-def test_proximity_xy_block_is_actual_submatrix():
-    values = np.arange(9.0).reshape(3, 3)
-    values = values - values.mean(axis=0)
-    psi = ProximityMatrix(values, 2)
-    np.testing.assert_array_equal(psi.block("XY"), values[2:, :2])
 
 
 @settings(max_examples=50, deadline=None)
@@ -87,12 +46,7 @@ def test_proximity_xy_block_is_actual_submatrix():
 )
 def test_triangle_inequality(m, n, seed):
     rng = np.random.default_rng(seed)
-    field = SensorField(
-        2,
-        rng.uniform(0, 1, (m, 2)),
-        targets=rng.uniform(0, 1, (n, 2)) if n else None,
-    )
-    d = pairwise_distances(field).values
+    d = point_distances(rng.uniform(0, 1, (m + n, 2)))
     order = d.shape[0]
     for i in range(order):
         for j in range(order):
@@ -101,8 +55,19 @@ def test_triangle_inequality(m, n, seed):
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"anchor coordinates must have length 3"):
         SensorField(3, [(0, 0), (1, 1)])
+    with pytest.raises(InputError, match=r"target coordinates must have length 2"):
+        SensorField(2, [(0, 0), (1, 1)], targets=[(0, 0, 1)])
+
+
+def test_public_names_resolve():
+    import ordinal_unloc
+
+    namespace = {}
+    exec("from ordinal_unloc import *", namespace)
+    for name in ordinal_unloc.__all__:
+        assert namespace[name] is getattr(ordinal_unloc, name)
 
 
 def test_parse_sensor_field_csv():
@@ -160,7 +125,7 @@ def test_sensor_field_rejects_non_finite_coordinates(bad):
 
 
 def test_matrices_are_immutable():
-    d = pairwise_distances(SensorField(2, [(0, 0), (3, 4), (1, 1)]))
+    d = DistanceMatrix(point_distances([(0, 0), (3, 4), (1, 1)]), 3)
     with pytest.raises(ValueError):
         d.values[0, 1] = 7.0
 

@@ -83,13 +83,12 @@ def _pipeline_inputs(rng, m=6, n=2, sigma=0.0):
     anchors, targets, d = random_field_distances(rng, m, n)
     tensor = tensor_from_distances(d, ComparisonNoiseModel(sigma), rng)
     psi = aggregate_proximities(tensor)
-    return d, psi
+    return d.values[:m, :m], psi
 
 
 def test_stages_and_shapes():
     rng = np.random.default_rng(4)
-    d, psi = _pipeline_inputs(rng)
-    d_y = d.block("Y")
+    d_y, psi = _pipeline_inputs(rng)
     prelim, failed = _preliminary(psi.values[None], d_y[None], 6)
     assert prelim.shape == (1, 6, 2) and failed.shape == (1, 6)
     final = _recalibrate(psi.values[None], prelim, 6)
@@ -100,9 +99,9 @@ def test_stages_and_shapes():
 
 def test_recalibrated_columns_affine_in_target_scores():
     rng = np.random.default_rng(9)
-    d, psi = _pipeline_inputs(rng, sigma=0.3)
-    final = estimate_distances(psi, d.block("Y"))
-    psi_yx = psi.block("YX")
+    d_y, psi = _pipeline_inputs(rng, sigma=0.3)
+    final = estimate_distances(psi, d_y)
+    psi_yx = psi.values[:6, 6:]
     for j in range(final.n_targets):
         coeffs = np.polyfit(psi_yx[:, j], final.values[:, j], 1)
         fitted = np.polyval(coeffs, psi_yx[:, j])
@@ -122,10 +121,10 @@ def test_noiseless_estimates_preserve_distance_order(m, n, seed):
     anchors, targets, d = random_field_distances(rng, m, n)
     tensor = tensor_from_distances(d, ComparisonNoiseModel(0.0))
     psi = aggregate_proximities(tensor)
-    final = estimate_distances(psi, d.block("Y"))
-    true_yx = d.block("YX")
+    final = estimate_distances(psi, d.values[:m, :m])
+    true_yx = d.values[:m, m:]
     for j in range(n):
-        if np.unique(psi.block("YX")[:, j]).size < m:
+        if np.unique(psi.values[:m, m + j]).size < m:
             continue  # ties in scores carry no order information
         np.testing.assert_array_equal(
             np.argsort(final.values[:, j]), np.argsort(true_yx[:, j])
@@ -134,13 +133,13 @@ def test_noiseless_estimates_preserve_distance_order(m, n, seed):
 
 def test_degenerate_anchor_column_clamps_without_flagging():
     rng = np.random.default_rng(6)
-    d, psi = _pipeline_inputs(rng, m=5, n=1)
+    d_y, psi = _pipeline_inputs(rng, m=5, n=1)
     # force one degenerate anchor column: constant proximities
     values = psi.values.copy()
     values[:, 2] = 0.0
     broken = ProximityMatrix(values, psi.n_anchors)
     with pytest.warns(DegenerateFitWarning):
-        prelim, failed = _preliminary(broken.values[None], d.block("Y")[None], 5)
+        prelim, failed = _preliminary(broken.values[None], d_y[None], 5)
     # anchor 2's proximity column is constant but its distance column is
     # not, so the fit clamps; the anchor is not flagged, only hard failures are
     assert prelim.shape == (1, 5, 1) and not failed.any()
@@ -148,11 +147,11 @@ def test_degenerate_anchor_column_clamps_without_flagging():
 
 def test_shape_mismatches_rejected():
     rng = np.random.default_rng(7)
-    d, psi = _pipeline_inputs(rng, m=5, n=1)
+    d_y, psi = _pipeline_inputs(rng, m=5, n=1)
     with pytest.raises(InputError, match="must be 5x5"):
         estimate_distances(psi, np.zeros((4, 4)))
     with pytest.raises(InputError, match="square proximity matrices"):
-        estimate_distances_stack(np.zeros((1, 4, 4)), d.block("Y"), 5)
+        estimate_distances_stack(np.zeros((1, 4, 4)), d_y, 5)
 
 
 # -- column-wise fits against the per-column reference loops ---------------
@@ -177,9 +176,9 @@ def _assert_same_estimates(got, expected):
 def test_columnwise_fits_match_reference(case):
     rng = np.random.default_rng(len(case))
     for m, n, sigma in [(5, 1, 0.0), (10, 3, 0.1), (20, 1, 0.5), (21, 2, 3.0), (2, 1, 0.0)]:
-        d, psi = _pipeline_inputs(rng, m=m, n=n, sigma=sigma)
+        d_y, psi = _pipeline_inputs(rng, m=m, n=n, sigma=sigma)
         values = psi.values.copy()
-        d_y = d.block("Y").copy()
+        d_y = d_y.copy()
         if case == "constant":
             values[:, rng.integers(m)] = 0.25  # constant proximity column
         elif case == "negative":
@@ -206,12 +205,12 @@ def test_columnwise_fits_match_reference(case):
 
 def test_degenerate_warning_counts_per_column():
     rng = np.random.default_rng(31)
-    d, psi = _pipeline_inputs(rng, m=6, n=1)
+    d_y, psi = _pipeline_inputs(rng, m=6, n=1)
     values = psi.values.copy()
     values[:, [1, 4]] = 0.0
     broken = ProximityMatrix(values, psi.n_anchors)
-    _, warned = _with_degenerate_warnings(_preliminary, values[None], d.block("Y")[None], 6)
-    _, expected = _with_degenerate_warnings(reference_preliminary, broken, d.block("Y"))
+    _, warned = _with_degenerate_warnings(_preliminary, values[None], d_y[None], 6)
+    _, expected = _with_degenerate_warnings(reference_preliminary, broken, d_y)
     assert warned == expected == 2
 
 
@@ -247,8 +246,8 @@ def test_batch_matches_each_matrix_alone(m, n):
     rng = np.random.default_rng(40 + m)
     psis, d_ys = [], []
     for case in ("plain", "nan-anchor", "constant", "plain", "negative"):
-        d, psi = _pipeline_inputs(rng, m=m, n=n, sigma=0.3)
-        values, d_y = psi.values.copy(), d.block("Y").copy()
+        d_y, psi = _pipeline_inputs(rng, m=m, n=n, sigma=0.3)
+        values, d_y = psi.values.copy(), d_y.copy()
         if case == "nan-anchor" and m > 2:
             d_y[:, 1] = np.nan
         elif case == "constant":
@@ -272,22 +271,22 @@ def test_batch_matches_each_matrix_alone(m, n):
 
 def test_batch_shares_one_anchor_block():
     rng = np.random.default_rng(45)
-    d, psi = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
+    d_y, psi = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
     _, other = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
     stack = np.stack([psi.values, other.values])
-    got = estimate_distances_stack(stack, d.block("Y"), 6)
+    got = estimate_distances_stack(stack, d_y, 6)
     for k, p in enumerate((psi, other)):
-        _assert_stack_entry(got, k, estimate_distances(p, d.block("Y")))
+        _assert_stack_entry(got, k, estimate_distances(p, d_y))
 
 
 def test_batch_shape_checks():
     rng = np.random.default_rng(46)
-    d, psi = _pipeline_inputs(rng, m=5, n=1)
+    d_y, psi = _pipeline_inputs(rng, m=5, n=1)
     stack = psi.values[None]
     estimates, failed = estimate_distances_stack(np.empty((0, 6, 6)), np.empty((0, 5, 5)), 5)
     assert estimates.shape == (0, 5, 1) and failed.shape == (0, 5)
     with pytest.raises(InputError):
-        estimate_distances_stack(psi.values, d.block("Y"), 5)
+        estimate_distances_stack(psi.values, d_y, 5)
     with pytest.raises(InputError):
         estimate_distances_stack(stack, np.zeros((2, 5, 5)), 5)
     with pytest.raises(InputError):
@@ -301,6 +300,6 @@ def test_batch_shape_checks():
     values = psi.values.copy()
     values[5, 2] = np.inf
     with pytest.raises(InputError, match="must be finite"):
-        estimate_distances(ProximityMatrix(values, 5), d.block("Y"))
+        estimate_distances(ProximityMatrix(values, 5), d_y)
     with pytest.raises(InputError, match="must be finite"):
-        estimate_distances_stack(np.stack([psi.values, values]), d.block("Y"), 5)
+        estimate_distances_stack(np.stack([psi.values, values]), d_y, 5)

@@ -1,3 +1,7 @@
+"""The simulated link signals of the Monte-Carlo trials: the received
+powers of the rss kind and the arrival times of the toa kind, as
+``bench._rss_draw`` and ``bench._toa_draw`` generate them."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,21 +9,25 @@ from hypothesis import strategies as st
 
 from ordinal_unloc import bench
 from ordinal_unloc.bench import ExperimentConfig
-from ordinal_unloc.core import InputError
-from ordinal_unloc.signals import RssModel, rss_power
+from ordinal_unloc.core import ConfigError, point_distances
 
 
 def _rss_draw(seed, m=6, n=4, **kw):
     """One grid point of the trial's rss kind: its ``bench._GroupDraw``,
     whose direct estimates are the fixed-exponent and genie inversions."""
     config = ExperimentConfig(kind="rss", anchor_counts=(m,), n_targets=n, **kw)
-    model = RssModel(
-        transmit_power=config.transmit_power,
-        hardware_gain=config.hardware_gain,
-        exponent_low=config.exponent_low,
-        exponent_high=config.exponent_high,
-    )
-    return bench._rss_draw(config, m, None, [np.random.default_rng(seed)], model)
+    return bench._rss_draw(config, m, None, [np.random.default_rng(seed)])
+
+
+def _powers(draw):
+    ((signals,),) = draw.comparisons
+    return signals.values
+
+
+def _fixed_layout(monkeypatch, points):
+    """Make every draw's layout ``points`` (anchors first)."""
+    points = np.asarray(points, dtype=float)[None]
+    monkeypatch.setattr(bench, "_layouts", lambda *_: (points, point_distances(points)))
 
 
 def _toa_draw(seed, variance, m=6, n=4, **kw):
@@ -32,34 +40,45 @@ def _toa_draw(seed, variance, m=6, n=4, **kw):
     return draw, signals.values
 
 
-def test_rss_power_worked_example():
+def test_rss_power_worked_example(monkeypatch):
     # P_T = 2, alpha = 3, d = 2, G = 3: P_R = 6 / 8
-    model = RssModel(transmit_power=2.0, hardware_gain=3.0)
-    assert rss_power(model, 2.0, 3.0) == pytest.approx(0.75)
+    _fixed_layout(monkeypatch, [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)])
+    draw = _rss_draw(
+        0, m=2, n=1, transmit_power=2.0, hardware_gain=3.0, exponent_low=3.0, exponent_high=3.0
+    )
+    assert _powers(draw)[0, 1] == pytest.approx(0.75)
+    assert _powers(draw)[0, 2] == pytest.approx(0.75)
 
 
-def test_rss_power_unit_distance_is_gain():
-    model = RssModel(transmit_power=5.0, hardware_gain=0.5)
+def test_rss_power_unit_distance_is_gain(monkeypatch):
+    _fixed_layout(monkeypatch, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     for g in (2.0, 4.0, 6.0):
-        assert rss_power(model, 1.0, g) == pytest.approx(2.5)
+        draw = _rss_draw(
+            0, m=2, n=1, transmit_power=5.0, hardware_gain=0.5, exponent_low=g, exponent_high=g
+        )
+        assert _powers(draw)[0, 1] == pytest.approx(2.5)
 
 
-def test_rss_power_rejects_nonpositive_distance():
-    with pytest.raises(InputError):
-        rss_power(RssModel(), 0.0, 4.0)
-    with pytest.raises(InputError):
-        rss_power(RssModel(), [1.0, -0.1], 4.0)
+def test_rss_power_floors_coincident_sensors(monkeypatch):
+    # a target placed on an anchor receives the power of a link of length
+    # MIN_LINK_DISTANCE, not an infinite one
+    _fixed_layout(monkeypatch, [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
+    draw = _rss_draw(0, m=2, n=1, exponent_low=2.0, exponent_high=2.0)
+    assert _powers(draw)[0, 2] == pytest.approx(bench.MIN_LINK_DISTANCE**-2.0)
 
 
 def test_rss_model_validation():
-    with pytest.raises(InputError):
-        RssModel(transmit_power=0.0)
-    with pytest.raises(InputError):
-        RssModel(hardware_gain=-1.0)
-    with pytest.raises(InputError):
-        RssModel(exponent_low=1.0)
-    with pytest.raises(InputError):
-        RssModel(exponent_low=5.0, exponent_high=3.0)
+    # the rss kind's signal model parameters are checked where they are
+    # configured: a nonpositive power or gain, or an exponent range that
+    # leaves [2, 6] or is reversed, is refused
+    for bad in (
+        dict(transmit_power=0.0),
+        dict(hardware_gain=-1.0),
+        dict(exponent_low=1.0),
+        dict(exponent_low=5.0, exponent_high=3.0),
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind="rss", **bad)
 
 
 def test_toa_noiseless_is_exact_travel_time():
@@ -85,10 +104,9 @@ def test_toa_can_be_negative_near_zero_distance():
 def test_exponent_draws_within_bounds():
     # on links far longer than 1 the exponent is log(P_T alpha / P_R) / log(d)
     draw = _rss_draw(3, m=20, n=20, field_side=1000.0, transmit_power=2.0)
-    ((signals,),) = draw.comparisons
     d = draw.d_full[0]
     long = d > 10.0
-    g = np.log(2.0 / signals.values[long]) / np.log(d[long])
+    g = np.log(2.0 / _powers(draw)[long]) / np.log(d[long])
     assert long.sum() > 700
     assert g.min() >= 2.0 - 1e-9 and g.max() <= 6.0 + 1e-9
     assert g.mean() == pytest.approx(4.0, abs=0.15)
@@ -116,7 +134,8 @@ def test_fixed_exponent_rss_bias_direction():
 
 
 def test_rss_power_monotone_decreasing_in_distance():
-    model = RssModel()
-    d = np.linspace(1.0, 50.0, 200)
-    p = rss_power(model, d, 3.7)
-    assert np.all(np.diff(p) < 0)
+    # one exponent on every link: a longer link always receives less power
+    draw = _rss_draw(5, m=20, n=20, field_side=50.0, exponent_low=3.7, exponent_high=3.7)
+    iu, ju = np.triu_indices(40, k=1)
+    order = np.argsort(draw.d_full[0][iu, ju])
+    assert np.all(np.diff(_powers(draw)[iu, ju][order]) < 0)

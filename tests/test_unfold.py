@@ -80,9 +80,9 @@ def test_winner_dominates_restarts():
     anchors = rng.uniform(0, 1, (5, 2))
     delta = rng.uniform(0, 1.5, 5)  # generally infeasible, nonzero residual
     result = unloc_localize(anchors, delta, SolverOptions(restarts=10))
-    assert result.cost == result.restart_costs.min()
-    assert result.winning_restart == int(np.argmin(result.restart_costs))
-    assert result.converged
+    # one exact solve stands for every restart: the winner is the first
+    assert result.winning_restart == 0 and result.converged
+    assert result.cost == pytest.approx(unfolding_cost(result.position, anchors, delta))
 
 
 def test_restarts_and_seed_do_not_change_results():
@@ -93,7 +93,6 @@ def test_restarts_and_seed_do_not_change_results():
     for opts in (SolverOptions(seed=8), SolverOptions(restarts=1)):
         b = unloc_localize(anchors, delta, opts)
         _assert_identical(b, a)
-        assert b.restart_costs.tobytes() == a.restart_costs.tobytes()
         assert b.well_posed == a.well_posed
 
 
@@ -270,7 +269,7 @@ def test_degenerate_geometry_matches_oracles(case):
     _assert_exact(problem, result)
     m, q = anchors.shape
     assert result.well_posed == (m >= q + 1)
-    assert result.winning_restart == 0 and result.restart_costs.tolist() == [result.cost]
+    assert result.winning_restart == 0
 
 
 @pytest.mark.parametrize("target", [(0.3, 0.8), (0.7, -0.4), (1.5, 0.2)])
