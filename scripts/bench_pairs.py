@@ -18,7 +18,8 @@ metrics of the first seed.
 Writes ``BENCH_<label>.json`` at the repository root: every run's record
 and result, and per seed and metric the parent's and the change's first
 quartile, median and third quartile, with the number of pairs in which
-the change read higher.
+the change read higher and the number in which it read lower; a tied
+pair counts in neither.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def _quartiles(values):
 
 def summarize(runs):
     """Per seed (``seed_<s>``) and end-to-end metric: both sides' [q1,
-    median, q3], and in how many complete pairs the change read higher.
-    ``output_sha256`` lists the distinct hashes each side printed."""
+    median, q3], and in how many complete pairs the change read higher
+    and in how many lower (ties count in neither).  ``output_sha256``
+    lists the distinct hashes each side printed."""
     summary = {}
     for seed in sorted({r["seed"] for r in runs}):
         of_seed = [r for r in runs if r["seed"] == seed]
@@ -87,15 +89,16 @@ def summarize(runs):
                        if r["side"] == side and name in r["result"].get("metrics", {})]
                 for side in SIDES
             }
-            higher = sum(
+            differences = [
                 p["change"]["result"]["metrics"][name]["value"]
-                > p["parent"]["result"]["metrics"][name]["value"]
+                - p["parent"]["result"]["metrics"][name]["value"]
                 for p in complete
-            )
+            ]
             entry[name] = {
                 "parent_q1_median_q3": _quartiles(values["parent"]),
                 "change_q1_median_q3": _quartiles(values["change"]),
-                "pairs_change_higher": higher,
+                "pairs_change_higher": sum(d > 0 for d in differences),
+                "pairs_change_lower": sum(d < 0 for d in differences),
                 "pairs": len(complete),
             }
         entry["output_sha256"] = {

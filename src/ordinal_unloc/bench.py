@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigError, InputError, point_distances
+from .core import ConfigError, InputError, OrdinalUnlocError, point_distances
 from .funclearn import estimate_distances_stack
 from .ordinal import (
     SignalMatrix,
@@ -226,13 +226,18 @@ def _rss_draw(config, m, _, rngs):
     power = gain * np.maximum(d_full, MIN_LINK_DISTANCE) ** (-exponents)
     # (i) the ordinal pipeline on raw powers; (ii) fixed calibration
     # exponent and (iii) genie-aided per-link exponent inversions
-    # d = (P_T alpha / P_R)^(1/G).  Underflowed power makes a non-finite
-    # estimate, on which run_trial raises
+    # d = (P_T alpha / P_R)^(1/G).  They are finite unless the power
+    # underflowed (to 0, or below P_T alpha / DBL_MAX)
     block = exponents[:, :m, m:]
-    direct = tuple(
-        (gain / power[:, :m, m:]) ** (1.0 / exps)
-        for exps in (np.full(block.shape, config.calibration_exponent), block)
-    )
+    with np.errstate(divide="ignore", over="ignore"):
+        direct = tuple(
+            (gain / power[:, :m, m:]) ** (1.0 / exps)
+            for exps in (np.full(block.shape, config.calibration_exponent), block)
+        )
+    if not all(np.isfinite(d).all() for d in direct):
+        raise OrdinalUnlocError(
+            "received power underflowed, so the direct distance inversions are not finite"
+        )
     signals = [SignalMatrix(p, increasing_with_distance=False, n_anchors=m) for p in power]
     return _GroupDraw(points, d_full, (signals,), direct)
 

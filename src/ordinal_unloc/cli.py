@@ -44,6 +44,8 @@ from .rank import proximity_scores
 from .unfold import SolverOptions, solve_columns
 
 DEFAULT_TOA_NOISE_GRID = tuple(float(v) for v in np.logspace(-2, 2, 7))
+# benchmark options that the other kind's experiment has no use for
+_UNUSED_BY_KIND = {"rss": ("noise", "propagation_speed"), "toa": ("g_range", "calibration_g")}
 _REPORTED_PARSE_ERRORS = 5  # malformed rows named on stderr and in the manifest
 
 _EPILOG = (
@@ -139,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--noise", type=_float_list, default=None, help="c*sigma_T^2 grid (toa)")
     ben.add_argument("--targets", type=_positive_int, default=1)
     ben.add_argument("--field-side", type=float, default=None, help="default 10 (rss), 200 (toa)")
-    ben.add_argument("--g-range", type=_float_list, default=None)
-    ben.add_argument("--calibration-g", type=float, default=None)
-    ben.add_argument("--propagation-speed", type=float, default=None)
+    ben.add_argument("--g-range", type=_float_list, default=None, help="exponent range (rss)")
+    ben.add_argument("--calibration-g", type=float, default=None, help="fixed exponent (rss)")
+    ben.add_argument("--propagation-speed", type=float, default=None, help="c (toa)")
     ben.add_argument("--trials", type=_positive_int, default=2000)
     ben.set_defaults(func=cmd_benchmark)
 
@@ -255,6 +257,10 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.kind not in ("rss", "toa"):
         raise ConfigError(f"benchmark kind must be 'rss' or 'toa', got {args.kind!r}")
+    for dest in _UNUSED_BY_KIND[args.kind]:
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} does not apply to benchmark kind {args.kind!r}")
     settings = {}
     if args.g_range is not None:
         if len(args.g_range) != 2:

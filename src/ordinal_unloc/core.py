@@ -127,29 +127,28 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class ComparisonTensor:
-    """N slices of N x N ordinal comparisons, entries in {-1, 0, +1}.
+    """N slices of N x N ordinal comparisons, held as each slice's row sums.
 
-    ``values[k, i, j]`` compares the distances of sensors i and j to the
-    reference sensor k (+1 means i is farther from k than j).
+    The comparison of sensors i and j at reference sensor k is +1 when i
+    is farther from k than j, -1 when it is closer and 0 for a tie or a
+    missing link; ``row_sums[k, i]`` sums it over j.  Rank aggregation
+    needs nothing else, so the N^3 comparisons are never stored.
     """
 
-    values: np.ndarray
+    row_sums: np.ndarray
     n_anchors: int
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 3 or len(set(v.shape)) != 1:
-            raise InputError(f"comparison tensor must be N x N x N, got shape {v.shape}")
-        # a read-only int8 array that owns its data (as the tensor builders
-        # hand over) is kept without a copy; anything a caller could still
-        # write to is copied
-        if v.dtype != np.int8 or v.flags.writeable or v.base is not None:
-            v = _frozen(v, dtype=np.int8)
-        object.__setattr__(self, "values", v)
+        v = np.asarray(self.row_sums)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise InputError(f"comparison row sums must be N x N, got shape {v.shape}")
+        if not np.issubdtype(v.dtype, np.integer):
+            raise InputError(f"comparison row sums must be integers, got {v.dtype}")
+        object.__setattr__(self, "row_sums", _frozen(v, dtype=np.int64))
 
     @property
     def order(self) -> int:
-        return self.values.shape[0]
+        return self.row_sums.shape[0]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Ordinal comparisons of true distances or measured signal proxies.
 
-The comparisons come either as the full N x N x N tensor
-(``tensor_from_*``) or, for rank aggregation, as the row sums of its
-slices only (``*_row_sums``), which never builds the tensor.  Both forms
-of one input kind take the same noise draws in the same order, from one
+Rank aggregation needs only the row sums of each reference slice of the
+N x N x N comparison tensor, so that is all this module computes: the
+``*_row_sums`` functions for a stack of matrices of one order, and
+``tensor_from_*`` for one matrix, wrapped in a ``ComparisonTensor``.  No
+N^3 array is built.  The distance route takes its noise draws from one
 generator of pair differences (``_noisy_differences``) that computes
 every block of slices in a workspace allocated once per call.  When a
 call spans more than one block, has noise and may use more than one
@@ -11,9 +12,7 @@ CPU, one helper thread draws the next block's noise while the caller
 works on the current one; it is the only code drawing from the
 generators during the call and draws in the same order, so the values
 and the bytes are those of drawing inline, and it is joined before the
-call returns.  The tensor route writes each slice's pair signs through
-an upper-triangle mask and mirrors them, so the lower triangle holds
-their negations.
+call returns.
 """
 
 from __future__ import annotations
@@ -87,19 +86,18 @@ class SignalMatrix:
         return self.values.shape[0]
 
 
-# Tensor entries filled per block of reference slices.  Temporaries scale
-# with the block, not with N^3; up to N = 64 the tensor is one block.  The
-# distance routes hold two float64 buffers of one block's pairs (under
+# Comparison entries per block of reference slices.  Temporaries scale
+# with the block, not with N^3; up to N = 64 one matrix is one block.  The
+# distance route holds two float64 buffers of one block's pairs (under
 # 2 MB together), and two more for noise drawn ahead when the call spans
 # several blocks, allocated once per call and reused for every block; from
 # N = 363 on a block is a single slice.
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def _slice_blocks(n, order=None):
-    """Consecutive ranges of n reference slices of the given order (default
-    n), about _BLOCK_ELEMENTS comparison entries each."""
-    order = n if order is None else order
+def _slice_blocks(n, order):
+    """Consecutive ranges of n reference slices of the given order, about
+    _BLOCK_ELEMENTS comparison entries each."""
     step = max(1, _BLOCK_ELEMENTS // max(order * order, 1))
     return [slice(k, min(k + step, n)) for k in range(0, n, step)]
 
@@ -111,20 +109,6 @@ def pair_indices(n):
     i, j = np.triu_indices(n, k=1)
     i.flags.writeable = j.flags.writeable = False
     return i, j
-
-
-@functools.lru_cache(maxsize=32)
-def _upper_mask(n):
-    """Read-only (n, n) mask of the entries above the diagonal, whose True
-    entries run in the order of ``pair_indices(n)``; built once per order."""
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.flags.writeable = False
-    return mask
-
-
-def _sign_int8(a, b):
-    """sgn(a - b) as int8, broadcasting a against b."""
-    return (a > b).view(np.int8) - (a < b).view(np.int8)
 
 
 def _stack_orders(items, what):
@@ -157,7 +141,7 @@ def _noisy_differences(distances, sigmas, rngs):
     gathers block b and works on it.  numpy releases the interpreter lock
     while it fills a buffer, so the draws overlap the caller's arithmetic;
     on one CPU they cannot, and the hand-offs cost about a tenth of a
-    400-sensor tensor.  The helper is the only code that touches ``rngs``
+    400-sensor call.  The helper is the only code that touches ``rngs``
     during the call and takes the blocks and matrices in order, so it
     draws the same values as an inline draw, and each value is scaled and
     added with the same operations; the bytes cannot change.  The helper
@@ -226,29 +210,17 @@ def tensor_from_distances(
     noise: ComparisonNoiseModel,
     rng: np.random.Generator | None = None,
 ) -> ComparisonTensor:
-    """Ordinal comparisons of true distances under threshold noise.
+    """Ordinal comparisons of true distances under threshold noise, as the
+    row sums of ``distance_row_sums`` for one matrix.
 
     For every reference sensor k and unordered pair {i, j}, one noise value
-    is drawn and negated for the mirrored entry, so each slice is exactly
-    skew-symmetric.  Without ``rng`` the draws come from a fresh
-    ``default_rng()``.
+    is drawn and negated for the mirrored comparison, so each slice is
+    exactly skew-symmetric and its row sums sum to 0.  Without ``rng`` the
+    draws come from a fresh ``default_rng()``.
     """
-    n = D.order
-    upper = _upper_mask(n)
-    z = np.zeros((n, n, n), dtype=np.int8)
     rng = np.random.default_rng() if rng is None else rng
-    with closing(_noisy_differences(D.values[None], [noise.sigma], [rng])) as blocks:
-        for ks, diff, _ in blocks:
-            sign = _sign_int8(diff, 0.0)
-            for zk, sk in zip(z[ks], sign):
-                # the mask's True entries run in pair order; the lower
-                # triangle is still 0, so zk - zk.T mirrors the signs with
-                # opposite sign.  IEEE negation is exact, so
-                # sgn(-a - x) == -sgn(a + x)
-                zk[upper] = sk
-                np.subtract(zk, zk.T, out=zk)
-    z.flags.writeable = False  # handed over without a copy
-    return ComparisonTensor(z, D.n_anchors)
+    (row_sums,) = distance_row_sums(D.values[None], [noise.sigma], [rng])
+    return ComparisonTensor(row_sums, D.n_anchors)
 
 
 def distance_row_sums(
@@ -256,15 +228,16 @@ def distance_row_sums(
     sigmas: Sequence[float],
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Row sums of ``tensor_from_distances``'s slices for a (G, N, N) stack
-    of distance matrices, without the tensors.
+    """Row sums of the comparison slices of a (G, N, N) stack of distance
+    matrices under threshold noise.
 
-    ``out[g, k, i]`` is the sum over j of the comparison of sensors i and
-    j at reference k of matrix g, whose noise of standard deviation
-    ``sigmas[g]`` is drawn from ``rngs[g]``.  The pair signs are those of
-    the tensor, from the same draws in the same order, and each is added
-    to row i and subtracted from row j by two ``bincount``s, so the sums
-    are exact integers.  The stack and the noise levels are checked as
+    ``out[g, k, i]`` is the sum over j of sgn(d_ik - d_jk + xi_kij), the
+    comparison of sensors i and j at reference k of matrix g, whose noise
+    of standard deviation ``sigmas[g]`` is drawn from ``rngs[g]``: one
+    value per slice and unordered pair (i < j), in slice and pair order,
+    with xi_kji = -xi_kij.  Each pair's sign is added to row i and
+    subtracted from row j by two ``bincount``s, so the sums are exact
+    integers.  The stack and the noise levels are checked as
     ``DistanceMatrix`` and ``ComparisonNoiseModel`` check one of each.
     """
     distances = np.asarray(distances, dtype=float)
@@ -340,38 +313,26 @@ def _warn_sparse_slices(present):
 
 
 def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
-    """Ordinal comparisons of measured proxies.
+    """Ordinal comparisons of measured proxies, as the row sums of
+    ``signal_row_sums`` for one matrix.
 
-    Entries are oriented so +1 always means "i is farther from k than j"
-    regardless of whether the proxy grows or shrinks with distance.
-    Comparisons touching a missing link yield 0.
+    Comparisons are oriented so +1 always means "i is farther from k than
+    j" regardless of whether the proxy grows or shrinks with distance.
+    Comparisons touching a missing link count as 0.
     """
-    present, ranks = _signal_ranks([S])
-    n = S.order
-    z = np.empty((n, n, n), dtype=np.int8)
-    for ks in _slice_blocks(n):
-        r, zb = ranks[ks], z[ks]
-        np.greater(r[:, :, None], r[:, None, :], out=zb.view(np.bool_))
-        zb -= np.less(r[:, :, None], r[:, None, :]).view(np.int8)
-        # zero the rows and columns of missing links (at least the
-        # diagonal), which costs far less than masking every entry
-        s, miss = np.nonzero(~present[ks])
-        zb[s, miss, :] = 0
-        zb[s, :, miss] = 0
-    _warn_sparse_slices(present)
-    z.flags.writeable = False  # handed over without a copy
-    return ComparisonTensor(z, S.n_anchors)
+    return ComparisonTensor(signal_row_sums([S])[0], S.n_anchors)
 
 
 def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
-    """Row sums of ``tensor_from_signals``'s slices for a stack of signal
-    matrices of one order, without the tensors.
+    """Row sums of the comparison slices of a stack of signal matrices of
+    one order.
 
     ``out[g, k, i]`` is, for a present link i-k of matrix g, the number of
     present values of slice k ranked below sensor i's minus the number
     ranked above it, and 0 for a missing link.  The counts come from a
     per-slice histogram of the present ranks, in O(N^2) per matrix.  Each
-    matrix warns as ``tensor_from_signals`` would.
+    matrix warns ``SliceCoverageWarning`` for every slice that misses more
+    than half of its comparisons.
     """
     present, ranks = _signal_ranks(signals)
     rows, n = present.shape

@@ -1,9 +1,8 @@
-"""End-to-end composition of a comparison tensor: proximities ->
-distances -> positions, for callers that hold an N x N x N
-``ComparisonTensor``.  Each stage is a thin adapter of the array stage
-that the Monte-Carlo trials and ``localize`` run without a tensor:
-``rank.proximity_scores``, ``funclearn.estimate_distances_stack`` and
-``unfold.solve_columns``."""
+"""End-to-end composition of a ``ComparisonTensor`` (the row sums of its
+N comparison slices): proximities -> distances -> positions.  Each stage
+is a thin adapter of the array stage that the Monte-Carlo trials and
+``localize`` run on stacked arrays: ``rank.proximity_scores``,
+``funclearn.estimate_distances_stack`` and ``unfold.solve_columns``."""
 
 from __future__ import annotations
 

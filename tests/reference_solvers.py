@@ -11,10 +11,13 @@ per column in a Python loop; the column-wise fits must match them byte for
 byte.  ``ls_rank`` and ``ls_rank_pinv`` solve one comparison slice,
 flattened along the edge list of the complete graph, through its
 incidence matrix; the row-sum scores of ``rank`` must match them.
+``dense_tensor_from_distances`` and ``dense_tensor_from_signals`` build
+the whole N x N x N int8 comparison tensor in single expressions; the
+row sums of ``ordinal`` must match the sums of its slices.
 ``reference_run_trial`` is the Monte-Carlo trial computed one grid point
-at a time through the N^3 comparison tensor, one unfolding problem per
-target column (``column_problems``); the stacked, tensor-free
-``bench.run_trial`` must match it byte for byte.
+at a time through that dense tensor, one unfolding problem per target
+column (``column_problems``); the stacked ``bench.run_trial`` must match
+it byte for byte.
 """
 
 from __future__ import annotations
@@ -41,13 +44,7 @@ from ordinal_unloc.funclearn import (
     UnderdeterminedFit,
 )
 from ordinal_unloc.funclearn import estimate_distances
-from ordinal_unloc.ordinal import (
-    ComparisonNoiseModel,
-    SignalMatrix,
-    tensor_from_distances,
-    tensor_from_signals,
-)
-from ordinal_unloc.rank import aggregate_proximities
+from ordinal_unloc.ordinal import ComparisonNoiseModel, SignalMatrix, SliceCoverageWarning
 from ordinal_unloc.unfold import LocalizationResult, SolverOptions, solve_unfolding_arrays
 
 
@@ -116,6 +113,49 @@ def ls_rank_pinv(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     psi = np.linalg.pinv(b.T @ b) @ (b.T @ z)
     return psi - psi.mean()
+
+
+# -- the dense N^3 comparison tensor ----------------------------------------
+
+
+def dense_tensor_from_distances(D, noise, rng):
+    """The int8 comparisons sgn(d_ik - d_jk + xi_kij) of every slice k, with
+    the whole float64 noise tensor drawn at once: one (N, N(N-1)/2) draw,
+    in slice and pair order, negated for the mirrored pairs."""
+    n = D.order
+    xi = np.zeros((n, n, n))
+    if noise.sigma > 0:
+        iu, ju = np.triu_indices(n, k=1)
+        draws = rng.standard_normal((n, iu.size)) * noise.sigma
+        xi[:, iu, ju] = draws
+        xi[:, ju, iu] = -draws
+    dk = D.values.T
+    return np.array(np.sign(dk[:, :, None] - dk[:, None, :] + xi), dtype=np.int8)
+
+
+def dense_tensor_from_signals(S):
+    """The int8 comparisons of oriented proxies in every slice, 0 where
+    either link is missing; warns for every slice that misses more than
+    half of the comparisons between the other sensors."""
+    p = S.values if S.increasing_with_distance else -S.values
+    pk = p.T
+    missk = S.missing.T
+    z = np.sign(pk[:, :, None] - pk[:, None, :])
+    unusable = missk[:, :, None] | missk[:, None, :]
+    z[unusable] = 0
+    n = S.order
+    if n > 2:
+        # pairs (i, j) with i != j, neither of them the reference k
+        eye = np.eye(n, dtype=bool)
+        counted = ~(eye[None] | eye[:, :, None] | eye[:, None, :])
+        missing_frac = (unusable & counted).sum(axis=(1, 2)) / ((n - 1) * (n - 2))
+        for k in np.nonzero(missing_frac > 0.5)[0]:
+            warnings.warn(
+                f"slice {k}: {missing_frac[k]:.0%} of comparisons missing; "
+                "localization quality degrades",
+                SliceCoverageWarning,
+            )
+    return np.array(z, dtype=np.int8)
 
 
 # -- the unfolding cost and multi-start and grid solvers -------------------
@@ -408,8 +448,11 @@ def reference_recalibrate(
 # -- the Monte-Carlo trial, one grid point at a time through the tensor ----
 
 
-def _estimate_from_tensor(tensor, anchors):
-    return estimate_distances(aggregate_proximities(tensor), point_distances(anchors))
+def _estimate_from_tensor(z, anchors):
+    """Distance estimates from a dense tensor: slice k's scores are its row
+    sums divided by N."""
+    psi = ProximityMatrix(z.sum(axis=2).T / len(z), len(anchors))
+    return estimate_distances(psi, point_distances(anchors))
 
 
 def _symmetric_draws(n, draw, rng):
@@ -478,8 +521,8 @@ def _ordinal_grid_point(config, m, sigma, rng):
     targets = rng.uniform(0, config.field_side, size=(config.n_targets, 2))
     rng.integers(2**63)
     d_full = point_distances(np.vstack([anchors, targets]))
-    tensor = tensor_from_distances(DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
-    d_hat = _estimate_from_tensor(tensor, anchors)
+    z = dense_tensor_from_distances(DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
+    d_hat = _estimate_from_tensor(z, anchors)
     return [(column_problems(anchors, d_hat), d_hat.values, targets, d_full[:m, m:])]
 
 
@@ -495,10 +538,15 @@ def _rss_grid_point(config, m, rng):
     )
     power = gain * np.maximum(d_full, 1e-6) ** (-exponents)
     sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
-    d_hat = _estimate_from_tensor(tensor_from_signals(sig), anchors)
+    d_hat = _estimate_from_tensor(dense_tensor_from_signals(sig), anchors)
     methods = [(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx)]
     for exps in (np.full((m, n), config.calibration_exponent), exponents[:m, m:]):
-        d_est = (gain / power[:m, m:]) ** (1.0 / exps)
+        with np.errstate(divide="ignore", over="ignore"):
+            d_est = (gain / power[:m, m:]) ** (1.0 / exps)
+        if not np.isfinite(d_est).all():
+            raise OrdinalUnlocError(
+                "received power underflowed, so the direct distance inversions are not finite"
+            )
         methods.append((_direct_problems(anchors, d_est), d_est, targets, d_true_yx))
     return methods
 
@@ -514,7 +562,7 @@ def _toa_grid_point(config, m, normalized_variance, rng):
     rng.integers(2**63, size=2)
     toa = d_full / c + _symmetric_draws(m + n, lambda r, k: r.normal(0.0, sigma_t, k), rng)
     sig = SignalMatrix(toa, increasing_with_distance=True, n_anchors=m)
-    d_hat = _estimate_from_tensor(tensor_from_signals(sig), anchors)
+    d_hat = _estimate_from_tensor(dense_tensor_from_signals(sig), anchors)
     d_est = c * toa[:m, m:]
     return [
         (column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx),

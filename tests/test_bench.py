@@ -18,7 +18,13 @@ from ordinal_unloc.bench import (
     run_benchmark,
     run_trial,
 )
-from ordinal_unloc.core import ComparisonTensor, ConfigError, DistanceMatrix, InputError
+from ordinal_unloc.core import (
+    ComparisonTensor,
+    ConfigError,
+    DistanceMatrix,
+    InputError,
+    OrdinalUnlocError,
+)
 from ordinal_unloc.funclearn import EstimatedDistanceMatrix
 from ordinal_unloc.ordinal import ComparisonNoiseModel
 from ordinal_unloc.unfold import (
@@ -334,7 +340,7 @@ def _recorded(run, *args):
         warnings.simplefilter("always")
         try:
             outcome = run(*args)
-        except InputError as exc:
+        except OrdinalUnlocError as exc:
             outcome = exc
     return outcome, Counter(w.category.__name__ for w in caught)
 
@@ -377,12 +383,15 @@ def test_fig3_trial_starts_no_thread(monkeypatch):
 
 def test_run_trial_rejects_nonfinite_direct_estimates_as_the_reference():
     """Powers that underflow to 0 give infinite fixed-calibration and genie
-    estimates; both trials raise InputError on them."""
+    estimates; both trials raise a numerical failure on them, not an input
+    error, and numpy warns nothing."""
     config = _small("rss", field_side=1e60, trials=1)
-    got, _ = _recorded(run_trial, config, 0)
+    got, got_warnings = _recorded(run_trial, config, 0)
     expected, _ = _recorded(reference_run_trial, config, 0)
-    assert isinstance(got, InputError) and isinstance(expected, InputError)
+    for error in (got, expected):
+        assert type(error) is OrdinalUnlocError and "received power underflowed" in str(error)
     assert str(got) == str(expected)
+    assert got_warnings["RuntimeWarning"] == 0
 
 
 def test_unsolved_ordinal_columns_score_as_the_reference(monkeypatch):

@@ -41,14 +41,30 @@ def test_summarize_quartiles_and_pairs_won():
     ops = summary["seed_1"]["ops_per_s"]
     assert ops["parent_q1_median_q3"] == [2.0, 3.0, 4.0]
     assert ops["change_q1_median_q3"] == [2.5, 3.5, 4.0]
-    assert (ops["pairs_change_higher"], ops["pairs"]) == (4, 5)
+    assert (ops["pairs_change_higher"], ops["pairs_change_lower"], ops["pairs"]) == (4, 1, 5)
     rmse = summary["seed_1"]["rmse"]
-    assert rmse["parent_q1_median_q3"] == [0.1] * 3 and rmse["pairs_change_higher"] == 0
+    # every pair ties, so the change reads neither higher nor lower
+    assert rmse["parent_q1_median_q3"] == [0.1] * 3
+    assert (rmse["pairs_change_higher"], rmse["pairs_change_lower"]) == (0, 0)
     assert summary["seed_1"]["output_sha256"] == {"parent": ["abc"], "change": ["abc"]}
     seed_7 = summary["seed_7"]["ops_per_s"]
-    assert (seed_7["pairs_change_higher"], seed_7["pairs"]) == (0, 1)
+    assert (seed_7["pairs_change_higher"], seed_7["pairs_change_lower"]) == (0, 1)
+    assert seed_7["pairs"] == 1
     assert seed_7["parent_q1_median_q3"] == [9.125, 9.25, 9.375]
     assert seed_7["change_q1_median_q3"] == [8.0, 8.0, 8.0]
+
+
+def test_summarize_counts_ties_in_neither_direction():
+    """Pairs that fall, tie and rise are told apart: a lower-is-better
+    metric that never rose may still never have fallen."""
+    parent = [148.0, 148.0, 148.0, 148.0]
+    change = [87.0, 148.0, 149.0, 87.0]
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        value = {"parent": p, "change": c}
+        runs += [_run(1, pair, side, value[side]) for side in bench_pairs.pair_order(pair)]
+    ops = bench_pairs.summarize(runs)["seed_1"]["ops_per_s"]
+    assert (ops["pairs_change_higher"], ops["pairs_change_lower"], ops["pairs"]) == (1, 2, 4)
 
 
 def test_parent_dir_without_parent_is_an_error_before_any_run(monkeypatch, tmp_path, capsys):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,54 @@ def test_benchmark_toa_default_grid(tmp_path):
     payload = json.loads((out / "results.json").read_text())
     assert set(payload["curves"]) == {"ordinal_unloc", "unloc"}
     assert payload["config"]["field_side"] == 200.0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("rss", "noise", "5,6"),
+        ("rss", "propagation-speed", "2"),
+        ("toa", "g-range", "2,4"),
+        ("toa", "calibration-g", "3"),
+    ],
+)
+def test_benchmark_flag_of_the_other_kind_is_a_config_error(
+    tmp_path, capsys, monkeypatch, source, kind, key, value
+):
+    """An option that the chosen kind's experiment cannot use is refused
+    before any trial runs, rather than dropped from the results."""
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench, "run_trial", no_trial)
+    out = tmp_path / "run"
+    argv = ["benchmark", "--kind", kind, "--anchors", "5", "--out", str(out)] + FAST
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key.replace('-', '_')}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"config error: --{key} does not apply to benchmark kind '{kind}'" in err
+    assert not out.exists()
+
+
+def test_benchmark_underflowed_power_is_a_numerical_failure(tmp_path, capsys):
+    """On a field so large that received power underflows, the direct
+    inversions are not finite: exit 3 with a message, and the inversions
+    warn nothing."""
+    out = tmp_path / "rss"
+    argv = ["benchmark", "--kind", "rss", "--field-side", "1e60", "--anchors", "5"]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", category=RuntimeWarning, module=r"ordinal_unloc\.bench")
+        assert _run(argv + ["--out", str(out)] + FAST) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: received power underflowed" in err
+    assert not (out / "results.csv").exists()
 
 
 def _synthetic_measurement_file(path, repeats=3, noise_db=0.0, seed=0):

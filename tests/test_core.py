@@ -139,20 +139,29 @@ def test_distance_matrix_rejects_non_finite(bad):
 
 
 def test_comparison_tensor_copies_caller_arrays():
-    a = np.zeros((3, 3, 3), dtype=np.int8)
+    a = np.zeros((3, 3), dtype=np.int64)
     tensor = ComparisonTensor(a, 2)
-    a[0, 1, 2] = 1
-    assert tensor.values[0, 1, 2] == 0
+    a[1, 2] = 1
+    assert tensor.row_sums[1, 2] == 0
     # a read-only view of a writeable array is copied too
     view = a.view()
     view.flags.writeable = False
     tensor = ComparisonTensor(view, 2)
-    a[0, 1, 2] = -1
-    assert tensor.values[0, 1, 2] == 1
-    assert not tensor.values.flags.writeable
+    a[1, 2] = -1
+    assert tensor.row_sums[1, 2] == 1
+    assert not tensor.row_sums.flags.writeable
 
 
-def test_comparison_tensor_keeps_read_only_int8_array():
-    a = np.zeros((3, 3, 3), dtype=np.int8)
-    a.flags.writeable = False
-    assert ComparisonTensor(a, 2).values is a
+def test_comparison_tensor_holds_integer_row_sums():
+    """The tensor keeps each slice's integer row sums as read-only int64; an
+    N^3 array of comparisons, a non-square array or float sums are
+    refused."""
+    tensor = ComparisonTensor(np.ones((3, 3), dtype=np.int8), 2)
+    assert tensor.row_sums.dtype == np.int64 and tensor.order == 3
+    assert not tensor.row_sums.flags.writeable
+    with pytest.raises(InputError, match="must be N x N"):
+        ComparisonTensor(np.zeros((3, 3, 3), dtype=np.int8), 2)
+    with pytest.raises(InputError, match="must be N x N"):
+        ComparisonTensor(np.zeros((3, 4), dtype=np.int64), 2)
+    with pytest.raises(InputError, match="must be integers"):
+        ComparisonTensor(np.zeros((3, 3)), 2)

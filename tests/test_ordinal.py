@@ -1,3 +1,4 @@
+import copy
 import threading
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field_distances
-from ordinal_unloc import ordinal
+from ordinal_unloc import ordinal, pipeline
 from ordinal_unloc.core import DistanceMatrix, InputError
 from ordinal_unloc.ordinal import (
     ComparisonNoiseModel,
@@ -21,6 +22,7 @@ from ordinal_unloc.ordinal import (
     tensor_from_signals,
 )
 from ordinal_unloc.rank import aggregate_proximities, proximity_scores
+from reference_solvers import dense_tensor_from_distances, dense_tensor_from_signals
 
 
 def test_negative_sigma_rejected():
@@ -42,35 +44,35 @@ def _line_distances():
 
 
 def test_tensor_noiseless_collinear():
-    z = tensor_from_distances(_line_distances(), ComparisonNoiseModel(0.0)).values
+    rows = tensor_from_distances(_line_distances(), ComparisonNoiseModel(0.0)).row_sums
+    # row i of slice k counts the sensors farther from k than i minus the
+    # sensors closer to k than i
     # slice 0 (reference at position 0): d = (0, 1, 3)
-    assert z[0, 1, 2] == -1  # sensor 1 closer to 0 than sensor 2
-    assert z[0, 0, 2] == -1
-    # slice 1 (reference at 1): d = (1, 0, 2); z^{(1)}_{23} = sgn(1 - 3)? no:
-    # sensors 1 and 2 (0-based) have distances 0 and 2 to reference 1
-    assert z[1, 1, 2] == -1
-    assert z[1, 0, 2] == -1  # d=1 vs d=2
-    assert z[1, 2, 0] == +1
+    np.testing.assert_array_equal(rows[0], [-2, 0, 2])
+    # slice 1 (reference at 1): d = (1, 0, 2)
+    np.testing.assert_array_equal(rows[1], [0, -2, 2])
+    # slice 2 (reference at 3): d = (3, 2, 0)
+    np.testing.assert_array_equal(rows[2], [2, 0, -2])
 
 
 def test_tensor_noiseless_matches_true_ordering():
     rng = np.random.default_rng(11)
     _, _, d = random_field_distances(rng, 6, 2)
-    z = tensor_from_distances(d, ComparisonNoiseModel(0.0)).values
+    rows = tensor_from_distances(d, ComparisonNoiseModel(0.0)).row_sums
     n = d.order
     for k in range(n):
         expected = np.sign(d.values[:, k][:, None] - d.values[:, k][None, :])
-        np.testing.assert_array_equal(z[k], expected)
+        np.testing.assert_array_equal(rows[k], expected.sum(axis=1))
 
 
 def test_tensor_determinism():
     rng = np.random.default_rng(5)
     _, _, d = random_field_distances(rng, 5, 1)
     noise = ComparisonNoiseModel(0.4)
-    a = tensor_from_distances(d, noise, np.random.default_rng(9)).values
-    b = tensor_from_distances(d, noise, np.random.default_rng(9)).values
+    a = tensor_from_distances(d, noise, np.random.default_rng(9)).row_sums
+    b = tensor_from_distances(d, noise, np.random.default_rng(9)).row_sums
     np.testing.assert_array_equal(a, b)
-    c = tensor_from_distances(d, noise, np.random.default_rng(10)).values
+    c = tensor_from_distances(d, noise, np.random.default_rng(10)).row_sums
     assert not np.array_equal(a, c)
 
 
@@ -81,11 +83,18 @@ def test_tensor_determinism():
     st.integers(min_value=0, max_value=2**31),
 )
 def test_tensor_skew_symmetry(m, sigma, seed):
+    """Each slice is skew-symmetric, so its row sums sum to 0; the dense
+    oracle, drawing the same noise, is skew-symmetric entry by entry."""
     rng = np.random.default_rng(seed)
     _, _, d = random_field_distances(rng, m, 1)
-    z = tensor_from_distances(d, ComparisonNoiseModel(sigma), rng).values
+    oracle_rng = copy.deepcopy(rng)
+    rows = tensor_from_distances(d, ComparisonNoiseModel(sigma), rng).row_sums
+    assert np.all(rows.sum(axis=1) == 0)
+    assert np.all(np.abs(rows) <= d.order - 1)
+    z = dense_tensor_from_distances(d, ComparisonNoiseModel(sigma), oracle_rng)
     np.testing.assert_array_equal(z, -z.transpose(0, 2, 1))
     assert np.all(np.diagonal(z, axis1=1, axis2=2) == 0)
+    np.testing.assert_array_equal(rows, z.sum(axis=2))
 
 
 def _signal_matrix(values, increasing, m=2, missing=None):
@@ -95,20 +104,22 @@ def _signal_matrix(values, increasing, m=2, missing=None):
 def test_signals_rss_orientation():
     # stronger received power means closer: p_ik=0.9, p_jk=0.1
     s = np.array([[0.0, 0.5, 0.9], [0.5, 0.0, 0.1], [0.9, 0.1, 0.0]])
-    z = tensor_from_signals(_signal_matrix(s, increasing=False)).values
-    assert z[2, 0, 1] == -1  # sensor 0 closer to reference 2 than sensor 1
+    rows = tensor_from_signals(_signal_matrix(s, increasing=False)).row_sums
+    # sensor 0 closer to reference 2 than sensor 1; the reference's own
+    # link is missing
+    np.testing.assert_array_equal(rows[2], [-1, 1, 0])
 
 
 def test_signals_toa_orientation():
     s = np.array([[0.0, 3.0, 2.0], [3.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    z = tensor_from_signals(_signal_matrix(s, increasing=True)).values
-    assert z[2, 0, 1] == +1  # tau_i=2 > tau_j=1: i farther
+    rows = tensor_from_signals(_signal_matrix(s, increasing=True)).row_sums
+    np.testing.assert_array_equal(rows[2], [1, -1, 0])  # tau_0=2 > tau_1=1: 0 farther
 
 
 def test_signals_tie_gives_zero():
     s = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
-    z = tensor_from_signals(_signal_matrix(s, increasing=False)).values
-    assert z[0, 1, 2] == 0
+    rows = tensor_from_signals(_signal_matrix(s, increasing=False)).row_sums
+    np.testing.assert_array_equal(rows[0], [0, 0, 0])
 
 
 def test_signals_missing_entries_and_warning():
@@ -118,9 +129,12 @@ def test_signals_missing_entries_and_warning():
     # only one usable link
     values[0, 1] = values[1, 0] = -50.0
     missing[0, 1] = missing[1, 0] = False
+    S = _signal_matrix(values, increasing=False, missing=missing)
     with pytest.warns(SliceCoverageWarning):
-        z = tensor_from_signals(_signal_matrix(values, increasing=False, missing=missing)).values
-    assert np.all(z[2] == 0)
+        rows = tensor_from_signals(S).row_sums
+    assert np.all(rows == 0)
+    with pytest.warns(SliceCoverageWarning):
+        np.testing.assert_array_equal(rows, dense_tensor_from_signals(S).sum(axis=2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -135,10 +149,12 @@ def test_signals_nan_at_missing_link_accepted():
     values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, np.nan], [2.0, np.nan, 0.0]])
     missing = np.zeros((3, 3), dtype=bool)
     missing[1, 2] = missing[2, 1] = True
+    S = _signal_matrix(values, increasing=False, missing=missing)
     with pytest.warns(SliceCoverageWarning):
-        z = tensor_from_signals(_signal_matrix(values, increasing=False, missing=missing)).values
-    assert np.all(z[1] == 0) and np.all(z[2] == 0)
-    assert z[0, 1, 2] == +1  # 1.0 is weaker power than 2.0: sensor 1 farther
+        rows = tensor_from_signals(S).row_sums
+    assert np.all(rows[1] == 0) and np.all(rows[2] == 0)
+    # 1.0 is weaker power than 2.0: sensor 1 farther
+    np.testing.assert_array_equal(rows[0], [0, 1, -1])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -169,65 +185,28 @@ def test_monotone_invariance(m, seed):
     increasing = _signal_matrix(base, increasing=True, m=m)
     transformed = _signal_matrix(np.exp(2.0 * base) + 1.0, increasing=True, m=m)
     np.testing.assert_array_equal(
-        tensor_from_signals(increasing).values, tensor_from_signals(transformed).values
+        tensor_from_signals(increasing).row_sums, tensor_from_signals(transformed).row_sums
     )
     # a decreasing transform with the flag flipped is also identical
     decreasing = _signal_matrix(1.0 / (base + 1.0), increasing=False, m=m)
     np.testing.assert_array_equal(
-        tensor_from_signals(increasing).values, tensor_from_signals(decreasing).values
+        tensor_from_signals(increasing).row_sums, tensor_from_signals(decreasing).row_sums
     )
 
 
 def test_noiseless_tensor_from_distances_equals_signal_route():
     rng = np.random.default_rng(21)
     _, _, d = random_field_distances(rng, 5, 1)
-    via_distances = tensor_from_distances(d, ComparisonNoiseModel(0.0)).values
+    via_distances = tensor_from_distances(d, ComparisonNoiseModel(0.0)).row_sums
     sig = _signal_matrix(d.values, increasing=True, m=5)
-    via_signals = tensor_from_signals(sig).values
-    # the signal route masks self-links (diagonal), the distance route keeps them
+    via_signals = tensor_from_signals(sig).row_sums
+    # the signal route masks self-links (diagonal), the distance route keeps
+    # them: in slice k the reference, at distance 0, is closer than every
+    # other sensor, which adds 1 to each other row and -(N - 1) to row k
     n = d.order
-    for k in range(n):
-        mask = np.ones((n, n), dtype=bool)
-        mask[k, :] = mask[:, k] = False
-        np.testing.assert_array_equal(via_distances[k][mask], via_signals[k][mask])
-
-
-# Dense N^3 reference implementations: the whole tensor, and for the
-# threshold path the whole float64 noise tensor, in single expressions.
-
-
-def _dense_tensor_from_distances(D, noise, rng):
-    n = D.order
-    xi = np.zeros((n, n, n))
-    if noise.sigma > 0:
-        iu, ju = np.triu_indices(n, k=1)
-        draws = rng.standard_normal((n, iu.size)) * noise.sigma
-        xi[:, iu, ju] = draws
-        xi[:, ju, iu] = -draws
-    dk = D.values.T
-    return np.array(np.sign(dk[:, :, None] - dk[:, None, :] + xi), dtype=np.int8)
-
-
-def _dense_tensor_from_signals(S):
-    p = S.values if S.increasing_with_distance else -S.values
-    pk = p.T
-    missk = S.missing.T
-    z = np.sign(pk[:, :, None] - pk[:, None, :])
-    unusable = missk[:, :, None] | missk[:, None, :]
-    z[unusable] = 0
-    n = S.order
-    if n > 2:
-        # pairs (i, j) with i != j, neither of them the reference k
-        eye = np.eye(n, dtype=bool)
-        counted = ~(eye[None] | eye[:, :, None] | eye[:, None, :])
-        missing_frac = (unusable & counted).sum(axis=(1, 2)) / ((n - 1) * (n - 2))
-        for k in np.nonzero(missing_frac > 0.5)[0]:
-            warnings.warn(
-                f"slice {k}: {missing_frac[k]:.0%} of comparisons missing; "
-                "localization quality degrades",
-                SliceCoverageWarning,
-            )
-    return np.array(z, dtype=np.int8)
+    self_links = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(self_links, -(n - 1))
+    np.testing.assert_array_equal(via_distances, via_signals + self_links)
 
 
 def _with_coverage_warnings(build):
@@ -249,7 +228,7 @@ def _set_block(monkeypatch, n, block_slices):
 def test_oracle_sizes_end_on_partial_blocks(monkeypatch):
     for n, block_slices in [(110, None), (21, 4)]:
         _set_block(monkeypatch, n, block_slices)
-        sizes = [b.stop - b.start for b in ordinal._slice_blocks(n)]
+        sizes = [b.stop - b.start for b in ordinal._slice_blocks(n, n)]
         assert len(sizes) > 1 and sizes[-1] < sizes[0] and sum(sizes) == n
 
 
@@ -261,10 +240,10 @@ def test_tensor_from_distances_matches_dense_oracle(monkeypatch, n, block_slices
     pts = field_rng.uniform(size=(n, 2))
     d = DistanceMatrix(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)), 0)
     rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
-    z = tensor_from_distances(d, ComparisonNoiseModel(sigma), rng).values
-    expected = _dense_tensor_from_distances(d, ComparisonNoiseModel(sigma), oracle_rng)
-    assert z.dtype == np.int8 and z.shape == (n, n, n)
-    assert z.tobytes() == expected.tobytes()
+    rows = tensor_from_distances(d, ComparisonNoiseModel(sigma), rng).row_sums
+    expected = dense_tensor_from_distances(d, ComparisonNoiseModel(sigma), oracle_rng)
+    assert rows.dtype == np.int64 and rows.shape == (n, n)
+    assert rows.tobytes() == expected.sum(axis=2, dtype=np.int64).tobytes()
     # the generator is left where the single (N, N(N-1)/2) draw left it
     assert rng.random() == oracle_rng.random()
 
@@ -283,34 +262,40 @@ def test_tensor_from_signals_matches_dense_oracle(monkeypatch, n, block_slices, 
         missing |= missing.T
         with_gaps = np.where(missing, np.nan, values)
         S = SignalMatrix(with_gaps, increasing_with_distance=increasing, n_anchors=0, missing=missing)
-        z, messages = _with_coverage_warnings(lambda: tensor_from_signals(S).values)
-        expected, expected_messages = _with_coverage_warnings(lambda: _dense_tensor_from_signals(S))
-        assert z.dtype == np.int8 and z.shape == (n, n, n)
-        assert z.tobytes() == expected.tobytes()
+        rows, messages = _with_coverage_warnings(lambda: tensor_from_signals(S).row_sums)
+        expected, expected_messages = _with_coverage_warnings(lambda: dense_tensor_from_signals(S))
+        assert rows.dtype == np.int64 and rows.shape == (n, n)
+        assert rows.tobytes() == expected.sum(axis=2, dtype=np.int64).tobytes()
         assert messages == expected_messages
 
 
 def _peak_bytes(build):
     tracemalloc.start()
     try:
-        tensor = build()
-        return tracemalloc.get_traced_memory()[1], tensor
+        result = build()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
 
+# what an int8 tensor of 200 sensors takes: N^3 bytes
+_CUBE_BYTES = 200**3
+
+
+def _field_of_200(seed):
+    pts = np.random.default_rng(seed).uniform(size=(200, 2))
+    return pts, DistanceMatrix(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)), 180)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
 def test_tensor_from_distances_peak_memory(sigma):
-    rng = np.random.default_rng(40)
-    pts = rng.uniform(size=(200, 2))
-    d = DistanceMatrix(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)), 180)
+    _, d = _field_of_200(40)
     peak, tensor = _peak_bytes(
         lambda: tensor_from_distances(d, ComparisonNoiseModel(sigma), np.random.default_rng(1))
     )
-    # the int8 tensor is handed over without a copy, and block temporaries
-    # stay well below the tensor's own bytes
-    assert peak < 1.6 * tensor.values.nbytes
-    assert not tensor.values.flags.writeable
+    # block temporaries and the (N, N) row sums, no N^3 array
+    assert peak < _CUBE_BYTES
+    assert tensor.row_sums.shape == (200, 200) and not tensor.row_sums.flags.writeable
 
 
 def test_tensor_from_signals_peak_memory():
@@ -318,14 +303,23 @@ def test_tensor_from_signals_peak_memory():
     values = rng.normal(size=(200, 200))
     S = SignalMatrix(values + values.T, increasing_with_distance=True, n_anchors=180)
     peak, tensor = _peak_bytes(lambda: tensor_from_signals(S))
-    assert peak < 1.6 * tensor.values.nbytes
+    assert peak < _CUBE_BYTES
+    assert tensor.row_sums.shape == (200, 200)
 
 
-# -- row sums without the tensor, against the tensor route ----------------
+def test_localize_from_tensor_peak_memory():
+    pts, d = _field_of_200(42)
+    tensor = tensor_from_distances(d, ComparisonNoiseModel(0.1), np.random.default_rng(1))
+    peak, (results, d_hat) = _peak_bytes(lambda: pipeline.localize_from_tensor(tensor, pts[:180]))
+    assert peak < _CUBE_BYTES
+    assert len(results) == 20 and d_hat.values.shape == (180, 20)
 
 
-def _scores_bytes(row_sums):
-    return proximity_scores(row_sums).tobytes()
+# -- stacked row sums, against the dense tensor and the one-matrix route ---
+
+
+def _dense_sums(z):
+    return z.sum(axis=2, dtype=np.int64)
 
 
 def _tensor_scores_bytes(tensor):
@@ -344,12 +338,15 @@ def test_distance_row_sums_match_tensor(monkeypatch, n, block_slices, sigma):
     d = _field(n, 300 + n)
     noise = ComparisonNoiseModel(sigma)
     rng, tensor_rng = np.random.default_rng(n), np.random.default_rng(n)
+    oracle_rng = np.random.default_rng(n)
     (rows,) = distance_row_sums(d.values[None], [sigma], [rng])
     tensor = tensor_from_distances(d, noise, tensor_rng)
     assert rows.dtype == np.int64 and rows.shape == (n, n)
-    assert _scores_bytes(rows) == _tensor_scores_bytes(tensor)
+    z = dense_tensor_from_distances(d, noise, oracle_rng)
+    np.testing.assert_array_equal(rows, _dense_sums(z))
+    assert proximity_scores(rows).tobytes() == _tensor_scores_bytes(tensor)
     # the same draws were taken, so the generators stand at the same place
-    assert rng.random() == tensor_rng.random()
+    assert rng.random() == tensor_rng.random() == oracle_rng.random()
 
 
 @pytest.mark.parametrize("n, block_slices", [(1, None), (3, None), (21, None), (21, 4), (7, 3)])
@@ -363,31 +360,32 @@ def test_stacked_distance_row_sums_match_each_tensor(monkeypatch, n, block_slice
     stacked = distance_row_sums(np.stack([d.values for d in ds]), sigmas, rngs)
     assert stacked.shape == (len(sigmas), n, n)
     for g, (d, sigma) in enumerate(zip(ds, sigmas)):
-        tensor_rng = np.random.default_rng(g)
-        tensor = tensor_from_distances(d, ComparisonNoiseModel(sigma), tensor_rng)
-        assert _scores_bytes(stacked[g]) == _tensor_scores_bytes(tensor)
-        assert rngs[g].random() == tensor_rng.random()
+        oracle_rng = np.random.default_rng(g)
+        z = dense_tensor_from_distances(d, ComparisonNoiseModel(sigma), oracle_rng)
+        np.testing.assert_array_equal(stacked[g], _dense_sums(z))
+        assert rngs[g].random() == oracle_rng.random()
 
 
 def test_block_workspace_does_not_leak(monkeypatch):
-    """Each call fills its own block workspace: a tensor keeps its bytes and
-    row sums after later calls, and owns its data."""
+    """Each call fills its own block workspace: a tensor and an array of
+    row sums keep their bytes after later calls, and a tensor owns its
+    data."""
     _set_block(monkeypatch, 21, 4)
     d = _field(21, 600)
     noise = ComparisonNoiseModel(0.3)
     first = tensor_from_distances(d, noise, np.random.default_rng(1))
-    first_bytes = first.values.tobytes()
+    first_bytes = first.row_sums.tobytes()
     (first_rows,) = distance_row_sums(d.values[None], [0.3], [np.random.default_rng(1)])
     kept_rows = first_rows.copy()
     distance_row_sums(np.stack([d.values] * 2), [0.3] * 2, [np.random.default_rng(2)] * 2)
     second = tensor_from_distances(d, noise, np.random.default_rng(3))
-    assert second.values.tobytes() != first_bytes
-    assert first.values.tobytes() == first_bytes
+    assert second.row_sums.tobytes() != first_bytes
+    assert first.row_sums.tobytes() == first_bytes
     np.testing.assert_array_equal(first_rows, kept_rows)
-    np.testing.assert_array_equal(first.values.sum(axis=2, dtype=np.int64), first_rows)
+    np.testing.assert_array_equal(first.row_sums, first_rows)
     for tensor in (first, second):
-        assert not tensor.values.flags.writeable
-        assert tensor.values.flags.owndata and tensor.values.base is None
+        assert not tensor.row_sums.flags.writeable
+        assert tensor.row_sums.flags.owndata and tensor.row_sums.base is None
 
 
 # -- noise drawn ahead on a helper thread ---------------------------------
@@ -411,8 +409,7 @@ def _started_threads(monkeypatch):
 def _route(route, d, rng):
     """Row sums of the threshold comparisons of d, through one route."""
     if route == "tensor":
-        tensor = tensor_from_distances(d, ComparisonNoiseModel(0.3), rng)
-        return tensor.values.sum(axis=2, dtype=np.int64)
+        return tensor_from_distances(d, ComparisonNoiseModel(0.3), rng).row_sums
     (rows,) = distance_row_sums(d.values[None], [0.3], [rng])
     return rows
 
@@ -458,14 +455,13 @@ def test_prefetch_thread_is_joined_on_early_close(monkeypatch):
     assert not started[0].is_alive() and threading.active_count() == before
 
 
-@pytest.mark.parametrize("route, kernel", [("tensor", "_sign_int8"), ("row_sums", "sign")])
-def test_prefetch_thread_is_joined_when_the_caller_raises(monkeypatch, route, kernel):
+@pytest.mark.parametrize("route", ["tensor", "row_sums"])
+def test_prefetch_thread_is_joined_when_the_caller_raises(monkeypatch, route):
     """The caller fails in its second block; the helper is joined before
     the error leaves the call, although the traceback keeps the caller's
     frame alive."""
     _set_block(monkeypatch, 21, 4)
-    owner = ordinal if kernel == "_sign_int8" else np
-    function, calls = getattr(owner, kernel), []
+    function, calls = np.sign, []
 
     def failing_in_second_block(*args, **kwargs):
         calls.append(None)
@@ -473,7 +469,7 @@ def test_prefetch_thread_is_joined_when_the_caller_raises(monkeypatch, route, ke
             raise RuntimeError("caller failed")
         return function(*args, **kwargs)
 
-    monkeypatch.setattr(owner, kernel, failing_in_second_block)
+    monkeypatch.setattr(np, "sign", failing_in_second_block)
     started = _started_threads(monkeypatch)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="caller failed") as failure:
@@ -521,7 +517,7 @@ def test_prefetch_shared_generator_matches_oracle_across_block_cut(monkeypatch):
     stacked = distance_row_sums(np.stack([d.values for d in ds]), [0.3, 0.3], [rng, rng])
     assert len(started) == 1
     for g, d in enumerate(ds):
-        expected = _dense_tensor_from_distances(d, ComparisonNoiseModel(0.3), oracle_rng)
+        expected = dense_tensor_from_distances(d, ComparisonNoiseModel(0.3), oracle_rng)
         np.testing.assert_array_equal(stacked[g], expected.sum(axis=2, dtype=np.int64))
     assert rng.random() == oracle_rng.random()
 
@@ -544,9 +540,12 @@ def test_signal_row_sums_match_tensor(n, increasing):
     assert stacked.dtype == np.int64 and stacked.shape == (len(matrices), n, n)
     expected_messages = []
     for g, S in enumerate(matrices):
+        z, dense_messages = _with_coverage_warnings(lambda: dense_tensor_from_signals(S))
+        np.testing.assert_array_equal(stacked[g], _dense_sums(z))
         tensor, tensor_messages = _with_coverage_warnings(lambda: tensor_from_signals(S))
-        assert _scores_bytes(stacked[g]) == _tensor_scores_bytes(tensor)
-        expected_messages += tensor_messages
+        assert proximity_scores(stacked[g]).tobytes() == _tensor_scores_bytes(tensor)
+        assert tensor_messages == dense_messages
+        expected_messages += dense_messages
     assert messages == expected_messages
 
 

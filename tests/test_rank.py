@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from ordinal_unloc.core import ComparisonTensor, DistanceMatrix, InputError
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
 from ordinal_unloc.rank import aggregate_proximities, proximity_scores
 from reference_solvers import (
+    dense_tensor_from_distances,
     enumerate_pairs,
     flatten_slice,
     incidence_matrix,
@@ -85,13 +88,15 @@ def test_closed_form_matches_pinv_oracle(n, seed):
 def test_aggregate_matches_per_slice_solve():
     rng = np.random.default_rng(17)
     _, _, d = random_field_distances(rng, 5, 2)
+    oracle_rng = copy.deepcopy(rng)
     tensor = tensor_from_distances(d, ComparisonNoiseModel(0.2), rng)
+    z = dense_tensor_from_distances(d, ComparisonNoiseModel(0.2), oracle_rng)
     psi = aggregate_proximities(tensor)
     n = tensor.order
     enum = enumerate_pairs(n)
     b = incidence_matrix(enum)
     for k in range(n):
-        expected = ls_rank(flatten_slice(tensor.values[k], enum), b)
+        expected = ls_rank(flatten_slice(z[k], enum), b)
         np.testing.assert_allclose(psi.values[:, k], expected, atol=1e-12)
     assert psi.n_anchors == 5
 
@@ -110,7 +115,7 @@ def test_noiseless_scores_order_like_distances():
 
 
 def test_zero_tensor_gives_zero_scores():
-    tensor = ComparisonTensor(np.zeros((4, 4, 4), dtype=np.int8), 4)
+    tensor = ComparisonTensor(np.zeros((4, 4), dtype=np.int64), 4)
     np.testing.assert_array_equal(aggregate_proximities(tensor).values, 0.0)
 
 
@@ -136,13 +141,16 @@ def test_proximity_scores_of_a_stack_match_each_matrix():
 @pytest.mark.parametrize("n", [1, 2, 200])
 def test_aggregate_narrow_sums_match_int64_sums(n):
     """On a noiseless collinear field at N = 200 the row sums reach +-199,
-    beyond int8; the narrow accumulator gives the int64 sums' bytes."""
+    beyond int8.  The scores of the tensor's int64 row sums have the bytes
+    of the scores of the dense tensor's slices summed with a narrow int16
+    accumulator."""
     x = np.arange(n, dtype=float)
-    tensor = tensor_from_distances(
-        DistanceMatrix(np.abs(x[:, None] - x[None, :]), 0), ComparisonNoiseModel(0.0)
-    )
-    sums = tensor.values.sum(axis=2, dtype=np.int64)
-    assert np.abs(sums).max() == n - 1
+    d = DistanceMatrix(np.abs(x[:, None] - x[None, :]), 0)
+    tensor = tensor_from_distances(d, ComparisonNoiseModel(0.0))
+    z = dense_tensor_from_distances(d, ComparisonNoiseModel(0.0), np.random.default_rng(0))
+    narrow = z.sum(axis=2, dtype=np.int16)
+    assert np.abs(tensor.row_sums).max() == n - 1
+    np.testing.assert_array_equal(tensor.row_sums, narrow)
     psi = aggregate_proximities(tensor).values
     assert psi.dtype == np.float64
-    assert psi.tobytes() == proximity_scores(sums).tobytes()
+    assert psi.tobytes() == proximity_scores(narrow).tobytes()
