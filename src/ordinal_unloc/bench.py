@@ -51,6 +51,11 @@ _EXPERIMENT_IDS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
 _DIMENSION = 2  # the simulated fields are planar
 # random placements can collide; powers are generated at no less than this
 MIN_LINK_DISTANCE = 1e-6
+# field sides a trial accepts.  The unfolding cost holds fourth powers of
+# the distance estimates; 200-trial probes of every kind at m = 5 and 20
+# first warned of overflow at 1e39 (rss) and of underflow at 1e-74 (toa),
+# and the ends keep at least nine decades of margin
+FIELD_SIDE_RANGE = (1e-60, 1e30)
 _METHODS = {
     "ordinal": ("ordinal_unloc",),
     "rss": ("ordinal_unloc", "unloc_fixed_g", "unloc_genie"),
@@ -84,8 +89,10 @@ class ExperimentConfig:
             raise ConfigError("anchor_counts must be a non-empty list of counts >= 2")
         if self.n_targets < 1:
             raise ConfigError("n_targets must be >= 1")
+        low, high = FIELD_SIDE_RANGE
+        if not low <= self.field_side <= high:
+            raise ConfigError(f"field_side must be in [{low:g}, {high:g}], got {self.field_side}")
         for name in (
-            "field_side",
             "transmit_power",
             "hardware_gain",
             "propagation_speed",

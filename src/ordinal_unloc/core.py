@@ -270,10 +270,12 @@ def read_sensor_field(path) -> SensorField:
     return parse_sensor_field(text)
 
 
-def parse_sensor_field(text: str, first_line: int = 1) -> SensorField:
-    rows = list(_iter_csv_rows(text, first_line))
+def parse_sensor_field(text: str) -> SensorField:
+    """Parse a sensor roster: a sensor-field file, or the roster section of
+    a measurement log, which starts the file."""
+    rows = list(_iter_csv_rows(text))
     if not rows:
-        raise InputError("empty sensor field file")
+        raise InputError("empty sensor roster: expected header id,role,x,y[,z]")
     header_line, header = rows[0]
     expected = ["id", "role", "x", "y"]
     got = [c.strip().lower() for c in header]

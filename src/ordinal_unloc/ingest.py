@@ -39,14 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    InputError,
-    SensorField,
-    _frozen,
-    _iter_csv_rows,
-    _parse_sensor_rows,
-    _roster_to_field,
-)
+from .core import InputError, SensorField, _frozen, parse_sensor_field
 from .ordinal import SignalMatrix
 
 SEPARATOR = "---"
@@ -310,15 +303,8 @@ def parse_measurement_text(text: str) -> MeasurementSet:
         sep_at = next(i for i, line in enumerate(lines) if line.strip() == SEPARATOR)
     except StopIteration:
         raise InputError(f"missing {SEPARATOR!r} separator between roster and records") from None
-    roster_rows = list(_iter_csv_rows("\n".join(lines[:sep_at]), first_line=1))
-    if not roster_rows:
-        raise InputError("empty roster section")
-    header = [c.strip().lower() for c in roster_rows[0][1]]
-    if header[:4] != ["id", "role", "x", "y"]:
-        raise InputError(f"line {roster_rows[0][0]}: expected roster header id,role,x,y[,z]")
-    entries, q = _parse_sensor_rows(roster_rows[1:], dimension_hint=len(header) - 2)
     # anchors-first ordering regardless of file order
-    field = _roster_to_field(entries, q)
+    field = parse_sensor_field("\n".join(lines[:sep_at]))
     index = {s: k for k, s in enumerate(field.anchor_ids + field.target_ids)}
 
     # records start after the header line; line numbers count from 1

@@ -4,15 +4,9 @@ Rank aggregation needs only the row sums of each reference slice of the
 N x N x N comparison tensor, so that is all this module computes: the
 ``*_row_sums`` functions for a stack of matrices of one order, and
 ``tensor_from_*`` for one matrix, wrapped in a ``ComparisonTensor``.  No
-N^3 array is built.  The distance route takes its noise draws from one
-generator of pair differences (``_noisy_differences``) that computes
-every block of slices in a workspace allocated once per call.  When a
-call spans more than one block, has noise and may use more than one
-CPU, one helper thread draws the next block's noise while the caller
-works on the current one; it is the only code drawing from the
-generators during the call and draws in the same order, so the values
-and the bytes are those of drawing inline, and it is joined before the
-call returns.
+N^3 array is built.  The distance route is one function,
+``distance_row_sums``, which draws the threshold noise, works through
+the slices in blocks and owns its workspace.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ import os
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,85 +119,6 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _noisy_differences(distances, sigmas, rngs):
-    """Per block of the stacked reference slices of a (G, N, N) distance
-    stack (slice k of matrix g is row g*N + k): d_ik - d_jk + xi for every
-    pair (i, j) of ``pair_indices``.  Matrix g's noise, of standard
-    deviation ``sigmas[g]``, is drawn from ``rngs[g]``, one value per slice
-    and pair, in slice and pair order; the blocks cut that stream where one
-    (N, N(N-1)/2) draw would be cut, so the values and the generators'
-    final states are the same.
-
-    When the stack spans more than one block, some sigma is positive and
-    the process may run on more than one CPU, one helper thread draws
-    block b + 1's noise into a second noise buffer while the caller
-    gathers block b and works on it.  numpy releases the interpreter lock
-    while it fills a buffer, so the draws overlap the caller's arithmetic;
-    on one CPU they cannot, and the hand-offs cost about a tenth of a
-    400-sensor call.  The helper is the only code that touches ``rngs``
-    during the call and takes the blocks and matrices in order, so it
-    draws the same values as an inline draw, and each value is scaled and
-    added with the same operations; the bytes cannot change.  The helper
-    is joined before the call returns, when the generator is closed early
-    and when an error is raised, so no thread outlives it.
-
-    Yields (rows, differences, spare): every block is computed in one
-    workspace allocated per call, so both arrays are valid only until the
-    next block is requested, and ``spare``, of the same shape, is free
-    for the caller to overwrite."""
-    g_count, n, _ = distances.shape
-    # dk[g*N + k, i] = distance from sensor i to reference k in matrix g
-    dk = np.swapaxes(distances, 1, 2).reshape(g_count * n, n)
-    i, j = pair_indices(n)
-    blocks = _slice_blocks(len(dk), n)
-    if not blocks:
-        return
-    size = (blocks[0].stop, len(i))
-    work, other = np.empty(size), np.empty(size)
-
-    def noisy_parts(rows):
-        """(part of the block, g) for every matrix with noise in the rows"""
-        for g in range(rows.start // n, (rows.stop - 1) // n + 1):
-            if sigmas[g] > 0:
-                yield slice(max(g * n - rows.start, 0), (g + 1) * n - rows.start), g
-
-    def draw(rows, noise):
-        for part, g in noisy_parts(rows):
-            rngs[g].standard_normal(out=noise[part])
-            noise[part] *= sigmas[g]
-        return noise
-
-    helper = None
-    if len(blocks) > 1 and any(sigma > 0 for sigma in sigmas) and _usable_cpus() > 1:
-        helper = ThreadPoolExecutor(max_workers=1)
-        ahead = helper.submit(draw, blocks[0], np.empty(size))
-        free = np.empty(size)
-    try:
-        for b, rows in enumerate(blocks):
-            diff, tmp = work[: rows.stop - rows.start], other[: rows.stop - rows.start]
-            if helper is not None:
-                # free held block b - 1's noise, which was added before
-                # that block was yielded
-                drawn = ahead
-                if b + 1 < len(blocks):
-                    ahead = helper.submit(draw, blocks[b + 1], free)
-            # mode="clip" lets take write into out= directly; the indices
-            # are in range, so it clips nothing
-            np.take(dk[rows], i, axis=1, mode="clip", out=diff)
-            np.take(dk[rows], j, axis=1, mode="clip", out=tmp)
-            diff -= tmp
-            if helper is None:
-                noise = draw(rows, tmp)
-            else:
-                noise = free = drawn.result()
-            for part, _ in noisy_parts(rows):
-                diff[part] += noise[part]
-            yield rows, diff, tmp
-    finally:
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)
-
-
 def tensor_from_distances(
     D: DistanceMatrix,
     noise: ComparisonNoiseModel,
@@ -235,10 +149,29 @@ def distance_row_sums(
     comparison of sensors i and j at reference k of matrix g, whose noise
     of standard deviation ``sigmas[g]`` is drawn from ``rngs[g]``: one
     value per slice and unordered pair (i < j), in slice and pair order,
-    with xi_kji = -xi_kij.  Each pair's sign is added to row i and
-    subtracted from row j by two ``bincount``s, so the sums are exact
-    integers.  The stack and the noise levels are checked as
+    with xi_kji = -xi_kij.  The stack and the noise levels are checked as
     ``DistanceMatrix`` and ``ComparisonNoiseModel`` check one of each.
+
+    The stacked reference slices (slice k of matrix g is row g*N + k) are
+    taken in blocks of ``_slice_blocks``, all computed in one workspace
+    allocated per call.  The blocks cut each generator's stream where one
+    (N, N(N-1)/2) draw would be cut, so the values and the generators'
+    final states are the same.  Each pair's sign is added to row i and
+    subtracted from row j by two ``bincount``s, so the sums are exact
+    integers.
+
+    When the stack spans more than one block, some sigma is positive and
+    the process may run on more than one CPU, one helper thread draws
+    block b + 1's noise into a second noise buffer while the caller
+    gathers block b and works on it.  numpy releases the interpreter lock
+    while it fills a buffer, so the draws overlap the caller's arithmetic;
+    on one CPU they cannot, and the hand-offs cost about a tenth of a
+    400-sensor call.  The helper is the only code that touches ``rngs``
+    during the call and takes the blocks and matrices in order, so it
+    draws the same values as an inline draw, and each value is scaled and
+    added with the same operations; the bytes cannot change.  The helper
+    is shut down before the call returns or raises, so no thread outlives
+    it.
     """
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 3 or distances.shape[1] != distances.shape[2]:
@@ -250,20 +183,66 @@ def distance_row_sums(
         if not (np.isfinite(sigma) and sigma >= 0):
             raise InputError(f"sigma must be finite and nonnegative, got {sigma}")
     g_count, n, _ = distances.shape
-    i, j = pair_indices(n)
     out = np.empty((g_count * n, n), dtype=np.int64)
-    with closing(_noisy_differences(distances, sigmas, rngs)) as blocks:
-        for rows, diff, spare in blocks:
+    # dk[g*N + k, i] = distance from sensor i to reference k in matrix g
+    dk = np.swapaxes(distances, 1, 2).reshape(g_count * n, n)
+    i, j = pair_indices(n)
+    blocks = _slice_blocks(len(dk), n)
+    if not blocks:
+        return out.reshape(g_count, n, n)
+    size = (blocks[0].stop, len(i))
+    work, other = np.empty(size), np.empty(size)
+
+    def noisy_parts(rows):
+        """(part of the block, g) for every matrix with noise in the rows"""
+        for g in range(rows.start // n, (rows.stop - 1) // n + 1):
+            if sigmas[g] > 0:
+                yield slice(max(g * n - rows.start, 0), (g + 1) * n - rows.start), g
+
+    def draw(rows, noise):
+        for part, g in noisy_parts(rows):
+            rngs[g].standard_normal(out=noise[part])
+            noise[part] *= sigmas[g]
+        return noise
+
+    helper = None
+    if len(blocks) > 1 and any(sigma > 0 for sigma in sigmas) and _usable_cpus() > 1:
+        helper = ThreadPoolExecutor(max_workers=1)
+        ahead = helper.submit(draw, blocks[0], np.empty(size))
+        free = np.empty(size)
+    try:
+        for b, rows in enumerate(blocks):
+            diff, spare = work[: rows.stop - rows.start], other[: rows.stop - rows.start]
+            if helper is not None:
+                # free held block b - 1's noise, which was added to that
+                # block's differences
+                drawn = ahead
+                if b + 1 < len(blocks):
+                    ahead = helper.submit(draw, blocks[b + 1], free)
+            # mode="clip" lets take write into out= directly; the indices
+            # are in range, so it clips nothing
+            np.take(dk[rows], i, axis=1, mode="clip", out=diff)
+            np.take(dk[rows], j, axis=1, mode="clip", out=spare)
+            diff -= spare
+            if helper is None:
+                noise = draw(rows, spare)
+            else:
+                noise = free = drawn.result()
+            for part, _ in noisy_parts(rows):
+                diff[part] += noise[part]
             # slice s of the block sums into bins s*N + i
             base = np.arange(len(diff))[:, None] * n
             # into the spare buffer: a new array would cost an allocation
             # per block, and np.sign in place is several times slower than
             # either
             sign = np.sign(diff, out=spare).ravel()
-            size = len(diff) * n
-            sums = np.bincount((base + i).ravel(), sign, size)
-            sums -= np.bincount((base + j).ravel(), sign, size)
+            block_size = len(diff) * n
+            sums = np.bincount((base + i).ravel(), sign, block_size)
+            sums -= np.bincount((base + j).ravel(), sign, block_size)
             out[rows] = sums.reshape(len(diff), n)
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
     return out.reshape(g_count, n, n)
 
 

@@ -51,10 +51,11 @@ def parse_measurement_text(text: str) -> ReferenceSet:
         raise InputError(f"missing {SEPARATOR!r} separator between roster and records") from None
     roster_rows = list(_iter_csv_rows("\n".join(lines[:sep_at]), first_line=1))
     if not roster_rows:
-        raise InputError("empty roster section")
+        raise InputError("empty sensor roster: expected header id,role,x,y[,z]")
     header = [c.strip().lower() for c in roster_rows[0][1]]
-    if header[:4] != ["id", "role", "x", "y"]:
-        raise InputError(f"line {roster_rows[0][0]}: expected roster header id,role,x,y[,z]")
+    # the rule of a sensor-field file: x,y and an optional z, nothing more
+    if header not in (["id", "role", "x", "y"], ["id", "role", "x", "y", "z"]):
+        raise InputError(f"line {roster_rows[0][0]}: expected header id,role,x,y[,z]")
     entries, q = _parse_sensor_rows(roster_rows[1:], dimension_hint=len(header) - 2)
     field = _roster_to_field(entries, q)
     known = set(field.anchor_ids) | set(field.target_ids)

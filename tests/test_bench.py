@@ -385,7 +385,7 @@ def test_run_trial_rejects_nonfinite_direct_estimates_as_the_reference():
     """Powers that underflow to 0 give infinite fixed-calibration and genie
     estimates; both trials raise a numerical failure on them, not an input
     error, and numpy warns nothing."""
-    config = _small("rss", field_side=1e60, trials=1)
+    config = _small("rss", field_side=1e30, exponent_low=12.0, exponent_high=12.0, trials=1)
     got, got_warnings = _recorded(run_trial, config, 0)
     expected, _ = _recorded(reference_run_trial, config, 0)
     for error in (got, expected):

@@ -16,11 +16,18 @@ from test_ingest import _HEADER, _LINE
 
 from ordinal_unloc import __version__, bench, cli, unfold
 from ordinal_unloc.cli import _int_list, build_parser, main
-from ordinal_unloc.core import ComparisonTensor, ConfigError, SensorField
+from ordinal_unloc.core import (
+    ComparisonTensor,
+    ConfigError,
+    InputError,
+    SensorField,
+    parse_sensor_field,
+)
 from ordinal_unloc.ingest import (
     MeasurementRecord,
     measurement_signal_matrix,
     min_link_sample_count,
+    parse_measurement_text,
     parse_measurements,
     select_strong_links,
     write_measurement_file,
@@ -216,6 +223,64 @@ def test_bad_experiment_parameters_exit_code_1(tmp_path, capsys, source, command
     assert not (tmp_path / "run" / "results.csv").exists()
 
 
+_KIND_COMMANDS = {
+    "ordinal": ["simulate"],
+    "rss": ["benchmark", "--kind", "rss"],
+    "toa": ["benchmark", "--kind", "toa"],
+}
+
+
+@pytest.mark.parametrize("side", bench.FIELD_SIDE_RANGE)
+@pytest.mark.parametrize("kind", bench.EXPERIMENT_KINDS)
+def test_field_side_at_either_end_runs_clean(tmp_path, kind, side):
+    """Both ends of the range are inside it: every kind runs through, and
+    numpy warns of no overflow or underflow on the way.  The ordinal
+    method is never flagged.  On a TOA field of side 1e5 or more, the
+    solver's convergence test, whose tolerance is absolute for a cost near
+    0, flags some of the direct baseline's noiseless problems, so that
+    run exits 3."""
+    out = tmp_path / "run"
+    argv = _KIND_COMMANDS[kind] + ["--anchors", "5,20", "--field-side", repr(side)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _run(argv + ["--out", str(out)] + FAST)
+    curves = json.loads((out / "results.json").read_text())["curves"]
+    assert not any(curves["ordinal_unloc"]["unreliable"])
+    if kind == "toa" and side > 1e5:
+        assert code == 3 and any(curves["unloc"]["unreliable"])
+    else:
+        assert code == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("outward", [0.0, np.inf])
+@pytest.mark.parametrize("kind", bench.EXPERIMENT_KINDS)
+def test_field_side_just_outside_the_range_exit_code_1(
+    tmp_path, capsys, monkeypatch, kind, outward, source
+):
+    """The next double beyond either end is a config error, from a flag or
+    from --config, raised before any trial runs."""
+    end = bench.FIELD_SIDE_RANGE[outward > 0]
+    value = repr(float(np.nextafter(end, outward)))
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_trial)
+    argv = _KIND_COMMANDS[kind] + ["--anchors", "5", "--out", str(tmp_path / "run")] + FAST
+    if source == "flag":
+        argv += ["--field-side", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"field_side={value}\n")
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 1
+    assert f"config error: field_side must be in [1e-60, 1e+30], got {value}" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["benchmark", "--kind", "rss"]])
 @pytest.mark.parametrize("anchors", ["1", "5,1"])
 def test_one_anchor_grid_is_a_config_error(tmp_path, capsys, monkeypatch, command, anchors):
@@ -364,11 +429,12 @@ def test_benchmark_flag_of_the_other_kind_is_a_config_error(
 
 
 def test_benchmark_underflowed_power_is_a_numerical_failure(tmp_path, capsys):
-    """On a field so large that received power underflows, the direct
-    inversions are not finite: exit 3 with a message, and the inversions
-    warn nothing."""
+    """On a field so large, and a path loss so steep, that received power
+    underflows, the direct inversions are not finite: exit 3 with a
+    message, and the inversions warn nothing."""
     out = tmp_path / "rss"
-    argv = ["benchmark", "--kind", "rss", "--field-side", "1e60", "--anchors", "5"]
+    argv = ["benchmark", "--kind", "rss", "--field-side", "1e30", "--g-range", "12,12"]
+    argv += ["--anchors", "5"]
     with warnings.catch_warnings():
         warnings.filterwarnings("error", category=RuntimeWarning, module=r"ordinal_unloc\.bench")
         assert _run(argv + ["--out", str(out)] + FAST) == 3
@@ -531,6 +597,42 @@ def test_localize_non_finite_roster_coordinate_exit_code_2(tmp_path, capsys, cel
     code = _run(["localize", str(path), "--out", str(tmp_path / "o"), "--threads", "1"])
     assert code == 2
     assert f"line {roster_line + 1}: coordinate '{cell}' is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header, refused",
+    [
+        ("id,role,x,y", False),
+        (" ID , Role,x,Y,z", False),
+        ("id,role,x,y,w", True),
+        ("id,role,x,y,z,w", True),
+        ("id,role,x,y,notes", True),
+    ],
+)
+def test_measurement_roster_header_follows_the_field_file_rule(tmp_path, capsys, header, refused):
+    """A log's roster is refused exactly when a --field file with the same
+    header is, and localize then exits 2."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "id,role,x,y"
+    lines[0] = header
+    text = "\n".join(lines)
+
+    def refusal(parse, text):
+        try:
+            parse(text)
+        except InputError as exc:
+            return str(exc)
+
+    expected = "line 1: expected header id,role,x,y[,z]" if refused else None
+    assert refusal(parse_sensor_field, text[: text.index("\n---\n")]) == expected
+    assert refusal(parse_measurement_text, text) == expected
+    path.write_text(text)
+    code = _run(["localize", str(path), "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert code == (2 if refused else 0)
+    if refused:
+        assert f"input error: {expected}" in capsys.readouterr().err
 
 
 def test_localize_non_finite_field_override_exit_code_2(tmp_path, capsys):

@@ -442,19 +442,6 @@ def test_prefetch_needs_a_second_cpu(monkeypatch, route):
     np.testing.assert_array_equal(_route(route, d, np.random.default_rng(1)), with_helper)
 
 
-def test_prefetch_thread_is_joined_on_early_close(monkeypatch):
-    _set_block(monkeypatch, 21, 4)
-    started = _started_threads(monkeypatch)
-    before = threading.active_count()
-    blocks = ordinal._noisy_differences(
-        _field(21, 701).values[None], [0.3], [np.random.default_rng(1)]
-    )
-    next(blocks)
-    assert len(started) == 1
-    blocks.close()
-    assert not started[0].is_alive() and threading.active_count() == before
-
-
 @pytest.mark.parametrize("route", ["tensor", "row_sums"])
 def test_prefetch_thread_is_joined_when_the_caller_raises(monkeypatch, route):
     """The caller fails in its second block; the helper is joined before
