@@ -75,9 +75,9 @@ class ExperimentConfig:
     exponent_low: float = 2.0
     exponent_high: float = 6.0
     calibration_exponent: float = 4.0
-    transmit_power: float = 1.0
-    hardware_gain: float = 1.0
     propagation_speed: float = 1.0
+    # accepted but not read, because existing callers, such as perfbench's
+    # workloads, pass one
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -92,12 +92,7 @@ class ExperimentConfig:
         low, high = FIELD_SIDE_RANGE
         if not low <= self.field_side <= high:
             raise ConfigError(f"field_side must be in [{low:g}, {high:g}], got {self.field_side}")
-        for name in (
-            "transmit_power",
-            "hardware_gain",
-            "propagation_speed",
-            "calibration_exponent",
-        ):
+        for name in ("propagation_speed", "calibration_exponent"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
@@ -222,29 +217,37 @@ def _ordinal_draw(config, m, sigmas, rngs):
 
 def _rss_draw(config, m, _, rngs):
     """Received powers P_R = P_T alpha d^-G, with a per-link path-loss
-    exponent G drawn uniformly on [exponent_low, exponent_high]."""
+    exponent G drawn uniformly on [exponent_low, exponent_high].  Every
+    method is invariant to the constant P_T alpha, which the paper takes
+    as unknown, so it is 1."""
     points, d_full = _layouts(config, m, rngs)
     size = len(pair_indices(m + config.n_targets)[0])
     exponents = _symmetric(
         [rng.uniform(config.exponent_low, config.exponent_high, size) for rng in rngs],
         m + config.n_targets,
     )
-    gain = config.transmit_power * config.hardware_gain
-    power = gain * np.maximum(d_full, MIN_LINK_DISTANCE) ** (-exponents)
+    power = np.maximum(d_full, MIN_LINK_DISTANCE) ** (-exponents)
     # (i) the ordinal pipeline on raw powers; (ii) fixed calibration
     # exponent and (iii) genie-aided per-link exponent inversions
     # d = (P_T alpha / P_R)^(1/G).  They are finite unless the power
-    # underflowed (to 0, or below P_T alpha / DBL_MAX)
+    # underflowed (to 0, or below 1 / DBL_MAX).  The fixed-G estimates
+    # are d^(G / G_cal), so a small calibration exponent on a large field
+    # can overflow their squares, the unfolding deltas
     block = exponents[:, :m, m:]
     with np.errstate(divide="ignore", over="ignore"):
         direct = tuple(
-            (gain / power[:, :m, m:]) ** (1.0 / exps)
+            (1.0 / power[:, :m, m:]) ** (1.0 / exps)
             for exps in (np.full(block.shape, config.calibration_exponent), block)
         )
-    if not all(np.isfinite(d).all() for d in direct):
-        raise OrdinalUnlocError(
-            "received power underflowed, so the direct distance inversions are not finite"
-        )
+        if not all(np.isfinite(d).all() for d in direct):
+            raise OrdinalUnlocError(
+                "received power underflowed, so the direct distance inversions are not finite"
+            )
+        if not np.isfinite(direct[0] ** 2).all():
+            raise OrdinalUnlocError(
+                "the squared fixed-calibration distance estimates overflow: calibration "
+                f"exponent {config.calibration_exponent!r} is too small for this field side"
+            )
     signals = [SignalMatrix(p, increasing_with_distance=False, n_anchors=m) for p in power]
     return _GroupDraw(points, d_full, (signals,), direct)
 
@@ -322,9 +325,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     # unsolved; for a direct method the trial raises on it instead
     if not all(np.isfinite(d**2).all() for group in draws.values() for d in group.direct):
         raise InputError("delta entries must be finite")
-    solutions = solve_columns(
-        [(draws[m].points[:, :m], est) for m, est in estimates.items()], config.solver
-    )
+    solutions = solve_columns([(draws[m].points[:, :m], est) for m, est in estimates.items()])
 
     shape = (len(grid), len(config.methods))
     sq_err, tau, flagged = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)

@@ -332,8 +332,6 @@ def cmd_localize(args) -> int:
     if field.m < 2:
         raise InputError(f"need at least 2 anchors, roster has {field.m}")
     ms = select_strong_links(parsed, args.keep_fraction)
-    seed = args.resolved_seed
-    opts = SolverOptions(restarts=args.restarts, seed=seed)
 
     if args.aggregator == "sample":
         n_samples = min_link_sample_count(ms)
@@ -352,7 +350,7 @@ def cmd_localize(args) -> int:
     psi = proximity_scores(signal_row_sums(matrices))
     estimates, _ = estimate_distances_stack(psi, point_distances(field.anchors), field.m)
     anchors = np.broadcast_to(field.anchors, (len(matrices),) + field.anchors.shape)
-    (solution,) = solve_columns([(anchors, estimates)], opts)
+    (solution,) = solve_columns([(anchors, estimates)])
     if not solution.solved.any(axis=0).all():
         raise OrdinalUnlocError("localization failed for at least one target")
 
@@ -366,7 +364,7 @@ def cmd_localize(args) -> int:
     missing = matrices[0].missing
     links = missing.shape[0] * (missing.shape[0] - 1)
     missing_links = int(missing.sum()) - missing.shape[0]
-    manifest = _manifest_stub("localize", config, seed)
+    manifest = _manifest_stub("localize", config, args.resolved_seed)
     manifest["diagnostics"] = {
         "parse_errors": {
             "count": len(parse_errors),

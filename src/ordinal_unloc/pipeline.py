@@ -22,8 +22,10 @@ def localize_from_tensor(
     """Run rank aggregation, function learning and unfolding on a tensor.
 
     Returns the per-target solver results and the recalibrated
-    anchor-to-target distance estimates.
+    anchor-to-target distance estimates.  ``opts`` is accepted but not
+    read, because existing callers, such as perfbench's workloads, pass
+    one.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     d_hat = estimate_distances(aggregate_proximities(tensor), point_distances(anchors))
-    return localize_all(anchors, d_hat, opts), d_hat
+    return localize_all(anchors, d_hat), d_hat

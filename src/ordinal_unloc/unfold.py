@@ -52,36 +52,31 @@ from .funclearn import EstimatedDistanceMatrix
 # the smallest eigenvalue's eigenvectors does (the hard case)
 _GAP_TOLERANCE = 1e-12
 _HARD_CASE_TOLERANCE = 1e-10
+# the root-finder's step cap, and the relative gradient norm at which a
+# root is accepted: ||grad J|| <= tol * (1 + |J|)
+_MAX_ITERATIONS = 500
+_GRADIENT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """``max_iterations`` caps the root-finder's Newton steps, and the root
-    is accepted once ||grad J|| <= gradient_tolerance * (1 + J).
-
-    ``restarts`` and ``seed`` are validated but do not affect results: the
-    solver is exact and draws no random numbers.
-    """
+    """Validated but unused: the solver is exact, draws no random numbers
+    and reads no options.  Accepted because existing callers, such as
+    perfbench's workloads, pass ``restarts`` and ``seed``."""
 
     restarts: int = 8
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-9  # relative: ||grad|| <= tol * (1 + |J|)
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if not self.gradient_tolerance > 0:
-            raise ConfigError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
 class LocalizationResult:
     """``iterations`` counts the root-finder's steps (0 in the hard case),
-    ``converged`` says the root met its tolerance and ``winning_restart``
-    is always 0."""
+    ``converged`` says the root met its tolerance or its iterate stopped
+    moving, and ``winning_restart`` is always 0."""
 
     position: np.ndarray
     cost: float
@@ -130,7 +125,7 @@ def _secular(u, beta, e, m, shift, sum_b):
     return xt, norm2, phi, u + step
 
 
-def _find_roots(beta, e, s, m, shift, sum_b, sum_bb, lo, hi, opts):
+def _find_roots(beta, e, s, m, shift, sum_b, sum_bb, lo, hi):
     """Safeguarded Newton on phi over u in (lo, hi), all problems at once.
 
     Starts at lam = 0 (the unconstrained least-squares point, which is the
@@ -139,20 +134,24 @@ def _find_roots(beta, e, s, m, shift, sum_b, sum_bb, lo, hi, opts):
     stops once the gradient of J at its iterate, 4 m phi x, meets the
     tolerance, or when its iterate stops moving; a stopped problem's u no
     longer changes.  Returns u, the step counts and the convergence flags.
+
+    A problem that stopped with phi finite counts as converged: its root is
+    as close as the floats allow.  The tolerance alone would flag exact
+    noiseless solves on large fields, since for a cost near 0 it is
+    absolute while 4 m |phi| ||x|| is roundoff that grows with the cube of
+    the field's scale.
     """
     u = np.where((shift > lo) & (shift < hi), shift, hi)
     active = np.ones(u.shape, dtype=bool)
     iterations = np.zeros(u.shape, dtype=int)
-    for _ in range(opts.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         xt, norm2, phi, newton = _secular(u, beta, e, m, shift, sum_b)
         # J at the iterate from the per-problem sums (centred coordinates)
         cost = (
             m * norm2 * norm2 - 2.0 * norm2 * sum_b + sum_bb
             + 4.0 * (s * xt * xt).sum(axis=1) - 2.0 * (beta * xt).sum(axis=1)
         )  # fmt: skip
-        done = 4.0 * m * np.abs(phi) * np.sqrt(norm2) <= opts.gradient_tolerance * (
-            1.0 + np.abs(cost)
-        )
+        done = 4.0 * m * np.abs(phi) * np.sqrt(norm2) <= _GRADIENT_TOLERANCE * (1.0 + np.abs(cost))
         iterations += active
         left = phi > 0
         lo = np.where(left, u, lo)
@@ -162,7 +161,8 @@ def _find_roots(beta, e, s, m, shift, sum_b, sum_bb, lo, hi, opts):
         if not active.any():
             break
         u = np.where(active, step, u)
-    return u, iterations, done
+    # a stopped problem's u, and so its done and phi, are those it stopped at
+    return u, iterations, done | (~active & np.isfinite(phi))
 
 
 def _cost_terms(positions, anchors, delta, counts, starts):
@@ -194,7 +194,7 @@ def _newton_polish(positions, anchors, delta, counts, starts):
     return np.where(better[:, None], trial, positions), np.where(better, trial_costs, costs)
 
 
-def solve_unfolding_arrays(anchors, delta, counts, opts: SolverOptions | None = None):
+def solve_unfolding_arrays(anchors, delta, counts):
     """Minimize the unfolding cost of many problems of one dimension q,
     given as arrays, in one batch.
 
@@ -206,7 +206,6 @@ def solve_unfolding_arrays(anchors, delta, counts, opts: SolverOptions | None = 
     batch.  Problems with fewer than q + 1 anchors are solved without a
     warning; ``warn_ill_posed`` is the caller's.
     """
-    opts = opts or SolverOptions()
     anchors = np.asarray(anchors, dtype=float)
     delta = np.asarray(delta, dtype=float)
     counts = np.asarray(counts, dtype=int)
@@ -261,7 +260,7 @@ def solve_unfolding_arrays(anchors, delta, counts, opts: SolverOptions | None = 
         hi = 2.0 * np.maximum(4.0 * m * np.abs(t0), np.cbrt(4.0 * m * beta_sq))[soft]
         u[soft], iterations[soft], converged[soft] = _find_roots(
             beta[soft], e[soft], s[soft], m[soft], shift[soft], sum_b[soft], sum_bb[soft],
-            lo, hi, opts,
+            lo, hi,
         )  # fmt: skip
 
     pole = u[:, None] + e
@@ -306,7 +305,7 @@ def _scatter(values, solved, fill):
     return out
 
 
-def solve_columns(groups, opts: SolverOptions | None = None) -> list[ColumnSolution]:
+def solve_columns(groups) -> list[ColumnSolution]:
     """Localize every target column of every group in one solver batch.
 
     Each group is a pair of anchors (G, m, q) and distance estimates
@@ -335,7 +334,7 @@ def solve_columns(groups, opts: SolverOptions | None = None) -> list[ColumnSolut
         masks.append(solved)
         warn_ill_posed(m, q, count=len(rows), stacklevel=3)
     positions, costs, iterations, converged = solve_unfolding_arrays(
-        np.concatenate(anchor_rows), np.concatenate(delta), np.concatenate(counts), opts
+        np.concatenate(anchor_rows), np.concatenate(delta), np.concatenate(counts)
     )
     out, start = [], 0
     for solved in masks:
@@ -353,7 +352,7 @@ def solve_columns(groups, opts: SolverOptions | None = None) -> list[ColumnSolut
     return out
 
 
-def unloc_localize(anchors, delta, opts: SolverOptions | None = None) -> LocalizationResult:
+def unloc_localize(anchors, delta) -> LocalizationResult:
     """Minimize the unfolding cost of one problem: anchors (m x q) and
     squared-distance targets delta (m,)."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
@@ -366,21 +365,17 @@ def unloc_localize(anchors, delta, opts: SolverOptions | None = None) -> Localiz
     if not np.all(np.isfinite(delta)):
         raise InputError("delta entries must be finite")
     warn_ill_posed(m, q)
-    return _result(*solve_unfolding_arrays(anchors, delta, [m], opts), 0, m >= q + 1)
+    return _result(*solve_unfolding_arrays(anchors, delta, [m]), 0, m >= q + 1)
 
 
-def localize_all(
-    anchors,
-    d_hat: EstimatedDistanceMatrix,
-    opts: SolverOptions | None = None,
-) -> list[LocalizationResult | None]:
+def localize_all(anchors, d_hat: EstimatedDistanceMatrix) -> list[LocalizationResult | None]:
     """Solve every column of an estimated distance matrix in one batch.
 
     A column whose squared estimates are not all finite yields None
     without aborting the others.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    (out,) = solve_columns([(anchors[None], d_hat.values[None])], opts)
+    (out,) = solve_columns([(anchors[None], d_hat.values[None])])
     arrays = out.positions[0], out.costs[0], out.iterations[0], out.converged[0]
     well_posed = anchors.shape[0] >= anchors.shape[1] + 1
     return [_result(*arrays, j, well_posed) if ok else None for j, ok in enumerate(out.solved[0])]

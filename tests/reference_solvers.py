@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordinal_unloc import bench
+from ordinal_unloc import bench, unfold
 from ordinal_unloc.core import (
     DistanceMatrix,
     IllPosedWarning,
@@ -181,7 +181,7 @@ def unfolding_gradient(x, anchors, delta) -> np.ndarray:
 _INITIAL_DAMPING = 1e-3
 
 
-def _descend(anchors, delta, starts, opts):
+def _descend(anchors, delta, starts):
     """Damped-Newton (Levenberg-style) descent, vectorized over restarts.
 
     Returns (positions, costs, iterations_used).  A restart freezes once
@@ -202,10 +202,10 @@ def _descend(anchors, delta, starts, opts):
 
     u, r, cost = residuals(x)
     iterations = 0
-    for _ in range(opts.max_iterations):
+    for _ in range(unfold._MAX_ITERATIONS):
         grad = 4.0 * (r[:, :, None] * u).sum(axis=1)
         gnorm = np.linalg.norm(grad, axis=1)
-        active = ~frozen & (gnorm > opts.gradient_tolerance * (1.0 + np.abs(cost)))
+        active = ~frozen & (gnorm > unfold._GRADIENT_TOLERANCE * (1.0 + np.abs(cost)))
         if not active.any():
             break
         iterations += 1
@@ -245,13 +245,13 @@ def _hessian(x, anchors, delta):
     return 4.0 * r.sum() * np.eye(x.shape[0]) + 8.0 * (u.T @ u)
 
 
-def _newton_polish(x, anchors, delta, cost, opts):
+def _newton_polish(x, anchors, delta, cost):
     """Drive the gradient down by pure Newton steps once cost decreases are
     no longer representable; accepted only while the cost does not rise."""
     grad = unfolding_gradient(x, anchors, delta)
     gnorm = np.linalg.norm(grad)
     for _ in range(8):
-        if gnorm <= opts.gradient_tolerance * (1.0 + abs(cost)):
+        if gnorm <= unfold._GRADIENT_TOLERANCE * (1.0 + abs(cost)):
             break
         try:
             step = np.linalg.solve(_hessian(x, anchors, delta), -grad)
@@ -306,16 +306,14 @@ def reference_localize(
         )
     rng = np.random.default_rng([opts.seed, column])
     starts = _starting_points(anchors, opts, rng)
-    points, costs, iterations = _descend(anchors, delta, starts, opts)
+    points, costs, iterations = _descend(anchors, delta, starts)
     for i in range(points.shape[0]):
-        points[i], costs[i], _ = _newton_polish(
-            points[i], anchors, delta, float(costs[i]), opts
-        )
+        points[i], costs[i], _ = _newton_polish(points[i], anchors, delta, float(costs[i]))
     winner = int(np.argmin(costs))  # ties break to the lowest restart index
     x_hat = points[winner]
     cost = float(costs[winner])
     grad_norm = np.linalg.norm(unfolding_gradient(x_hat, anchors, delta))
-    converged = grad_norm <= opts.gradient_tolerance * (1.0 + abs(cost))
+    converged = grad_norm <= unfold._GRADIENT_TOLERANCE * (1.0 + abs(cost))
     return LocalizationResult(
         position=x_hat,
         cost=float(cost),
@@ -352,13 +350,13 @@ def reference_grid(anchors, delta):
     return best_x, unfolding_cost(best_x, anchors, delta)
 
 
-def oracle_bound(anchors, delta) -> float:
+def oracle_bound(anchors, delta, opts: SolverOptions | None = None) -> float:
     """The highest cost the exact solver may return: the lower of the
-    multi-start and grid oracles' costs, plus 1e-9 of it, plus a roundoff
-    floor for problems whose minimum is zero."""
+    multi-start (run with ``opts``) and grid oracles' costs, plus 1e-9 of
+    it, plus a roundoff floor for problems whose minimum is zero."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllPosedWarning)
-        descent = reference_localize(anchors, delta).cost
+        descent = reference_localize(anchors, delta, opts).cost
     best = min(descent, reference_grid(anchors, delta)[1])
     return best * (1.0 + 1e-9) + 1e-24 * (1.0 + float((np.asarray(delta) ** 2).sum()))
 
@@ -500,7 +498,7 @@ def _direct_problems(anchors, d_est):
     return [_problem(anchors, d_est[:, j] ** 2) for j in range(d_est.shape[1])]
 
 
-def _solve(problems, opts):
+def _solve(problems):
     """(position, converged) per problem, all problems solved in one
     ``solve_unfolding_arrays`` batch; None problems give None."""
     batch = [p for p in problems if p is not None]
@@ -510,7 +508,6 @@ def _solve(problems, opts):
         np.concatenate([anchors for anchors, _ in batch]),
         np.concatenate([delta for _, delta in batch]),
         [len(anchors) for anchors, _ in batch],
-        opts,
     )
     solved = iter(zip(positions, converged))
     return [None if p is None else next(solved) for p in problems]
@@ -530,19 +527,18 @@ def _rss_grid_point(config, m, rng):
     n = config.n_targets
     anchors = rng.uniform(0, config.field_side, size=(m, 2))
     targets = rng.uniform(0, config.field_side, size=(n, 2))
-    gain = config.transmit_power * config.hardware_gain
     d_full = point_distances(np.vstack([anchors, targets]))
     d_true_yx = d_full[:m, m:]
     exponents = _symmetric_draws(
         m + n, lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
     )
-    power = gain * np.maximum(d_full, 1e-6) ** (-exponents)
+    power = np.maximum(d_full, 1e-6) ** (-exponents)
     sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
     d_hat = _estimate_from_tensor(dense_tensor_from_signals(sig), anchors)
     methods = [(column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx)]
     for exps in (np.full((m, n), config.calibration_exponent), exponents[:m, m:]):
         with np.errstate(divide="ignore", over="ignore"):
-            d_est = (gain / power[:m, m:]) ** (1.0 / exps)
+            d_est = (1.0 / power[:m, m:]) ** (1.0 / exps)
         if not np.isfinite(d_est).all():
             raise OrdinalUnlocError(
                 "received power underflowed, so the direct distance inversions are not finite"
@@ -617,7 +613,7 @@ def reference_run_trial(config, trial_index) -> bench.TrialOutcome:
         else:
             solves.append(_toa_grid_point(config, m, noise, rng))
     problems = [p for methods in solves for method in methods for p in method[0]]
-    results = iter(_solve(problems, config.solver))
+    results = iter(_solve(problems))
     for g, methods in enumerate(solves):
         for k, (method_problems, estimates, targets, true_yx) in enumerate(methods):
             method_results = [next(results) for _ in method_problems]

@@ -253,7 +253,7 @@ def test_criterion_7_solver_oracle():
                 break
         x_true = rng.uniform(0, 1, 2)
         delta = ((x_true - anchors) ** 2).sum(axis=1)
-        res = unloc_localize(anchors, delta, SolverOptions(seed=trial))
+        res = unloc_localize(anchors, delta)
         worst_pos = max(worst_pos, float(np.linalg.norm(res.position - x_true)))
     ok = worst_grad < 1e-5 and worst_pos < 1e-6
     _report(

@@ -121,9 +121,6 @@ def test_config_validation():
         dict(field_side=np.inf),
         dict(propagation_speed=0.0),
         dict(calibration_exponent=np.nan),
-        dict(transmit_power=-1.0),
-        dict(transmit_power=0.0),
-        dict(hardware_gain=0.0),
         dict(exponent_low=1.0, exponent_high=3.0),
         dict(exponent_low=6.0, exponent_high=2.0),
         dict(exponent_high=np.inf),
@@ -268,8 +265,8 @@ def test_trial_batch_matches_problems_solved_alone(monkeypatch, kind):
     config = _small(kind, anchor_counts=(3, 5, 8), n_targets=2)
     solved, calls = [], []
 
-    def recording(anchors, delta, counts, opts):
-        results = solve_unfolding_arrays(anchors, delta, counts, opts)
+    def recording(anchors, delta, counts):
+        results = solve_unfolding_arrays(anchors, delta, counts)
         bounds = np.cumsum(counts)[:-1]
         problems = zip(np.split(anchors, bounds), np.split(delta, bounds))
         solved.extend(zip(problems, *results))
@@ -282,10 +279,22 @@ def test_trial_batch_matches_problems_solved_alone(monkeypatch, kind):
     monkeypatch.undo()
     assert calls == [len(config.grid()) * len(config.methods) * 2] * 3
     for (anchors, delta), position, cost, _, converged in solved:
-        alone = unloc_localize(anchors, delta, config.solver)
+        alone = unloc_localize(anchors, delta)
         assert position.tobytes() == alone.position.tobytes()
         assert cost == alone.cost and converged == alone.converged
         assert cost <= oracle_bound(anchors, delta)
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
+def test_run_trial_ignores_solver_options(kind):
+    """``ExperimentConfig.solver`` is accepted but not read: any
+    ``SolverOptions`` gives the outcome bytes of the default."""
+    default = _small(kind, n_targets=2, solver=SolverOptions())
+    other = _small(kind, n_targets=2, solver=SolverOptions(restarts=1, seed=9))
+    for t in range(3):
+        got, expected = run_trial(other, t), run_trial(default, t)
+        for name in ("sq_err", "tau", "flagged"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])

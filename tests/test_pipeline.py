@@ -41,6 +41,22 @@ def test_noiseless_positions_land_in_field():
     assert np.linalg.norm(result.position - targets[0]) < 0.5
 
 
+def test_solver_options_do_not_change_results():
+    """The third argument is accepted but not read: any ``SolverOptions``
+    gives the bytes of none."""
+    rng = np.random.default_rng(13)
+    anchors, _, d = random_field_distances(rng, 8, 3)
+    tensor = tensor_from_distances(d, ComparisonNoiseModel(0.3), rng)
+    expected, expected_d_hat = localize_from_tensor(tensor, anchors)
+    got, d_hat = localize_from_tensor(tensor, anchors, SolverOptions(restarts=1, seed=9))
+    assert d_hat.values.tobytes() == expected_d_hat.values.tobytes()
+    for result, reference in zip(got, expected, strict=True):
+        assert result.position.tobytes() == reference.position.tobytes()
+        assert (result.cost, result.iterations, result.converged) == (
+            reference.cost, reference.iterations, reference.converged
+        )
+
+
 def test_noise_degrades_tau_monotonically_on_average():
     rng = np.random.default_rng(5)
     taus = {0.0: [], 1.0: []}

@@ -41,22 +41,19 @@ def _toa_draw(seed, variance, m=6, n=4, **kw):
 
 
 def test_rss_power_worked_example(monkeypatch):
-    # P_T = 2, alpha = 3, d = 2, G = 3: P_R = 6 / 8
+    # P_T alpha = 1, d = 2, G = 3: P_R = 1 / 8
     _fixed_layout(monkeypatch, [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)])
-    draw = _rss_draw(
-        0, m=2, n=1, transmit_power=2.0, hardware_gain=3.0, exponent_low=3.0, exponent_high=3.0
-    )
-    assert _powers(draw)[0, 1] == pytest.approx(0.75)
-    assert _powers(draw)[0, 2] == pytest.approx(0.75)
+    draw = _rss_draw(0, m=2, n=1, exponent_low=3.0, exponent_high=3.0)
+    assert _powers(draw)[0, 1] == pytest.approx(0.125)
+    assert _powers(draw)[0, 2] == pytest.approx(0.125)
 
 
 def test_rss_power_unit_distance_is_gain(monkeypatch):
+    # the gain P_T alpha, which every method cancels, is 1
     _fixed_layout(monkeypatch, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     for g in (2.0, 4.0, 6.0):
-        draw = _rss_draw(
-            0, m=2, n=1, transmit_power=5.0, hardware_gain=0.5, exponent_low=g, exponent_high=g
-        )
-        assert _powers(draw)[0, 1] == pytest.approx(2.5)
+        draw = _rss_draw(0, m=2, n=1, exponent_low=g, exponent_high=g)
+        assert _powers(draw)[0, 1] == 1.0
 
 
 def test_rss_power_floors_coincident_sensors(monkeypatch):
@@ -69,11 +66,10 @@ def test_rss_power_floors_coincident_sensors(monkeypatch):
 
 def test_rss_model_validation():
     # the rss kind's signal model parameters are checked where they are
-    # configured: a nonpositive power or gain, or an exponent range that
-    # leaves [2, 6] or is reversed, is refused
+    # configured: an exponent range that leaves [2, 6] or is reversed, or a
+    # nonpositive calibration exponent, is refused
     for bad in (
-        dict(transmit_power=0.0),
-        dict(hardware_gain=-1.0),
+        dict(calibration_exponent=0.0),
         dict(exponent_low=1.0),
         dict(exponent_low=5.0, exponent_high=3.0),
     ):
@@ -102,25 +98,21 @@ def test_toa_can_be_negative_near_zero_distance():
 
 
 def test_exponent_draws_within_bounds():
-    # on links far longer than 1 the exponent is log(P_T alpha / P_R) / log(d)
-    draw = _rss_draw(3, m=20, n=20, field_side=1000.0, transmit_power=2.0)
+    # on links far longer than 1 the exponent is log(1 / P_R) / log(d)
+    draw = _rss_draw(3, m=20, n=20, field_side=1000.0)
     d = draw.d_full[0]
     long = d > 10.0
-    g = np.log(2.0 / _powers(draw)[long]) / np.log(d[long])
+    g = np.log(1.0 / _powers(draw)[long]) / np.log(d[long])
     assert long.sum() > 700
     assert g.min() >= 2.0 - 1e-9 and g.max() <= 6.0 + 1e-9
     assert g.mean() == pytest.approx(4.0, abs=0.15)
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**31),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=0.1, max_value=10.0),
-)
-def test_rss_roundtrip_is_exact(seed, side, p_t):
+@given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=1e-3, max_value=1e3))
+def test_rss_roundtrip_is_exact(seed, side):
     """Genie inversion with the generating exponents recovers the distances."""
-    draw = _rss_draw(seed, field_side=side, transmit_power=p_t)
+    draw = _rss_draw(seed, field_side=side)
     np.testing.assert_allclose(draw.direct[1][0], draw.d_full[0, :6, 6:], rtol=1e-9, atol=0)
 
 
