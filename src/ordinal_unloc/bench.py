@@ -10,8 +10,8 @@ Every trial derives an independent RNG stream from
 (master seed, experiment id, trial index), so results are deterministic
 and independent of worker count.  The grid points that share an anchor
 count form a group, and a trial runs each stage on a group's stacked
-arrays; the only per-grid-point objects are the ``SignalMatrix`` inputs
-of the rss and toa kinds' comparisons:
+arrays; the rss and toa kinds hand a group's (G, N, N) powers or arrival
+times to ``signal_row_sums`` as one stack:
 
 1. draw: each grid point draws its layout and channel on its own child
    stream, into one (G, m + n, 2) layout stack per group, whose distances
@@ -37,7 +37,6 @@ import numpy as np
 from .core import ConfigError, InputError, OrdinalUnlocError, point_distances
 from .funclearn import estimate_distances_stack
 from .ordinal import (
-    SignalMatrix,
     _usable_cpus,
     distance_row_sums,
     pair_indices,
@@ -248,8 +247,7 @@ def _rss_draw(config, m, _, rngs):
                 "the squared fixed-calibration distance estimates overflow: calibration "
                 f"exponent {config.calibration_exponent!r} is too small for this field side"
             )
-    signals = [SignalMatrix(p, increasing_with_distance=False, n_anchors=m) for p in power]
-    return _GroupDraw(points, d_full, (signals,), direct)
+    return _GroupDraw(points, d_full, (power, None, False), direct)
 
 
 def _toa_draw(config, m, variances, rngs):
@@ -261,8 +259,7 @@ def _toa_draw(config, m, variances, rngs):
         rng.integers(2**63, size=2)  # unused; keeps the noise draws in place
         noise.append(rng.normal(0.0, float(np.sqrt(variance / c)), size))
     toa = d_full / c + _symmetric(noise, m + config.n_targets)
-    signals = [SignalMatrix(t, increasing_with_distance=True, n_anchors=m) for t in toa]
-    return _GroupDraw(points, d_full, (signals,), (c * toa[:, :m, m:],))
+    return _GroupDraw(points, d_full, (toa, None, True), (c * toa[:, :m, m:],))
 
 
 _DRAWS = {"ordinal": _ordinal_draw, "rss": _rss_draw, "toa": _toa_draw}
@@ -315,8 +312,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
         m: draw(config, m, [grid[g][1] for g in members], [rngs[g] for g in members])
         for m, members in groups.items()
     }
-    # every group is drawn and checked (by SignalMatrix, or by the distance
-    # row sums) before any group is fitted
+    # every group is drawn and its comparisons checked (by the row sums)
+    # before any group is fitted
     row_sums = distance_row_sums if config.kind == "ordinal" else signal_row_sums
     psi = {m: proximity_scores(row_sums(*draws[m].comparisons)) for m in groups}
     estimates = {m: _estimates(m, psi[m], draws[m]) for m in groups}

@@ -347,7 +347,11 @@ def cmd_localize(args) -> int:
         labels = [args.aggregator]
 
     # every sample has the same sensors: one stacked estimate, one solver batch
-    psi = proximity_scores(signal_row_sums(matrices))
+    values = np.stack([S.values for S in matrices])
+    present = ~np.stack([S.missing for S in matrices])
+    psi = proximity_scores(
+        signal_row_sums(values, present, matrices[0].increasing_with_distance)
+    )
     estimates, _ = estimate_distances_stack(psi, point_distances(field.anchors), field.m)
     anchors = np.broadcast_to(field.anchors, (len(matrices),) + field.anchors.shape)
     (solution,) = solve_columns([(anchors, estimates)])
@@ -361,9 +365,8 @@ def cmd_localize(args) -> int:
         "aggregator": args.aggregator,
         "restarts": args.restarts,
     }
-    missing = matrices[0].missing
-    links = missing.shape[0] * (missing.shape[0] - 1)
-    missing_links = int(missing.sum()) - missing.shape[0]
+    links = present.shape[1] * (present.shape[1] - 1)
+    pooled = int(present[0].sum())  # every sample has the pooled links' records
     manifest = _manifest_stub("localize", config, args.resolved_seed)
     manifest["diagnostics"] = {
         "parse_errors": {
@@ -376,8 +379,8 @@ def cmd_localize(args) -> int:
         "records": {
             "parsed": len(parsed.records),
             "kept": len(ms.records),
-            "pooled_links": (links - missing_links) // 2,
-            "missing_link_frac": missing_links / links,
+            "pooled_links": pooled // 2,
+            "missing_link_frac": (links - pooled) / links,
             "samples": len(matrices),
         },
     }

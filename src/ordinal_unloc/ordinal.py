@@ -2,7 +2,7 @@
 
 Rank aggregation needs only the row sums of each reference slice of the
 N x N x N comparison tensor, so that is all this module computes: the
-``*_row_sums`` functions for a stack of matrices of one order, and
+``*_row_sums`` functions for a (G, N, N) stack of matrices, and
 ``tensor_from_*`` for one matrix, wrapped in a ``ComparisonTensor``.  No
 N^3 array is built.  The distance route is one function,
 ``distance_row_sums``, which draws the threshold noise, works through
@@ -44,7 +44,8 @@ class SignalMatrix:
 
     ``increasing_with_distance`` declares the orientation: True for
     time-of-flight-like proxies, False for received power.  Missing links
-    (including the diagonal) are flagged in ``missing``.
+    (including the diagonal) are flagged in ``missing``.  Checked as
+    ``signal_row_sums`` checks a stack of one, with 0 <= n_anchors <= N.
     """
 
     values: np.ndarray
@@ -53,30 +54,48 @@ class SignalMatrix:
     missing: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InputError(f"signal matrix must be square, got shape {v.shape}")
-        n = v.shape[0]
-        if self.missing is None:
-            miss = np.zeros((n, n), dtype=bool)
-        else:
-            miss = np.array(self.missing, dtype=bool)
-            if miss.shape != v.shape:
-                raise InputError("missing mask shape must match values")
-        np.fill_diagonal(miss, True)
-        bad = ~miss & ~np.isfinite(v)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise InputError(f"signal value {v[i, j]} at present link ({i}, {j}) is not finite")
-        both = ~miss & ~miss.T
-        if not np.allclose(np.where(both, v, 0.0), np.where(both, v.T, 0.0)):
-            raise InputError("signal matrix must be symmetric where present")
-        object.__setattr__(self, "values", _frozen(v))
-        object.__setattr__(self, "missing", _frozen(miss, dtype=bool))
+        present = None if self.missing is None else ~np.asarray(self.missing, dtype=bool)[None]
+        values, present = _checked_signals(np.asarray(self.values, dtype=float)[None], present)
+        if not (0 <= self.n_anchors <= values.shape[1]):
+            raise InputError("anchor count out of range for signal matrix")
+        object.__setattr__(self, "values", _frozen(values[0]))
+        object.__setattr__(self, "missing", _frozen(~present[0], dtype=bool))
 
     @property
     def order(self) -> int:
         return self.values.shape[0]
+
+
+def _checked_signals(values, present):
+    """The signal route's one check, of ``signal_row_sums``' arguments:
+    returns the stack as floats and a new presence mask without the
+    diagonal.  Errors about one matrix name its index in a longer stack."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+        raise InputError(f"signal matrix must be square, got shape {values.shape[1:]}")
+    one = len(values) == 1
+    if present is None:
+        present = np.ones(values.shape, dtype=bool)
+    else:
+        present = np.array(present, dtype=bool)
+        if present.shape != values.shape:
+            raise InputError(f"{'missing' if one else 'presence'} mask shape must match values")
+    present &= ~np.eye(values.shape[1], dtype=bool)
+    bad = present & ~np.isfinite(values)
+    if bad.any():
+        g, i, j = np.argwhere(bad)[0]
+        where = "" if one else f" of matrix {g}"
+        raise InputError(
+            f"signal value {values[g, i, j]} at present link ({i}, {j}){where} is not finite"
+        )
+    kept = np.where(present & np.swapaxes(present, 1, 2), values, 0.0)
+    # relative only: an absolute floor would pass or fail the same
+    # readings depending on their unit
+    asymmetric = ~np.isclose(kept, np.swapaxes(kept, 1, 2), rtol=1e-5, atol=0.0)
+    if asymmetric.any():
+        name = "signal matrix" if one else f"signal matrix {np.argwhere(asymmetric)[0][0]}"
+        raise InputError(f"{name} must be symmetric where present")
+    return values, present
 
 
 # Comparison entries per block of reference slices.  Temporaries scale
@@ -102,13 +121,6 @@ def pair_indices(n):
     i, j = np.triu_indices(n, k=1)
     i.flags.writeable = j.flags.writeable = False
     return i, j
-
-
-def _stack_orders(items, what):
-    orders = {item.order for item in items}
-    if len(orders) > 1:
-        raise InputError(f"stacked {what} must share one order, got {sorted(orders)}")
-    return orders.pop() if orders else 0
 
 
 def _usable_cpus():
@@ -257,23 +269,9 @@ def _dense_ranks(x):
     return ranks
 
 
-def _signal_ranks(signals):
-    """present[g*N + k, i] (link i-k of matrix g measured) and the dense
-    rank of each oriented value within its reference slice; missing links
-    rank as 0.0.  Present values are finite, so comparing their ranks
-    within a slice gives the same signs as subtracting them."""
-    _stack_orders(signals, "signal matrices")
-    if not signals:
-        return np.empty((0, 0), dtype=bool), np.empty((0, 0), dtype=np.uint8)
-    present = np.concatenate([~S.missing.T for S in signals])
-    oriented = np.concatenate(
-        [(S.values if S.increasing_with_distance else -S.values).T for S in signals]
-    )
-    return present, _dense_ranks(np.where(present, oriented, 0.0))
-
-
 def _warn_sparse_slices(present):
-    n = len(present)
+    """Warn for each sparse slice k of a matrix g (row g*N + k)."""
+    n = present.shape[1]
     # slice k compares the pairs of the other N - 1 sensors; its own link
     # is always missing, so with N <= 2 there is no such pair
     if n < 3:
@@ -282,29 +280,35 @@ def _warn_sparse_slices(present):
     counts = present.sum(axis=1)
     pairs = (n - 1) * (n - 2)
     missing_frac = (pairs - counts * (counts - 1)) / pairs
-    for k in np.nonzero(missing_frac > 0.5)[0]:
+    for row in np.nonzero(missing_frac > 0.5)[0]:
         warnings.warn(
-            f"slice {k}: {missing_frac[k]:.0%} of comparisons missing; "
+            f"slice {row % n}: {missing_frac[row]:.0%} of comparisons missing; "
             "localization quality degrades",
             SliceCoverageWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
 def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     """Ordinal comparisons of measured proxies, as the row sums of
-    ``signal_row_sums`` for one matrix.
+    ``signal_row_sums`` for one matrix, which ``SignalMatrix`` has checked.
 
     Comparisons are oriented so +1 always means "i is farther from k than
     j" regardless of whether the proxy grows or shrinks with distance.
     Comparisons touching a missing link count as 0.
     """
-    return ComparisonTensor(signal_row_sums([S])[0], S.n_anchors)
+    (row_sums,) = _ranked_row_sums(S.values[None], ~S.missing[None], S.increasing_with_distance)
+    return ComparisonTensor(row_sums, S.n_anchors)
 
 
-def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
-    """Row sums of the comparison slices of a stack of signal matrices of
-    one order.
+def signal_row_sums(
+    values: np.ndarray, present: np.ndarray | None, increasing_with_distance: bool
+) -> np.ndarray:
+    """Row sums of the comparison slices of a (G, N, N) stack of signal
+    matrices of one orientation.  ``present[g, i, k]`` says link i-k of
+    matrix g was measured (None: every link; never the diagonal).  Each
+    matrix must be finite where present and symmetric, to a relative
+    1e-5, where both directions are present.
 
     ``out[g, k, i]`` is, for a present link i-k of matrix g, the number of
     present values of slice k ranked below sensor i's minus the number
@@ -313,8 +317,20 @@ def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
     matrix warns ``SliceCoverageWarning`` for every slice that misses more
     than half of its comparisons.
     """
-    present, ranks = _signal_ranks(signals)
-    rows, n = present.shape
+    values, present = _checked_signals(values, present)
+    return _ranked_row_sums(values, present, increasing_with_distance)
+
+
+def _ranked_row_sums(values, present, increasing_with_distance):
+    """``signal_row_sums`` of a checked stack and mask."""
+    g_count, n, _ = values.shape
+    rows = g_count * n
+    # row g*N + k holds slice k of matrix g, whose column i is link i-k
+    present = np.swapaxes(present, 1, 2).reshape(rows, n)
+    oriented = np.swapaxes(values if increasing_with_distance else -values, 1, 2)
+    # present values are finite, so comparing their ranks within a slice
+    # gives the same signs as subtracting them; missing links rank as 0.0
+    ranks = _dense_ranks(np.where(present, oriented.reshape(rows, n), 0.0))
     bins = np.arange(rows)[:, None] * n + ranks
     at_rank = np.bincount(bins[present], minlength=rows * n).reshape(rows, n)
     up_to_rank = np.cumsum(at_rank, axis=1)
@@ -322,6 +338,5 @@ def signal_row_sums(signals: Sequence[SignalMatrix]) -> np.ndarray:
     eq = np.take_along_axis(at_rank, ranks, axis=1)
     # below = le - eq, above = c_k - le
     out = np.where(present, 2 * le - eq - up_to_rank[:, -1:], 0)
-    for g in range(len(signals)):
-        _warn_sparse_slices(present[g * n : (g + 1) * n])
-    return out.reshape(len(signals), n, n)
+    _warn_sparse_slices(present)
+    return out.reshape(g_count, n, n)

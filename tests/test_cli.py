@@ -534,17 +534,28 @@ def test_localize_sample_mode_rows(tmp_path):
     assert manifest["config"]["aggregator"] == "sample"
 
 
-def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path):
+def _drop_pair_reads(path, pair):
+    """Remove every read of the unordered link ``pair`` from the log."""
+    a, b = pair
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(x for x in lines if not x.startswith((f"{a},{b},", f"{b},{a},"))))
+
+
+@pytest.mark.parametrize("dropped", [None, ("a1", "t1")], ids=["complete", "a1-t1-missing"])
+def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path, dropped):
     """All samples are estimated in one stack from comparison row sums, and
     one solver batch gets the problems of each sample's tensor route, byte
-    for byte."""
+    for byte, also when a link is missing from every sample."""
     path = tmp_path / "meas.csv"
     _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    if dropped is not None:
+        _drop_pair_reads(path, dropped)
     parsed = parse_measurements(path)
     links = select_strong_links(parsed, 1.0)
     expected = []
     for k in range(1, min_link_sample_count(links) + 1):
         sig = measurement_signal_matrix(links, "sample", sample_index=k)
+        assert sig.missing.sum() == sig.order + (0 if dropped is None else 2)
         _, d_hat = localize_from_tensor(tensor_from_signals(sig), parsed.field.anchors)
         expected += [d_hat.values[:, j] ** 2 for j in range(d_hat.n_targets)]
     batches = []
@@ -763,10 +774,8 @@ def test_localize_threads_flag_is_inert(tmp_path):
 def test_localize_manifest_records_counts(tmp_path):
     path = tmp_path / "meas.csv"
     _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
-    lines = path.read_text().split("\n")
     # drop every read of the a1-t1 pair: 54 of 60 records remain, 9 of 10 links
-    kept = [line for line in lines if not line.startswith(("a1,t1,", "t1,a1,"))]
-    path.write_text("\n".join(kept))
+    _drop_pair_reads(path, ("a1", "t1"))
     out = tmp_path / "o"
     assert _run(_localize_args(path, out, "--keep-fraction", "0.5")) == 0
     manifest = json.loads((out / "manifest.json").read_text())

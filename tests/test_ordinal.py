@@ -166,13 +166,38 @@ def test_complete_small_signal_matrix_warns_nothing(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error", SliceCoverageWarning)
         tensor_from_signals(S)
-        signal_row_sums([S, S])
+        signal_row_sums(np.stack([values, values]), None, False)
 
 
 def test_signals_asymmetric_rejected():
     values = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(Exception):
         _signal_matrix(values, increasing=False)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_signal_symmetry_check_is_scale_free(scale):
+    """The same readings in any unit pass or fail alike: the tolerance is
+    relative only."""
+    skewed = np.array([[0, 1e-9, 2e-9], [3e-9, 0, 5e-9], [6e-9, 1e-9, 0]]) * scale
+    with pytest.raises(InputError, match="^signal matrix must be symmetric where present$"):
+        _signal_matrix(skewed, increasing=False)
+    with pytest.raises(InputError, match="^signal matrix must be symmetric where present$"):
+        signal_row_sums(skewed[None], None, False)
+    values = np.array([[0, 1e-9, 2e-9], [1e-9, 0, 5e-9], [2e-9, 5e-9, 0]]) * scale
+    # a relative 1e-5 apart still passes
+    values[0, 1] *= 1 + 5e-6
+    S = _signal_matrix(values, increasing=False)
+    np.testing.assert_array_equal(S.values, values)
+
+
+@pytest.mark.parametrize("m", [-1, 4, 5])
+def test_signal_matrix_anchor_count_out_of_range(m):
+    values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    with pytest.raises(InputError, match="^anchor count out of range for signal matrix$"):
+        _signal_matrix(values, increasing=False, m=m)
+    for m in (0, 3):
+        assert _signal_matrix(values, increasing=False, m=m).n_anchors == m
 
 
 @settings(max_examples=30, deadline=None)
@@ -513,20 +538,26 @@ def test_prefetch_shared_generator_matches_oracle_across_block_cut(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 21, 110])
 def test_signal_row_sums_match_tensor(n, increasing):
     rng = np.random.default_rng(500 + n)
-    matrices = []
-    for missing_rate in (0.0, 0.2, 0.6):
+    stack, masks = [], []
+    # the last matrix misses some links in one direction only
+    for missing_rate, one_way in ((0.0, False), (0.2, False), (0.6, False), (0.3, True)):
         # coarse values tie often, and +0.0 / -0.0 compare equal
         values = np.round(rng.normal(size=(n, n)), 1)
         values = values + values.T
         values[values == 0] = rng.choice([0.0, -0.0], size=int((values == 0).sum()))
         missing = rng.uniform(size=(n, n)) < missing_rate
-        missing |= missing.T
-        with_gaps = np.where(missing, np.nan, values)
-        matrices.append(SignalMatrix(with_gaps, increasing, n_anchors=0, missing=missing))
-    stacked, messages = _with_coverage_warnings(lambda: signal_row_sums(matrices))
-    assert stacked.dtype == np.int64 and stacked.shape == (len(matrices), n, n)
+        if not one_way:
+            missing |= missing.T
+        stack.append(np.where(missing, np.nan, values))
+        masks.append(~missing)
+    values, present = np.stack(stack), np.stack(masks)
+    stacked, messages = _with_coverage_warnings(
+        lambda: signal_row_sums(values, present, increasing)
+    )
+    assert stacked.dtype == np.int64 and stacked.shape == (len(stack), n, n)
     expected_messages = []
-    for g, S in enumerate(matrices):
+    for g in range(len(stack)):
+        S = SignalMatrix(values[g], increasing, n_anchors=0, missing=~present[g])
         z, dense_messages = _with_coverage_warnings(lambda: dense_tensor_from_signals(S))
         np.testing.assert_array_equal(stacked[g], _dense_sums(z))
         tensor, tensor_messages = _with_coverage_warnings(lambda: tensor_from_signals(S))
@@ -534,6 +565,19 @@ def test_signal_row_sums_match_tensor(n, increasing):
         assert tensor_messages == dense_messages
         expected_messages += dense_messages
     assert messages == expected_messages
+
+
+def test_signal_row_sums_default_mask_is_every_link():
+    """None marks every off-diagonal link present; the diagonal never is,
+    even where a mask marks it."""
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(2, 5, 5))
+    values = values + np.swapaxes(values, 1, 2)
+    every = signal_row_sums(values, None, True)
+    np.testing.assert_array_equal(every, signal_row_sums(values, np.ones(values.shape), True))
+    for g in range(2):
+        S = SignalMatrix(values[g], True, n_anchors=0)
+        np.testing.assert_array_equal(every[g], tensor_from_signals(S).row_sums)
 
 
 def test_row_sums_reject_mixed_orders():
@@ -548,11 +592,47 @@ def test_row_sums_reject_mixed_orders():
     infinite[1, 2, 0] = np.inf
     with pytest.raises(InputError, match=r"distance inf between sensors \(2, 0\) is not finite"):
         distance_row_sums(infinite, [0.0] * 2, [rng] * 2)
-    values = np.ones((3, 3))
-    with pytest.raises(InputError, match="one order"):
-        signal_row_sums([_signal_matrix(values, True), _signal_matrix(np.ones((4, 4)), True)])
+    values = np.ones((2, 3, 3))
+    with pytest.raises(InputError, match=r"^signal matrix must be square, got shape \(3, 4\)$"):
+        signal_row_sums(np.ones((2, 3, 4)), None, True)
+    # a lone matrix is a stack of 1-D rows
+    with pytest.raises(InputError, match=r"^signal matrix must be square, got shape \(3,\)$"):
+        signal_row_sums(values[0], None, True)
+    with pytest.raises(InputError, match="^presence mask shape must match values$"):
+        signal_row_sums(values, np.ones((2, 3, 4), dtype=bool), True)
+    with pytest.raises(InputError, match="^presence mask shape must match values$"):
+        signal_row_sums(values, np.ones((3, 3), dtype=bool), True)
     assert distance_row_sums(np.empty((0, 0, 0)), [], []).shape == (0, 0, 0)
-    assert signal_row_sums([]).shape == (0, 0, 0)
+    assert signal_row_sums(np.empty((0, 0, 0)), None, True).shape == (0, 0, 0)
+
+
+def test_signal_row_sums_name_the_bad_matrix():
+    """A bad matrix inside a stack is named by its index; a stack of one
+    reads as one matrix, as ``SignalMatrix`` reports it."""
+    values = np.stack([np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])] * 3)
+    nonfinite = values.copy()
+    nonfinite[2, 1, 2] = nonfinite[2, 2, 1] = np.nan
+    with pytest.raises(
+        InputError, match=r"^signal value nan at present link \(1, 2\) of matrix 2 is not finite$"
+    ):
+        signal_row_sums(nonfinite, None, False)
+    # NaN at a link marked missing is ignored
+    present = np.ones(values.shape, dtype=bool)
+    present[2, 1, 2] = present[2, 2, 1] = False
+    signal_row_sums(nonfinite, present, False)
+    one_matrix = r"^signal value nan at present link \(1, 2\) is not finite$"
+    with pytest.raises(InputError, match=one_matrix):
+        signal_row_sums(nonfinite[2:], None, False)
+    skewed = values.copy()
+    skewed[1, 0, 2] = 2.5
+    with pytest.raises(InputError, match="^signal matrix 1 must be symmetric where present$"):
+        signal_row_sums(skewed, None, True)
+    with pytest.raises(InputError, match="^signal matrix must be symmetric where present$"):
+        signal_row_sums(skewed[1:2], None, True)
+    # one direction of the link missing: nothing to compare
+    present = np.ones(values.shape, dtype=bool)
+    present[1, 2, 0] = False
+    signal_row_sums(skewed, present, True)
 
 
 def test_pair_indices_cached_and_read_only():

@@ -20,8 +20,9 @@ def _rss_draw(seed, m=6, n=4, **kw):
 
 
 def _powers(draw):
-    ((signals,),) = draw.comparisons
-    return signals.values
+    (powers,), present, increasing = draw.comparisons
+    assert present is None and not increasing
+    return powers
 
 
 def _fixed_layout(monkeypatch, points):
@@ -36,8 +37,9 @@ def _toa_draw(seed, variance, m=6, n=4, **kw):
     with the direct estimates c * tau, and its arrival times tau."""
     config = ExperimentConfig(kind="toa", anchor_counts=(m,), n_targets=n, noise_grid=(1.0,), **kw)
     draw = bench._toa_draw(config, m, [variance], [np.random.default_rng(seed)])
-    ((signals,),) = draw.comparisons
-    return draw, signals.values
+    (toa,), present, increasing = draw.comparisons
+    assert present is None and increasing
+    return draw, toa
 
 
 def test_rss_power_worked_example(monkeypatch):
