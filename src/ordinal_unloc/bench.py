@@ -6,19 +6,21 @@ path-loss exponents; ordinal pipeline on raw powers vs fixed-calibration
 and genie-aided distance inversion) and "toa" (Gaussian time-of-arrival
 draws on an enlarged field, swept over the normalized variance c*sigma^2).
 
-Every trial derives an independent RNG stream from
-(master seed, experiment id, trial index), so results are deterministic
-and independent of worker count.  The grid points that share an anchor
+Every trial draws from one random stream, keyed by (master seed,
+experiment id, trial index), so results are deterministic and
+independent of worker count.  The grid points that share an anchor
 count form a group, and a trial runs each stage on a group's stacked
 arrays; the rss and toa kinds hand a group's (G, N, N) powers or arrival
 times to ``signal_row_sums`` as one stack:
 
-1. draw: each grid point draws its layout and channel on its own child
-   stream, into one (G, m + n, 2) layout stack per group, whose distances
-   come from one broadcast;
-2. estimate: a group's comparison row sums (each grid point's noise drawn
-   on its own stream, no N^3 comparison tensor built), proximities and
-   per-anchor and per-target fits are each one stacked call;
+1. draw: group by group, in grid order, one uniform draw gives the
+   group's (G, m + n, 2) layouts, whose distances come from one
+   broadcast, and one (G, N(N-1)/2) draw its rss path-loss exponents or
+   toa noise;
+2. estimate: a group's comparison row sums (the ordinal kind's threshold
+   noise drawn there, group by group, once every group is drawn; no N^3
+   comparison tensor built), proximities and per-anchor and per-target
+   fits are each one stacked call;
 3. solve and score: every target column of the trial, of every grid
    point and method, goes to ``unfold.solve_columns`` in one call, which
    solves them in one batch, and each group's position errors, Kendall
@@ -106,6 +108,13 @@ class ExperimentConfig:
                 raise ConfigError("noise grid must be non-empty")
             if not all(np.isfinite(v) and v >= 0 for v in self.noise_grid):
                 raise ConfigError("noise values must be finite and nonnegative")
+            # the ordinal kind's noise level is a distance, like the side;
+            # far beyond it the noise scaling overflows
+            bound = FIELD_SIDE_RANGE[1]
+            if self.kind == "ordinal" and max(self.noise_grid) > bound:
+                raise ConfigError(
+                    f"ordinal noise levels must be at most {bound:g}, got {max(self.noise_grid)}"
+                )
             if self.kind == "toa" and any(v <= 0 for v in self.noise_grid):
                 raise ConfigError("normalized TOA variances must be positive")
         object.__setattr__(self, "anchor_counts", tuple(int(m) for m in self.anchor_counts))
@@ -187,13 +196,11 @@ class _GroupDraw(NamedTuple):
     direct: tuple[np.ndarray, ...]
 
 
-def _layouts(config, m, rngs):
-    """One layout per generator, anchors then targets, and the distances."""
-    n = config.n_targets
-    points = np.empty((len(rngs), m + n, _DIMENSION))
-    for layout, rng in zip(points, rngs):
-        layout[:m] = rng.uniform(0, config.field_side, size=(m, _DIMENSION))
-        layout[m:] = rng.uniform(0, config.field_side, size=(n, _DIMENSION))
+def _layouts(config, m, count, rng):
+    """``count`` layouts of m anchors then the targets, in one draw, and
+    their distances."""
+    size = (count, m + config.n_targets, _DIMENSION)
+    points = rng.uniform(0, config.field_side, size=size)
     return points, point_distances(points)
 
 
@@ -207,23 +214,20 @@ def _symmetric(pairs, n):
     return out
 
 
-def _ordinal_draw(config, m, sigmas, rngs):
-    points, d_full = _layouts(config, m, rngs)
-    for rng in rngs:
-        rng.integers(2**63)  # unused; keeps the comparison noise draws in place
-    return _GroupDraw(points, d_full, (d_full, sigmas, rngs), ())
+def _ordinal_draw(config, m, sigmas, rng):
+    points, d_full = _layouts(config, m, len(sigmas), rng)
+    return _GroupDraw(points, d_full, (d_full, sigmas, rng), ())
 
 
-def _rss_draw(config, m, _, rngs):
+def _rss_draw(config, m, levels, rng):
     """Received powers P_R = P_T alpha d^-G, with a per-link path-loss
     exponent G drawn uniformly on [exponent_low, exponent_high].  Every
     method is invariant to the constant P_T alpha, which the paper takes
     as unknown, so it is 1."""
-    points, d_full = _layouts(config, m, rngs)
-    size = len(pair_indices(m + config.n_targets)[0])
+    points, d_full = _layouts(config, m, len(levels), rng)
+    size = (len(levels), len(pair_indices(m + config.n_targets)[0]))
     exponents = _symmetric(
-        [rng.uniform(config.exponent_low, config.exponent_high, size) for rng in rngs],
-        m + config.n_targets,
+        rng.uniform(config.exponent_low, config.exponent_high, size), m + config.n_targets
     )
     power = np.maximum(d_full, MIN_LINK_DISTANCE) ** (-exponents)
     # (i) the ordinal pipeline on raw powers; (ii) fixed calibration
@@ -250,15 +254,12 @@ def _rss_draw(config, m, _, rngs):
     return _GroupDraw(points, d_full, (power, None, False), direct)
 
 
-def _toa_draw(config, m, variances, rngs):
+def _toa_draw(config, m, variances, rng):
     c = config.propagation_speed
-    points, d_full = _layouts(config, m, rngs)
-    size = len(pair_indices(m + config.n_targets)[0])
-    noise = []
-    for rng, variance in zip(rngs, variances):
-        rng.integers(2**63, size=2)  # unused; keeps the noise draws in place
-        noise.append(rng.normal(0.0, float(np.sqrt(variance / c)), size))
-    toa = d_full / c + _symmetric(noise, m + config.n_targets)
+    points, d_full = _layouts(config, m, len(variances), rng)
+    size = (len(variances), len(pair_indices(m + config.n_targets)[0]))
+    scale = np.sqrt(np.asarray(variances) / c)[:, None]
+    toa = d_full / c + _symmetric(rng.normal(0.0, scale, size), m + config.n_targets)
     return _GroupDraw(points, d_full, (toa, None, True), (c * toa[:, :m, m:],))
 
 
@@ -294,23 +295,22 @@ def _score(estimates, draw, solution):
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     """One Monte-Carlo trial covering every grid point.
 
-    Deterministic given (config.seed, config.kind, trial_index); each grid
-    point draws on an independent child stream.  The grid points are drawn
-    and estimated per anchor count, then every unfolding problem of the
-    trial goes to the solver in one batch, then each group is scored.
+    Deterministic given (config.seed, config.kind, trial_index), which key
+    the trial's one generator.  The grid points are drawn and estimated
+    per anchor count, in a fixed order: every group's layouts and channel,
+    then each ordinal group's threshold noise.  Then every unfolding
+    problem of the trial goes to the solver in one batch, and each group
+    is scored.
     """
     grid = config.grid()
-    root = np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(_EXPERIMENT_IDS[config.kind], trial_index)
-    )
-    rngs = [np.random.default_rng(child) for child in root.spawn(len(grid))]
+    key = (_EXPERIMENT_IDS[config.kind], trial_index)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
     groups: dict[int, list[int]] = {}
     for g, (m, _) in enumerate(grid):
         groups.setdefault(m, []).append(g)
     draw = _DRAWS[config.kind]
     draws = {
-        m: draw(config, m, [grid[g][1] for g in members], [rngs[g] for g in members])
-        for m, members in groups.items()
+        m: draw(config, m, [grid[g][1] for g in members], rng) for m, members in groups.items()
     }
     # every group is drawn and its comparisons checked (by the row sums)
     # before any group is fitted

@@ -39,7 +39,7 @@ from .ingest import (
     parse_measurements,
     select_strong_links,
 )
-from .ordinal import signal_row_sums
+from .ordinal import _ranked_row_sums
 from .rank import proximity_scores
 from .unfold import SolverOptions, solve_columns
 
@@ -346,11 +346,11 @@ def cmd_localize(args) -> int:
         matrices = [measurement_signal_matrix(ms, args.aggregator)]
         labels = [args.aggregator]
 
-    # every sample has the same sensors: one stacked estimate, one solver batch
+    # the samples share their sensors, and each was checked as it was built
     values = np.stack([S.values for S in matrices])
     present = ~np.stack([S.missing for S in matrices])
     psi = proximity_scores(
-        signal_row_sums(values, present, matrices[0].increasing_with_distance)
+        _ranked_row_sums(values, present, matrices[0].increasing_with_distance)
     )
     estimates, _ = estimate_distances_stack(psi, point_distances(field.anchors), field.m)
     anchors = np.broadcast_to(field.anchors, (len(matrices),) + field.anchors.shape)

@@ -145,31 +145,30 @@ def tensor_from_distances(
     draws come from a fresh ``default_rng()``.
     """
     rng = np.random.default_rng() if rng is None else rng
-    (row_sums,) = distance_row_sums(D.values[None], [noise.sigma], [rng])
+    (row_sums,) = distance_row_sums(D.values[None], [noise.sigma], rng)
     return ComparisonTensor(row_sums, D.n_anchors)
 
 
 def distance_row_sums(
-    distances: np.ndarray,
-    sigmas: Sequence[float],
-    rngs: Sequence[np.random.Generator],
+    distances: np.ndarray, sigmas: Sequence[float], rng: np.random.Generator
 ) -> np.ndarray:
     """Row sums of the comparison slices of a (G, N, N) stack of distance
     matrices under threshold noise.
 
     ``out[g, k, i]`` is the sum over j of sgn(d_ik - d_jk + xi_kij), the
-    comparison of sensors i and j at reference k of matrix g, whose noise
-    of standard deviation ``sigmas[g]`` is drawn from ``rngs[g]``: one
-    value per slice and unordered pair (i < j), in slice and pair order,
-    with xi_kji = -xi_kij.  The stack and the noise levels are checked as
-    ``DistanceMatrix`` and ``ComparisonNoiseModel`` check one of each.
+    comparison of sensors i and j at reference k of matrix g, with
+    xi_kji = -xi_kij.  If some sigma is positive, the stack's noise is one
+    (G N, N(N-1)/2) standard normal draw from ``rng``, whose row g*N + k
+    holds slice k of matrix g, its pairs (i < j) in order, scaled by
+    ``sigmas[g]``, 0 included; else nothing is drawn.  The stack and the
+    noise levels are checked as ``DistanceMatrix`` and
+    ``ComparisonNoiseModel`` check one of each.
 
-    The stacked reference slices (slice k of matrix g is row g*N + k) are
-    taken in blocks of ``_slice_blocks``, all computed in one workspace
-    allocated per call.  The blocks cut each generator's stream where one
-    (N, N(N-1)/2) draw would be cut, so the values and the generators'
-    final states are the same.  Each pair's sign is added to row i and
-    subtracted from row j by two ``bincount``s, so the sums are exact
+    The stacked slices are taken in blocks of ``_slice_blocks``, all
+    computed in one workspace allocated per call.  Each block's noise is
+    one fill of the next draws, so the values and the generator's final
+    state are those of the whole draw.  Each pair's sign is added to row i
+    and subtracted from row j by two ``bincount``s, so the sums are exact
     integers.
 
     When the stack spans more than one block, some sigma is positive and
@@ -178,18 +177,17 @@ def distance_row_sums(
     gathers block b and works on it.  numpy releases the interpreter lock
     while it fills a buffer, so the draws overlap the caller's arithmetic;
     on one CPU they cannot, and the hand-offs cost about a tenth of a
-    400-sensor call.  The helper is the only code that touches ``rngs``
-    during the call and takes the blocks and matrices in order, so it
-    draws the same values as an inline draw, and each value is scaled and
-    added with the same operations; the bytes cannot change.  The helper
-    is shut down before the call returns or raises, so no thread outlives
-    it.
+    400-sensor call.  The helper is the only code that touches ``rng``
+    during the call and takes the blocks in order, so it draws the same
+    values as an inline draw, and each value is scaled and added with the
+    same operations; the bytes cannot change.  The helper is shut down
+    before the call returns or raises, so no thread outlives it.
     """
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 3 or distances.shape[1] != distances.shape[2]:
         raise InputError(f"need a stack of square distance matrices, got shape {distances.shape}")
-    if not len(distances) == len(sigmas) == len(rngs):
-        raise InputError("need one noise level and one generator per distance matrix")
+    if len(distances) != len(sigmas):
+        raise InputError("need one noise level per distance matrix")
     check_finite_distances(distances)
     for sigma in sigmas:
         if not (np.isfinite(sigma) and sigma >= 0):
@@ -204,21 +202,18 @@ def distance_row_sums(
         return out.reshape(g_count, n, n)
     size = (blocks[0].stop, len(i))
     work, other = np.empty(size), np.empty(size)
-
-    def noisy_parts(rows):
-        """(part of the block, g) for every matrix with noise in the rows"""
-        for g in range(rows.start // n, (rows.stop - 1) // n + 1):
-            if sigmas[g] > 0:
-                yield slice(max(g * n - rows.start, 0), (g + 1) * n - rows.start), g
+    # the noise level of each stacked slice, as a column
+    scale = np.repeat(np.asarray(sigmas, dtype=float), n)[:, None]
+    noisy = bool(scale.any())
 
     def draw(rows, noise):
-        for part, g in noisy_parts(rows):
-            rngs[g].standard_normal(out=noise[part])
-            noise[part] *= sigmas[g]
+        part = noise[: rows.stop - rows.start]
+        rng.standard_normal(out=part)
+        part *= scale[rows]
         return noise
 
     helper = None
-    if len(blocks) > 1 and any(sigma > 0 for sigma in sigmas) and _usable_cpus() > 1:
+    if len(blocks) > 1 and noisy and _usable_cpus() > 1:
         helper = ThreadPoolExecutor(max_workers=1)
         ahead = helper.submit(draw, blocks[0], np.empty(size))
         free = np.empty(size)
@@ -236,12 +231,11 @@ def distance_row_sums(
             np.take(dk[rows], i, axis=1, mode="clip", out=diff)
             np.take(dk[rows], j, axis=1, mode="clip", out=spare)
             diff -= spare
-            if helper is None:
-                noise = draw(rows, spare)
-            else:
-                noise = free = drawn.result()
-            for part, _ in noisy_parts(rows):
-                diff[part] += noise[part]
+            if helper is not None:
+                free = drawn.result()
+                diff += free[: len(diff)]
+            elif noisy:
+                diff += draw(rows, spare)
             # slice s of the block sums into bins s*N + i
             base = np.arange(len(diff))[:, None] * n
             # into the spare buffer: a new array would cost an allocation

@@ -315,7 +315,7 @@ def solve_columns(groups) -> list[ColumnSolution]:
     solved problem with fewer than q + 1 anchors warns one
     IllPosedWarning.  All solved columns of all groups, which must share
     q, go to one ``solve_unfolding_arrays`` call; one ``ColumnSolution``
-    per group comes back.
+    per group comes back, and none for no groups.
     """
     anchor_rows, delta, counts, masks = [], [], [], []
     for anchors, estimates in groups:
@@ -324,6 +324,9 @@ def solve_columns(groups) -> list[ColumnSolution]:
         g, m, q = anchors.shape
         if estimates.ndim < 3 or len(estimates) != g or estimates.shape[-2] != m:
             raise InputError(f"estimates {estimates.shape} do not match anchors {anchors.shape}")
+        if anchor_rows and anchor_rows[0].shape[1] != q:
+            dims = f"{anchor_rows[0].shape[1]} and {q}"
+            raise InputError(f"every group's anchors must share one dimension, got {dims}")
         sq = np.swapaxes(estimates, -1, -2) ** 2  # (G, ..., n, m)
         solved = np.isfinite(sq).all(axis=-1)
         layout = anchors.reshape((g,) + (1,) * (sq.ndim - 2) + (m, q))
@@ -333,6 +336,8 @@ def solve_columns(groups) -> list[ColumnSolution]:
         counts.append(np.full(len(rows), m))
         masks.append(solved)
         warn_ill_posed(m, q, count=len(rows), stacklevel=3)
+    if not masks:
+        return []
     positions, costs, iterations, converged = solve_unfolding_arrays(
         np.concatenate(anchor_rows), np.concatenate(delta), np.concatenate(counts)
     )

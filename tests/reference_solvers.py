@@ -12,12 +12,14 @@ byte.  ``ls_rank`` and ``ls_rank_pinv`` solve one comparison slice,
 flattened along the edge list of the complete graph, through its
 incidence matrix; the row-sum scores of ``rank`` must match them.
 ``dense_tensor_from_distances`` and ``dense_tensor_from_signals`` build
-the whole N x N x N int8 comparison tensor in single expressions; the
+the whole N x N x N int8 comparison tensor in single expressions, the
+former from the noise of ``dense_stack_noise``, drawn as one array; the
 row sums of ``ordinal`` must match the sums of its slices.
 ``reference_run_trial`` is the Monte-Carlo trial computed one grid point
 at a time through that dense tensor, one unfolding problem per target
-column (``column_problems``); the stacked ``bench.run_trial`` must match
-it byte for byte.
+column (``column_problems``), from draws taken as whole arrays in the
+trial's documented order; the stacked ``bench.run_trial`` must match it
+byte for byte.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from ordinal_unloc.funclearn import (
     UnderdeterminedFit,
 )
 from ordinal_unloc.funclearn import estimate_distances
-from ordinal_unloc.ordinal import ComparisonNoiseModel, SignalMatrix, SliceCoverageWarning
+from ordinal_unloc.ordinal import SignalMatrix, SliceCoverageWarning
 from ordinal_unloc.unfold import LocalizationResult, SolverOptions, solve_unfolding_arrays
 
 
@@ -118,19 +120,38 @@ def ls_rank_pinv(z: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- the dense N^3 comparison tensor ----------------------------------------
 
 
-def dense_tensor_from_distances(D, noise, rng):
-    """The int8 comparisons sgn(d_ik - d_jk + xi_kij) of every slice k, with
-    the whole float64 noise tensor drawn at once: one (N, N(N-1)/2) draw,
-    in slice and pair order, negated for the mirrored pairs."""
+def dense_stack_noise(rng, sigmas, n):
+    """The threshold noise of a stack of G matrices of order n, as
+    (G, n, n(n-1)/2) pair draws: one (G n, n(n-1)/2) standard normal draw
+    when some sigma is positive, in matrix, slice and pair order, with
+    each matrix's rows scaled by its sigma; zeros, drawing nothing, when
+    every sigma is 0."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    shape = (len(sigmas), n, n * (n - 1) // 2)
+    if not (sigmas > 0).any():
+        return np.zeros(shape)
+    draws = rng.standard_normal((shape[0] * n, shape[2])).reshape(shape)
+    return draws * sigmas[:, None, None]
+
+
+def dense_comparisons(D, draws):
+    """The int8 comparisons sgn(d_ik - d_jk + xi_kij) of every slice k of
+    one matrix, with xi_kij = draws[k, p] for the p-th pair (i < j) and
+    negated for the mirrored pair."""
     n = D.order
     xi = np.zeros((n, n, n))
-    if noise.sigma > 0:
-        iu, ju = np.triu_indices(n, k=1)
-        draws = rng.standard_normal((n, iu.size)) * noise.sigma
-        xi[:, iu, ju] = draws
-        xi[:, ju, iu] = -draws
+    iu, ju = np.triu_indices(n, k=1)
+    xi[:, iu, ju] = draws
+    xi[:, ju, iu] = -draws
     dk = D.values.T
     return np.array(np.sign(dk[:, :, None] - dk[:, None, :] + xi), dtype=np.int8)
+
+
+def dense_tensor_from_distances(D, noise, rng):
+    """The comparisons of one matrix under threshold noise, with the whole
+    float64 noise tensor drawn at once."""
+    (draws,) = dense_stack_noise(rng, [noise.sigma], D.order)
+    return dense_comparisons(D, draws)
 
 
 def dense_tensor_from_signals(S):
@@ -453,10 +474,9 @@ def _estimate_from_tensor(z, anchors):
     return estimate_distances(psi, point_distances(anchors))
 
 
-def _symmetric_draws(n, draw, rng):
+def _symmetric(n, vals):
     out = np.zeros((n, n))
     iu, ju = np.triu_indices(n, k=1)
-    vals = draw(rng, iu.size)
     out[iu, ju] = vals
     out[ju, iu] = vals
     return out
@@ -513,25 +533,19 @@ def _solve(problems):
     return [None if p is None else next(solved) for p in problems]
 
 
-def _ordinal_grid_point(config, m, sigma, rng):
-    anchors = rng.uniform(0, config.field_side, size=(m, 2))
-    targets = rng.uniform(0, config.field_side, size=(config.n_targets, 2))
-    rng.integers(2**63)
+def _ordinal_grid_point(config, anchors, targets, draws):
+    m = len(anchors)
     d_full = point_distances(np.vstack([anchors, targets]))
-    z = dense_tensor_from_distances(DistanceMatrix(d_full, m), ComparisonNoiseModel(sigma), rng)
+    z = dense_comparisons(DistanceMatrix(d_full, m), draws)
     d_hat = _estimate_from_tensor(z, anchors)
     return [(column_problems(anchors, d_hat), d_hat.values, targets, d_full[:m, m:])]
 
 
-def _rss_grid_point(config, m, rng):
-    n = config.n_targets
-    anchors = rng.uniform(0, config.field_side, size=(m, 2))
-    targets = rng.uniform(0, config.field_side, size=(n, 2))
+def _rss_grid_point(config, anchors, targets, exponent_pairs):
+    m, n = len(anchors), len(targets)
     d_full = point_distances(np.vstack([anchors, targets]))
     d_true_yx = d_full[:m, m:]
-    exponents = _symmetric_draws(
-        m + n, lambda r, k: r.uniform(config.exponent_low, config.exponent_high, k), rng
-    )
+    exponents = _symmetric(m + n, exponent_pairs)
     power = np.maximum(d_full, 1e-6) ** (-exponents)
     sig = SignalMatrix(power, increasing_with_distance=False, n_anchors=m)
     d_hat = _estimate_from_tensor(dense_tensor_from_signals(sig), anchors)
@@ -547,16 +561,12 @@ def _rss_grid_point(config, m, rng):
     return methods
 
 
-def _toa_grid_point(config, m, normalized_variance, rng):
-    n = config.n_targets
+def _toa_grid_point(config, anchors, targets, noise_pairs):
+    m, n = len(anchors), len(targets)
     c = config.propagation_speed
-    sigma_t = float(np.sqrt(normalized_variance / c))
-    anchors = rng.uniform(0, config.field_side, size=(m, 2))
-    targets = rng.uniform(0, config.field_side, size=(n, 2))
     d_full = point_distances(np.vstack([anchors, targets]))
     d_true_yx = d_full[:m, m:]
-    rng.integers(2**63, size=2)
-    toa = d_full / c + _symmetric_draws(m + n, lambda r, k: r.normal(0.0, sigma_t, k), rng)
+    toa = d_full / c + _symmetric(m + n, noise_pairs)
     sig = SignalMatrix(toa, increasing_with_distance=True, n_anchors=m)
     d_hat = _estimate_from_tensor(dense_tensor_from_signals(sig), anchors)
     d_est = c * toa[:m, m:]
@@ -564,6 +574,40 @@ def _toa_grid_point(config, m, normalized_variance, rng):
         (column_problems(anchors, d_hat), d_hat.values, targets, d_true_yx),
         (_direct_problems(anchors, d_est), d_est, targets, d_true_yx),
     ]
+
+
+_GRID_POINTS = {"ordinal": _ordinal_grid_point, "rss": _rss_grid_point, "toa": _toa_grid_point}
+
+
+def _trial_draws(config, grid, rng):
+    """Per grid point: its anchors, its targets and the pair draws of its
+    channel (rss exponents or toa noise) or of its ordinal threshold
+    noise, taken from the trial's generator in the documented order."""
+    groups = {}
+    for g, (m, _) in enumerate(grid):
+        groups.setdefault(m, []).append(g)
+    out = {}
+    for m, members in groups.items():
+        count, pairs = len(members), (m + config.n_targets) * (m + config.n_targets - 1) // 2
+        layouts = rng.uniform(0, config.field_side, size=(count, m + config.n_targets, 2))
+        if config.kind == "rss":
+            channels = rng.uniform(config.exponent_low, config.exponent_high, (count, pairs))
+        elif config.kind == "toa":
+            variances = np.array([grid[g][1] for g in members])
+            scale = np.sqrt(variances / config.propagation_speed)
+            channels = rng.standard_normal((count, pairs)) * scale[:, None]
+        else:
+            channels = [None] * count
+        for g, layout, channel in zip(members, layouts, channels):
+            out[g] = [layout[:m], layout[m:], channel]
+    if config.kind == "ordinal":
+        # once every group is drawn, each group's noise in grid order
+        for m, members in groups.items():
+            sigmas = [grid[g][1] for g in members]
+            noise = dense_stack_noise(rng, sigmas, m + config.n_targets)
+            for g, draws in zip(members, noise):
+                out[g][2] = draws
+    return [out[g] for g in range(len(grid))]
 
 
 def _kendall_tau(u, v):
@@ -593,25 +637,25 @@ def _position_error_and_tau(results, d_hat, targets, d_true_yx):
 
 
 def reference_run_trial(config, trial_index) -> bench.TrialOutcome:
-    """``bench.run_trial`` as it was computed one grid point at a time: each
-    grid point builds its comparison tensor, aggregates it and estimates
-    its distances alone; then the trial's problems are solved in one batch
-    and each grid point and method is scored from its list of results."""
+    """``bench.run_trial`` as it was computed one grid point at a time.  The
+    trial's one generator draws, for each anchor count in grid order, the
+    layouts of its grid points as one (G, m + n, 2) uniform array, then
+    their rss exponents or toa noise as one (G, P) array; once every group
+    is drawn, each ordinal group's threshold noise is one array
+    (``dense_stack_noise``).  Each grid point then builds its comparison
+    tensor, aggregates it and estimates its distances alone; the trial's
+    problems are solved in one batch and each grid point and method is
+    scored from its list of results."""
     grid = config.grid()
     shape = (len(grid), len(config.methods))
     sq_err, tau, flagged = np.empty(shape), np.empty(shape), np.zeros(shape, dtype=bool)
-    root = np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(bench._EXPERIMENT_IDS[config.kind], trial_index)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=config.seed, spawn_key=(bench._EXPERIMENT_IDS[config.kind], trial_index)
+        )
     )
-    solves = []
-    for (m, noise), child in zip(grid, root.spawn(len(grid))):
-        rng = np.random.default_rng(child)
-        if config.kind == "ordinal":
-            solves.append(_ordinal_grid_point(config, m, noise, rng))
-        elif config.kind == "rss":
-            solves.append(_rss_grid_point(config, m, rng))
-        else:
-            solves.append(_toa_grid_point(config, m, noise, rng))
+    grid_point = _GRID_POINTS[config.kind]
+    solves = [grid_point(config, *drawn) for drawn in _trial_draws(config, grid, rng)]
     problems = [p for methods in solves for method in methods for p in method[0]]
     results = iter(_solve(problems))
     for g, methods in enumerate(solves):

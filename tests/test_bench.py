@@ -316,6 +316,34 @@ def test_run_trial_matches_per_grid_point_reference(kind):
             assert got.flagged.tobytes() == expected.flagged.tobytes()
 
 
+class _Unspawnable(np.random.SeedSequence):
+    def spawn(self, n_children):
+        raise AssertionError("a seed sequence was spawned")
+
+
+@pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
+def test_run_trial_builds_one_generator(monkeypatch, kind):
+    """A trial draws everything from one generator, keyed by the seed, the
+    kind and the trial index, and spawns no child stream."""
+    config = _small(kind, anchor_counts=(5, 8, 5))
+    expected = run_trial(config, 3)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", _Unspawnable)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    got = run_trial(config, 3)
+    assert len(built) == 1 and type(built[0]) is _Unspawnable
+    assert built[0].spawn_key == (bench._EXPERIMENT_IDS[kind], 3)
+    assert built[0].entropy == config.seed
+    for name in ("sq_err", "tau", "flagged"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["ordinal", "rss", "toa"])
 def test_run_trial_builds_no_comparison_tensor(monkeypatch, kind):
     def refuse(self):

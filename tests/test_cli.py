@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ingest import _HEADER, _LINE
 
-from ordinal_unloc import __version__, bench, cli, unfold
+from ordinal_unloc import __version__, bench, cli, ordinal, unfold
 from ordinal_unloc.cli import _int_list, build_parser, main
 from ordinal_unloc.core import (
     ComparisonTensor,
@@ -173,6 +173,41 @@ def test_nonfinite_sigma_exit_code_1(tmp_path, capsys, sigma):
     assert code == 1
     assert "finite" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("side", [bench.FIELD_SIDE_RANGE[0], 1.0])
+def test_ordinal_noise_at_the_bound_runs_clean(tmp_path, side):
+    """An ordinal noise level of 1e30, the largest field side, is a distance
+    numpy scales without overflow, on the smallest field and on a unit one."""
+    out = tmp_path / "run"
+    argv = ["simulate", "--anchors", "5", "--sigma", "0,1e30", "--field-side", repr(side)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(argv + ["--out", str(out)] + FAST) == 0
+    assert (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_ordinal_noise_above_the_bound_exit_code_1(tmp_path, capsys, monkeypatch, source):
+    """The next double above 1e30 is a config error, raised before any
+    trial runs."""
+    value = repr(float(np.nextafter(bench.FIELD_SIDE_RANGE[1], np.inf)))
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_trial)
+    argv = ["simulate", "--anchors", "5", "--out", str(tmp_path / "run")] + FAST
+    if source == "flag":
+        argv += ["--sigma", f"0,{value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sigma=0,{value}\n")
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"config error: ordinal noise levels must be at most 1e+30, got {value}" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -574,6 +609,25 @@ def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path, dropped):
     assert code == 0
     assert len(batches) == 1
     assert [delta.tobytes() for delta in batches[0]] == [delta.tobytes() for delta in expected]
+
+
+def test_localize_checks_each_sample_once(monkeypatch, tmp_path):
+    """Each sample's signal matrix is checked when it is built, and the
+    stack of samples is not checked again."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    checked = ordinal._checked_signals
+    calls = []
+
+    def counting(values, present):
+        calls.append(len(values))
+        return checked(values, present)
+
+    monkeypatch.setattr(ordinal, "_checked_signals", counting)
+    code = _run(["localize", str(path), "--keep-fraction", "1.0", "--out", str(tmp_path / "loc")])
+    assert code == 0
+    # 6 pooled records per unordered pair: 6 samples, each a stack of one
+    assert calls == [1] * 6
 
 
 def test_localize_unsolved_column_keeps_sample_labels(monkeypatch, tmp_path):

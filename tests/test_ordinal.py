@@ -22,7 +22,12 @@ from ordinal_unloc.ordinal import (
     tensor_from_signals,
 )
 from ordinal_unloc.rank import aggregate_proximities, proximity_scores
-from reference_solvers import dense_tensor_from_distances, dense_tensor_from_signals
+from reference_solvers import (
+    dense_comparisons,
+    dense_stack_noise,
+    dense_tensor_from_distances,
+    dense_tensor_from_signals,
+)
 
 
 def test_negative_sigma_rejected():
@@ -364,7 +369,7 @@ def test_distance_row_sums_match_tensor(monkeypatch, n, block_slices, sigma):
     noise = ComparisonNoiseModel(sigma)
     rng, tensor_rng = np.random.default_rng(n), np.random.default_rng(n)
     oracle_rng = np.random.default_rng(n)
-    (rows,) = distance_row_sums(d.values[None], [sigma], [rng])
+    (rows,) = distance_row_sums(d.values[None], [sigma], rng)
     tensor = tensor_from_distances(d, noise, tensor_rng)
     assert rows.dtype == np.int64 and rows.shape == (n, n)
     z = dense_tensor_from_distances(d, noise, oracle_rng)
@@ -376,19 +381,27 @@ def test_distance_row_sums_match_tensor(monkeypatch, n, block_slices, sigma):
 
 @pytest.mark.parametrize("n, block_slices", [(1, None), (3, None), (21, None), (21, 4), (7, 3)])
 def test_stacked_distance_row_sums_match_each_tensor(monkeypatch, n, block_slices):
-    """Blocks of the stack may cut across matrices; each matrix still draws
-    its own noise, in order, from its own generator."""
+    """The stack's noise is the dense oracle's single (G N, N(N-1)/2) draw
+    from one generator, each matrix's rows scaled by its sigma (0
+    included), whether or not a helper thread draws it and wherever the
+    blocks cut the matrices; with every sigma 0 nothing is drawn."""
     _set_block(monkeypatch, n, block_slices)
-    sigmas = (0.0, 0.3, 0.3, 0.0, 1.5)
-    ds = [_field(n, 400 + n + g) for g in range(len(sigmas))]
-    rngs = [np.random.default_rng(g) for g in range(len(sigmas))]
-    stacked = distance_row_sums(np.stack([d.values for d in ds]), sigmas, rngs)
-    assert stacked.shape == (len(sigmas), n, n)
-    for g, (d, sigma) in enumerate(zip(ds, sigmas)):
-        oracle_rng = np.random.default_rng(g)
-        z = dense_tensor_from_distances(d, ComparisonNoiseModel(sigma), oracle_rng)
-        np.testing.assert_array_equal(stacked[g], _dense_sums(z))
-        assert rngs[g].random() == oracle_rng.random()
+    for sigmas in ((0.0, 0.3, 0.3, 0.0, 1.5), (0.0, 0.0)):
+        blocks = len(ordinal._slice_blocks(len(sigmas) * n, n))
+        for cpus in (1, 2):
+            started = _started_threads(monkeypatch)
+            monkeypatch.setattr(ordinal, "_usable_cpus", lambda: cpus)
+            ds = [_field(n, 400 + n + g) for g in range(len(sigmas))]
+            rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+            stacked = distance_row_sums(np.stack([d.values for d in ds]), sigmas, rng)
+            assert stacked.shape == (len(sigmas), n, n)
+            assert len(started) == int(cpus > 1 and blocks > 1 and max(sigmas) > 0)
+            for g, draws in enumerate(dense_stack_noise(oracle_rng, sigmas, n)):
+                np.testing.assert_array_equal(
+                    stacked[g], _dense_sums(dense_comparisons(ds[g], draws))
+                )
+            # the same draws were taken, so the generators stand at the same place
+            assert rng.random() == oracle_rng.random()
 
 
 def test_block_workspace_does_not_leak(monkeypatch):
@@ -400,9 +413,9 @@ def test_block_workspace_does_not_leak(monkeypatch):
     noise = ComparisonNoiseModel(0.3)
     first = tensor_from_distances(d, noise, np.random.default_rng(1))
     first_bytes = first.row_sums.tobytes()
-    (first_rows,) = distance_row_sums(d.values[None], [0.3], [np.random.default_rng(1)])
+    (first_rows,) = distance_row_sums(d.values[None], [0.3], np.random.default_rng(1))
     kept_rows = first_rows.copy()
-    distance_row_sums(np.stack([d.values] * 2), [0.3] * 2, [np.random.default_rng(2)] * 2)
+    distance_row_sums(np.stack([d.values] * 2), [0.3] * 2, np.random.default_rng(2))
     second = tensor_from_distances(d, noise, np.random.default_rng(3))
     assert second.row_sums.tobytes() != first_bytes
     assert first.row_sums.tobytes() == first_bytes
@@ -435,7 +448,7 @@ def _route(route, d, rng):
     """Row sums of the threshold comparisons of d, through one route."""
     if route == "tensor":
         return tensor_from_distances(d, ComparisonNoiseModel(0.3), rng).row_sums
-    (rows,) = distance_row_sums(d.values[None], [0.3], [rng])
+    (rows,) = distance_row_sums(d.values[None], [0.3], rng)
     return rows
 
 
@@ -510,27 +523,26 @@ def test_prefetch_draw_error_reaches_the_caller(monkeypatch):
     # one matrix: one draw per block, so the second call is block 2's
     rng = _FailingGenerator(np.random.default_rng(1), fail_on=2)
     with pytest.raises(RuntimeError, match="draw failed"):
-        distance_row_sums(_field(21, 703).values[None], [0.3], [rng])
+        distance_row_sums(_field(21, 703).values[None], [0.3], rng)
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
 
 
 def test_prefetch_shared_generator_matches_oracle_across_block_cut(monkeypatch):
-    """Two matrices of a stack share one generator, and a block holds the
-    last slice of the first and the first slices of the second: the
-    helper draws them in order, as one generator drawing each matrix's
-    whole (N, N(N-1)/2) noise in turn."""
+    """Two matrices of a stack, the second of noise level 0, and a block
+    holds the last slice of the first and the first slices of the second:
+    the helper draws them in order, as the oracle's one (2N, N(N-1)/2)
+    draw whose second half is scaled to 0."""
     n = 7
     _set_block(monkeypatch, n, 3)
     assert slice(6, 9) in ordinal._slice_blocks(2 * n, n)
     ds = [_field(n, 800), _field(n, 801)]
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
     started = _started_threads(monkeypatch)
-    stacked = distance_row_sums(np.stack([d.values for d in ds]), [0.3, 0.3], [rng, rng])
+    stacked = distance_row_sums(np.stack([d.values for d in ds]), [0.3, 0.0], rng)
     assert len(started) == 1
-    for g, d in enumerate(ds):
-        expected = dense_tensor_from_distances(d, ComparisonNoiseModel(0.3), oracle_rng)
-        np.testing.assert_array_equal(stacked[g], expected.sum(axis=2, dtype=np.int64))
+    for g, draws in enumerate(dense_stack_noise(oracle_rng, [0.3, 0.0], n)):
+        np.testing.assert_array_equal(stacked[g], _dense_sums(dense_comparisons(ds[g], draws)))
     assert rng.random() == oracle_rng.random()
 
 
@@ -583,15 +595,15 @@ def test_signal_row_sums_default_mask_is_every_link():
 def test_row_sums_reject_mixed_orders():
     rng = np.random.default_rng(0)
     with pytest.raises(InputError, match="square"):
-        distance_row_sums(np.zeros((2, 3, 4)), [0.0] * 2, [rng] * 2)
-    with pytest.raises(InputError, match="one noise level"):
-        distance_row_sums(_field(3, 0).values[None], [], [rng])
+        distance_row_sums(np.zeros((2, 3, 4)), [0.0] * 2, rng)
+    with pytest.raises(InputError, match="one noise level per distance matrix"):
+        distance_row_sums(_field(3, 0).values[None], [], rng)
     with pytest.raises(InputError, match="sigma must be finite"):
-        distance_row_sums(_field(3, 0).values[None], [np.nan], [rng])
+        distance_row_sums(_field(3, 0).values[None], [np.nan], rng)
     infinite = np.stack([_field(3, 0).values] * 2)
     infinite[1, 2, 0] = np.inf
     with pytest.raises(InputError, match=r"distance inf between sensors \(2, 0\) is not finite"):
-        distance_row_sums(infinite, [0.0] * 2, [rng] * 2)
+        distance_row_sums(infinite, [0.0] * 2, rng)
     values = np.ones((2, 3, 3))
     with pytest.raises(InputError, match=r"^signal matrix must be square, got shape \(3, 4\)$"):
         signal_row_sums(np.ones((2, 3, 4)), None, True)
@@ -602,7 +614,7 @@ def test_row_sums_reject_mixed_orders():
         signal_row_sums(values, np.ones((2, 3, 4), dtype=bool), True)
     with pytest.raises(InputError, match="^presence mask shape must match values$"):
         signal_row_sums(values, np.ones((3, 3), dtype=bool), True)
-    assert distance_row_sums(np.empty((0, 0, 0)), [], []).shape == (0, 0, 0)
+    assert distance_row_sums(np.empty((0, 0, 0)), [], rng).shape == (0, 0, 0)
     assert signal_row_sums(np.empty((0, 0, 0)), None, True).shape == (0, 0, 0)
 
 

@@ -16,7 +16,7 @@ def _rss_draw(seed, m=6, n=4, **kw):
     """One grid point of the trial's rss kind: its ``bench._GroupDraw``,
     whose direct estimates are the fixed-exponent and genie inversions."""
     config = ExperimentConfig(kind="rss", anchor_counts=(m,), n_targets=n, **kw)
-    return bench._rss_draw(config, m, None, [np.random.default_rng(seed)])
+    return bench._rss_draw(config, m, [None], np.random.default_rng(seed))
 
 
 def _powers(draw):
@@ -36,7 +36,7 @@ def _toa_draw(seed, variance, m=6, n=4, **kw):
     ``variance`` (0 included, which a config's grid refuses): its draw,
     with the direct estimates c * tau, and its arrival times tau."""
     config = ExperimentConfig(kind="toa", anchor_counts=(m,), n_targets=n, noise_grid=(1.0,), **kw)
-    draw = bench._toa_draw(config, m, [variance], [np.random.default_rng(seed)])
+    draw = bench._toa_draw(config, m, [variance], np.random.default_rng(seed))
     (toa,), present, increasing = draw.comparisons
     assert present is None and increasing
     return draw, toa

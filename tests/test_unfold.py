@@ -13,6 +13,7 @@ from ordinal_unloc.unfold import (
     LocalizationResult,
     SolverOptions,
     localize_all,
+    solve_columns,
     solve_unfolding_arrays,
     unloc_localize,
 )
@@ -336,3 +337,23 @@ def test_localize_all_non_finite_column_gives_none():
     for j in (0, 2):
         expected = reference_localize(anchors, d[:, j] ** 2, SolverOptions(seed=4), j)
         _assert_same(results[j], expected)
+
+
+def test_solve_columns_of_no_groups_is_empty():
+    assert solve_columns([]) == []
+
+
+def test_solve_columns_refuses_groups_of_two_dimensions(monkeypatch):
+    """Groups whose anchors differ in q are refused, naming both, before
+    any problem is solved."""
+
+    def no_solve(*args):
+        raise AssertionError("a problem was solved")
+
+    monkeypatch.setattr(unfold, "solve_unfolding_arrays", no_solve)
+    rng = np.random.default_rng(26)
+    planar = (rng.uniform(size=(1, 4, 2)), rng.uniform(size=(1, 4, 3)))
+    spatial = (rng.uniform(size=(2, 5, 3)), rng.uniform(size=(2, 5, 1)))
+    message = "^every group's anchors must share one dimension, got 2 and 3$"
+    with pytest.raises(InputError, match=message):
+        solve_columns([planar, spatial])
