@@ -19,7 +19,17 @@ Writes ``BENCH_<label>.json`` at the repository root: every run's record
 and result, and per seed and metric the parent's and the change's first
 quartile, median and third quartile, with the number of pairs in which
 the change read higher and the number in which it read lower; a tied
-pair counts in neither.
+pair counts in neither.  Each metric that ``BENCHMARK.json`` declares
+gets two verdicts from its ``better`` and ``bound``:
+
+- ``claim_met``: the change is better in at least nine tenths of the
+  pairs, and its median is better than the parent's by more than the
+  parent's interquartile range;
+- ``within_bound`` (metrics with a ``bound``): the change's median is
+  worse than the parent's by at most ``bound`` times the parent's median.
+
+Each side's interpreter and package import time (``import_s`` of the run
+records) is summarized as well, since ``setup_s`` includes it.
 """
 
 from __future__ import annotations
@@ -65,11 +75,36 @@ def _quartiles(values):
     return [round(q1, 6), round(median, 6), round(q3, 6)]
 
 
-def summarize(runs):
+def load_rules(path=ROOT / "BENCHMARK.json"):
+    """Metric name -> its ``BENCHMARK.json`` entry (``better``, and
+    ``bound`` for the end-to-end metrics)."""
+    spec = json.loads(Path(path).read_text())
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def verdicts(entry, rule):
+    """``claim_met`` and, where ``rule`` has a bound, ``within_bound`` for
+    one metric's summary ``entry``."""
+    p_q1, p_median, p_q3 = entry["parent_q1_median_q3"]
+    c_median = entry["change_q1_median_q3"][1]
+    higher = rule["better"] == "higher"
+    gain = c_median - p_median if higher else p_median - c_median
+    wins = entry["pairs_change_higher"] if higher else entry["pairs_change_lower"]
+    pairs = entry["pairs"]
+    out = {"claim_met": pairs > 0 and 10 * wins >= 9 * pairs and gain > p_q3 - p_q1}
+    if "bound" in rule:
+        out["within_bound"] = -gain <= rule["bound"] * abs(p_median)
+    return out
+
+
+def summarize(runs, rules=None):
     """Per seed (``seed_<s>``) and end-to-end metric: both sides' [q1,
     median, q3], and in how many complete pairs the change read higher
-    and in how many lower (ties count in neither).  ``output_sha256``
-    lists the distinct hashes each side printed."""
+    and in how many lower (ties count in neither), with the verdicts of
+    ``verdicts`` for each metric in ``rules`` (default: those of
+    ``BENCHMARK.json``).  ``output_sha256`` lists the distinct hashes each
+    side printed, and ``import_s`` each side's import-time quartiles."""
+    rules = load_rules() if rules is None else rules
     summary = {}
     for seed in sorted({r["seed"] for r in runs}):
         of_seed = [r for r in runs if r["seed"] == seed]
@@ -101,8 +136,15 @@ def summarize(runs):
                 "pairs_change_lower": sum(d < 0 for d in differences),
                 "pairs": len(complete),
             }
+            if name in rules and all(values.values()):
+                entry[name].update(verdicts(entry[name], rules[name]))
         entry["output_sha256"] = {
             side: sorted({r["record"].get("output_sha256") for r in of_seed if r["side"] == side})
+            for side in SIDES
+        }
+        entry["import_s"] = {
+            side: _quartiles([r["record"]["import_s"] for r in of_seed
+                              if r["side"] == side and "import_s" in r["record"]])
             for side in SIDES
         }
         summary[f"seed_{seed}"] = entry

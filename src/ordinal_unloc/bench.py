@@ -117,6 +117,15 @@ class ExperimentConfig:
                 )
             if self.kind == "toa" and any(v <= 0 for v in self.noise_grid):
                 raise ConfigError("normalized TOA variances must be positive")
+            # the direct toa estimates carry noise of standard deviation
+            # sqrt(c * v), a distance, bounded as the ordinal level is;
+            # v / bound > bound / c is c * v > bound**2 without overflow
+            c = float(self.propagation_speed)
+            if self.kind == "toa" and max(self.noise_grid) / bound > bound / c:
+                raise ConfigError(
+                    f"normalized TOA variance times propagation speed must be at most "
+                    f"{bound**2:g}, got {max(self.noise_grid)} at speed {c!r}"
+                )
         object.__setattr__(self, "anchor_counts", tuple(int(m) for m in self.anchor_counts))
         object.__setattr__(self, "noise_grid", tuple(float(v) for v in self.noise_grid))
 

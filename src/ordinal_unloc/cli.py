@@ -30,6 +30,7 @@ from .core import (
     SensorField,
     point_distances,
     read_sensor_field,
+    read_text,
 )
 from .funclearn import estimate_distances_stack
 from .ingest import (
@@ -171,7 +172,7 @@ def _apply_config_file(command: argparse.ArgumentParser, path: str) -> None:
         raise InputError(f"config file not found: {path}")
     keys = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
     values = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -151,25 +151,6 @@ class ComparisonTensor:
         return self.row_sums.shape[0]
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
-    """Rank-aggregation scores; column k is the zero-sum score vector for
-    reference sensor k.  Unlike the distance matrix this is not symmetric."""
-
-    values: np.ndarray
-    n_anchors: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InputError(f"proximity matrix must be square, got shape {v.shape}")
-        object.__setattr__(self, "values", _frozen(v))
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0]
-
-
 def check_finite_distances(values) -> None:
     """Raise InputError naming the first non-finite entry of a distance
     matrix, or of a stack of them (the sensors index the last two axes)."""
@@ -264,10 +245,18 @@ def _iter_csv_rows(text, first_line=1):
         yield first_line + offset, cells
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; a byte that does not decode raises InputError
+    naming the file and the byte's offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {exc.start} is not valid UTF-8") from None
+
+
 def read_sensor_field(path) -> SensorField:
     """Read a sensor-field CSV (header ``id,role,x,y[,z]``)."""
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_sensor_field(text)
+    return parse_sensor_field(read_text(path))
 
 
 def parse_sensor_field(text: str) -> SensorField:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, OrdinalUnlocError, ProximityMatrix, _frozen
+from .core import InputError, OrdinalUnlocError, _frozen
 
 SLOPE_FLOOR = 1e-9  # clamp value when the unconstrained slope is nonpositive
 
@@ -24,21 +24,6 @@ class UnderdeterminedFit(OrdinalUnlocError):
 
 class DegenerateFitWarning(UserWarning):
     """Constant proximities cannot explain varying distances."""
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Affine map psi -> offset + slope * psi with slope > 0."""
-
-    offset: float
-    slope: float
-
-    def __post_init__(self):
-        if not self.slope > 0:
-            raise InputError(f"slope must be positive, got {self.slope}")
-
-    def __call__(self, psi):
-        return self.offset + self.slope * np.asarray(psi, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -104,8 +89,9 @@ def _fit_rows(psi, d, stacklevel=4):
     return d_mean - slope * psi_mean, slope
 
 
-def fit_linear_map(psi, d) -> LinearMap:
-    """Least squares of d on psi constrained to positive slope."""
+def fit_linear_map(psi, d) -> tuple[float, float]:
+    """Least squares of d on psi constrained to positive slope: the affine
+    map psi -> offset + slope * psi, as (offset, slope)."""
     psi = np.asarray(psi, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     if psi.shape != d.shape:
@@ -113,7 +99,9 @@ def fit_linear_map(psi, d) -> LinearMap:
     if psi.size < 2:
         raise UnderdeterminedFit(f"need at least 2 points, got {psi.size}")
     (offset,), (slope,) = _fit_rows(psi[None], d[None], stacklevel=3)
-    return LinearMap(float(offset), float(slope))
+    if not slope > 0:
+        raise InputError(f"slope must be positive, got {slope}")
+    return float(offset), float(slope)
 
 
 # The stacked stages below take G proximity matrices of one shape as a
@@ -154,10 +142,14 @@ def _recalibrate(psi, d_tilde, m):
     return offset.reshape(g, 1, n) + slope.reshape(g, 1, n) * psi[:, :m, m:]
 
 
-def estimate_distances(psi: ProximityMatrix, d_y: np.ndarray) -> EstimatedDistanceMatrix:
-    """Both stages on one proximity matrix: ``estimate_distances_stack`` on
-    a stack of one."""
-    (estimates,), (failed,) = estimate_distances_stack(psi.values[None], d_y, psi.n_anchors)
+def estimate_distances(psi: np.ndarray, d_y: np.ndarray) -> EstimatedDistanceMatrix:
+    """Both stages on one (N, N) proximity matrix, whose anchor count m is
+    that of the (m, m) anchor distances ``d_y``: ``estimate_distances_stack``
+    on a stack of one."""
+    d_y = np.asarray(d_y, dtype=float)
+    if d_y.ndim != 2:
+        raise InputError(f"anchor distance block must be m x m, got shape {d_y.shape}")
+    (estimates,), (failed,) = estimate_distances_stack(np.asarray(psi)[None], d_y, len(d_y))
     return EstimatedDistanceMatrix(estimates, tuple(int(k) for k in np.flatnonzero(failed)))
 
 

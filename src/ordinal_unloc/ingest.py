@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InputError, SensorField, _frozen, parse_sensor_field
+from .core import InputError, SensorField, _frozen, parse_sensor_field, read_text
 from .ordinal import SignalMatrix
 
 SEPARATOR = "---"
@@ -123,6 +123,12 @@ class MeasurementSet:
     def records(self) -> Sequence[MeasurementRecord]:
         return _RecordView(self)
 
+    @functools.cached_property
+    def _pooled(self):
+        """``_pooled_links`` of the set, computed once: ``localize`` reads
+        it for the sample count and again for every sample."""
+        return _pooled_links(self)
+
     def _take(self, rows: np.ndarray) -> MeasurementSet:
         columns = [getattr(self, name)[rows] for name, _ in _COLUMNS]
         return MeasurementSet._owning(self.field, columns, self.parse_errors)
@@ -164,7 +170,7 @@ def parse_measurements(path) -> MeasurementSet:
     and on non-finite readings, collects malformed record rows with line
     numbers instead of aborting."""
     # no local holds the text, so the parser frees it once it is split
-    return parse_measurement_text(Path(path).read_text(encoding="utf-8"))
+    return parse_measurement_text(read_text(path))
 
 
 def _record_lines(lines, first_line):
@@ -390,7 +396,7 @@ def _pooled_links(ms: MeasurementSet):
 
 def min_link_sample_count(ms: MeasurementSet) -> int:
     """Smallest pooled record count over links that have any records."""
-    _, _, counts, _, _ = _pooled_links(ms)
+    _, _, counts, _, _ = ms._pooled
     return int(counts.min()) if counts.size else 0
 
 
@@ -410,7 +416,7 @@ def measurement_signal_matrix(
     if aggregator not in ("median", "mean", "sample"):
         raise InputError(f"unknown aggregator {aggregator!r}")
     n = len(ms.sensor_ids)
-    order, starts, counts, i, j = _pooled_links(ms)
+    order, starts, counts, i, j = ms._pooled
     rssi = ms.rssi_dbm[order]
     if aggregator == "sample":
         if sample_index is None or sample_index < 1:

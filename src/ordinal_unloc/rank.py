@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ComparisonTensor, ProximityMatrix
+from .core import ComparisonTensor
 
 
 def proximity_scores(row_sums: np.ndarray) -> np.ndarray:
@@ -28,6 +28,7 @@ def proximity_scores(row_sums: np.ndarray) -> np.ndarray:
     return np.swapaxes(row_sums, -1, -2) / row_sums.shape[-1]
 
 
-def aggregate_proximities(tensor: ComparisonTensor) -> ProximityMatrix:
-    """Stack the per-slice score vectors of a tensor into the proximity matrix."""
-    return ProximityMatrix(proximity_scores(tensor.row_sums), tensor.n_anchors)
+def aggregate_proximities(tensor: ComparisonTensor) -> np.ndarray:
+    """The (N, N) proximity matrix of a tensor: column k is the score
+    vector of reference sensor k."""
+    return proximity_scores(tensor.row_sums)

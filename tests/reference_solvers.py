@@ -35,14 +35,12 @@ from ordinal_unloc.core import (
     IllPosedWarning,
     InputError,
     OrdinalUnlocError,
-    ProximityMatrix,
     point_distances,
 )
 from ordinal_unloc.funclearn import (
     SLOPE_FLOOR,
     DegenerateFitWarning,
     EstimatedDistanceMatrix,
-    LinearMap,
     UnderdeterminedFit,
 )
 from ordinal_unloc.funclearn import estimate_distances
@@ -382,8 +380,9 @@ def oracle_bound(anchors, delta, opts: SolverOptions | None = None) -> float:
     return best * (1.0 + 1e-9) + 1e-24 * (1.0 + float((np.asarray(delta) ** 2).sum()))
 
 
-def reference_fit(psi, d) -> LinearMap:
-    """Least squares of d on psi constrained to positive slope.
+def reference_fit(psi, d) -> tuple[float, float]:
+    """Least squares of d on psi constrained to positive slope, as
+    (offset, slope).
 
     The 1-D constrained optimum is the unconstrained slope when positive,
     otherwise the clamp SLOPE_FLOOR with the intercept recomputed at the
@@ -409,37 +408,38 @@ def reference_fit(psi, d) -> LinearMap:
         slope = float(psi_c @ (d - d.mean())) / var
         if slope <= 0:
             slope = SLOPE_FLOOR
-    offset = float(d.mean() - slope * psi.mean())
-    return LinearMap(offset, slope)
+    if not slope > 0:
+        raise InputError(f"slope must be positive, got {slope}")
+    return float(d.mean() - slope * psi.mean()), slope
 
 
-def reference_preliminary(
-    psi: ProximityMatrix, d_y: np.ndarray
-) -> EstimatedDistanceMatrix:
+def reference_preliminary(psi: np.ndarray, d_y: np.ndarray) -> EstimatedDistanceMatrix:
     """Per-anchor fits on anchor-to-anchor data, applied to target scores.
 
-    Anchor k's map is fit on the m points (psi^Y_k, d^Y_k), including the
-    self pair (psi_kk, 0), then applied to the target entries of slice k.
+    ``psi`` is an (N, N) proximity matrix whose anchor count m is that of
+    the (m, m) ``d_y``.  Anchor k's map is fit on the m points (psi^Y_k,
+    d^Y_k), including the self pair (psi_kk, 0), then applied to the
+    target entries of slice k.
     """
-    m = psi.n_anchors
     d_y = np.asarray(d_y, dtype=float)
+    m = len(d_y)
     if m < 2:
         raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
     if d_y.shape != (m, m):
         raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
-    psi_y = psi.values[:m, :m]
-    psi_xy = psi.values[m:, :m]  # target rows, anchor slices
+    psi_y = psi[:m, :m]
+    psi_xy = psi[m:, :m]  # target rows, anchor slices
     n = psi_xy.shape[0]
     estimates = np.empty((m, n))
     flagged = []
     for k in range(m):
         try:
-            g = reference_fit(psi_y[:, k], d_y[:, k])
+            offset, slope = reference_fit(psi_y[:, k], d_y[:, k])
         except OrdinalUnlocError:
             flagged.append(k)
             estimates[k] = np.nan
             continue
-        estimates[k] = g(psi_xy[:, k])
+        estimates[k] = offset + slope * psi_xy[:, k]
     if flagged:
         if len(flagged) == m:
             raise UnderdeterminedFit("every anchor fit failed")
@@ -449,18 +449,18 @@ def reference_preliminary(
 
 
 def reference_recalibrate(
-    psi: ProximityMatrix, d_tilde: EstimatedDistanceMatrix
+    psi: np.ndarray, d_tilde: EstimatedDistanceMatrix
 ) -> EstimatedDistanceMatrix:
     """Per-target re-fit so each estimate column is affine in the target
     slice's anchor proximities (positive slope), restoring their order."""
-    m = psi.n_anchors
-    if d_tilde.n_anchors != m or psi.order != m + d_tilde.n_targets:
+    m = d_tilde.n_anchors
+    if psi.shape != (m + d_tilde.n_targets,) * 2:
         raise InputError("proximity and estimate shapes disagree")
-    psi_yx = psi.values[:m, m:]  # anchor rows, target slices
+    psi_yx = psi[:m, m:]  # anchor rows, target slices
     out = np.empty_like(d_tilde.values)
     for j in range(d_tilde.n_targets):
-        g = reference_fit(psi_yx[:, j], d_tilde.values[:, j])
-        out[:, j] = g(psi_yx[:, j])
+        offset, slope = reference_fit(psi_yx[:, j], d_tilde.values[:, j])
+        out[:, j] = offset + slope * psi_yx[:, j]
     return EstimatedDistanceMatrix(out, d_tilde.flagged_anchors)
 
 
@@ -470,8 +470,7 @@ def reference_recalibrate(
 def _estimate_from_tensor(z, anchors):
     """Distance estimates from a dense tensor: slice k's scores are its row
     sums divided by N."""
-    psi = ProximityMatrix(z.sum(axis=2).T / len(z), len(anchors))
-    return estimate_distances(psi, point_distances(anchors))
+    return estimate_distances(z.sum(axis=2).T / len(z), point_distances(anchors))
 
 
 def _symmetric(n, vals):

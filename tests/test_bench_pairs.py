@@ -67,6 +67,82 @@ def test_summarize_counts_ties_in_neither_direction():
     assert (ops["pairs_change_higher"], ops["pairs_change_lower"], ops["pairs"]) == (1, 2, 4)
 
 
+def _series(name, parent, change, import_s=(0.1, 0.2)):
+    """Alternating pairs of runs whose metric ``name`` reads ``parent`` and
+    ``change``; each side's records carry its ``import_s``."""
+    runs = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side in bench_pairs.pair_order(pair):
+            value = values[bench_pairs.SIDES.index(side)]
+            runs.append({
+                "seed": 1, "pair": pair, "side": side, "exit": 0,
+                "record": {"output_sha256": "abc",
+                           "import_s": import_s[bench_pairs.SIDES.index(side)]},
+                "result": {"metrics": {name: {"value": value, "unit": ""}}},
+            })  # fmt: skip
+    return runs
+
+
+def _verdicts(name, parent, change):
+    entry = bench_pairs.summarize(_series(name, parent, change))["seed_1"][name]
+    return entry["claim_met"], entry.get("within_bound")
+
+
+PARENT = [10.0, 10.5, 11.0, 11.5, 12.0, 10.0, 10.5, 11.0, 11.5, 12.0]  # IQR 1.0
+
+
+@pytest.mark.parametrize(
+    "name, change, expected",
+    [
+        # higher is better: every pair won, median up 2.0 > IQR
+        ("ops_per_s", [v + 2.0 for v in PARENT], (True, True)),
+        # nine of ten pairs won is enough
+        ("ops_per_s", [v + 2.0 for v in PARENT[:9]] + [9.0], (True, True)),
+        # eight of ten is not, though the median moved as far
+        ("ops_per_s", [v + 2.0 for v in PARENT[:8]] + [9.0, 9.0], (False, True)),
+        # every pair won, but the medians differ by no more than the IQR
+        ("ops_per_s", [v + 0.5 for v in PARENT], (False, True)),
+        # 24 % slower is within the 0.25 bound, 30 % is not
+        ("ops_per_s", [v * 0.76 for v in PARENT], (False, True)),
+        ("ops_per_s", [v * 0.7 for v in PARENT], (False, False)),
+        # lower is better: the same readings are a gain, and the rise a loss
+        ("op_ms_p50", [v - 2.0 for v in PARENT], (True, True)),
+        ("op_ms_p50", [v + 2.0 for v in PARENT], (False, True)),
+        ("peak_rss_mb", [v * 1.15 for v in PARENT], (False, False)),
+        # a per-layer metric has a direction but no bound
+        ("bench.run_trial.us_per_call", [v - 2.0 for v in PARENT], (True, None)),
+    ],
+)
+def test_summarize_verdicts_follow_benchmark_json(name, change, expected):
+    assert _verdicts(name, PARENT, change) == expected
+
+
+def test_ties_win_no_claim():
+    """Pairs that tie count for neither side, so a change that ties every
+    pair makes no claim and stays within its bound."""
+    assert _verdicts("ops_per_s", PARENT, PARENT) == (False, True)
+
+
+def test_metric_without_a_rule_gets_no_verdict():
+    runs = _series("ops_per_s", PARENT, PARENT)
+    entry = bench_pairs.summarize(runs, rules={})["seed_1"]["ops_per_s"]
+    assert "claim_met" not in entry and "within_bound" not in entry
+
+
+def test_rules_come_from_benchmark_json():
+    rules = bench_pairs.load_rules()
+    assert (rules["ops_per_s"]["better"], rules["ops_per_s"]["bound"]) == ("higher", 0.25)
+    assert rules["op_ms_p50"]["better"] == "lower"
+    assert "bound" not in rules["unfold.converged_frac"]
+
+
+def test_summarize_reports_each_sides_import_time():
+    runs = _series("ops_per_s", PARENT, PARENT, import_s=(0.13, 0.45))
+    runs[0]["record"].pop("import_s")  # a record without one is skipped
+    summary = bench_pairs.summarize(runs)["seed_1"]["import_s"]
+    assert summary == {"parent": [0.13] * 3, "change": [0.45] * 3}
+
+
 def test_parent_dir_without_parent_is_an_error_before_any_run(monkeypatch, tmp_path, capsys):
     """A ``--parent-dir`` copy cannot name its own commit, so the record
     would carry ``HEAD~1`` whatever the copy holds."""

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ingest import _HEADER, _LINE
 
-from ordinal_unloc import __version__, bench, cli, ordinal, unfold
+from ordinal_unloc import __version__, bench, cli, ingest, ordinal, unfold
 from ordinal_unloc.cli import _int_list, build_parser, main
 from ordinal_unloc.core import (
     ComparisonTensor,
@@ -207,6 +207,41 @@ def test_ordinal_noise_above_the_bound_exit_code_1(tmp_path, capsys, monkeypatch
     assert _run(argv) == 1
     err = capsys.readouterr().err
     assert f"config error: ordinal noise levels must be at most 1e+30, got {value}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("noise, speed", [("1e60", "1.0"), ("1e50", "1e10")])
+def test_toa_noise_at_the_bound_runs_clean(tmp_path, noise, speed):
+    """A toa variance v at speed c with c * v = 1e60 gives the direct
+    estimates noise of standard deviation 1e30, the largest field side,
+    and the trials run without an overflow warning."""
+    out = tmp_path / "run"
+    argv = ["benchmark", "--kind", "toa", "--anchors", "5", "--noise", noise]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(argv + ["--propagation-speed", speed, "--out", str(out)] + FAST) == 0
+    assert (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "noise, speed",
+    [(np.nextafter(1e60, np.inf), 1.0), (np.nextafter(1e50, np.inf), 1e10), (1e308, 1.0)],
+)
+def test_toa_noise_above_the_bound_exit_code_1(tmp_path, capsys, monkeypatch, noise, speed):
+    """The next double above each bound, and 1e308, are config errors,
+    raised before any trial runs and without an overflow warning."""
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_trial)
+    argv = ["benchmark", "--kind", "toa", "--anchors", "5", "--noise", repr(float(noise))]
+    argv += ["--propagation-speed", repr(speed), "--out", str(tmp_path / "run")] + FAST
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error: normalized TOA variance times propagation speed must be at most" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -628,6 +663,57 @@ def test_localize_checks_each_sample_once(monkeypatch, tmp_path):
     assert code == 0
     # 6 pooled records per unordered pair: 6 samples, each a stack of one
     assert calls == [1] * 6
+
+
+def test_localize_pools_each_measurement_set_once(monkeypatch, tmp_path):
+    """The sample count and every sample's signal matrix read one pooling
+    of the kept set, and positions.csv has the bytes of a run that pools
+    the set again for each of them."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    pool = ingest._pooled_links
+    pooled = []
+
+    def counting(ms):
+        pooled.append(id(ms))
+        return pool(ms)
+
+    monkeypatch.setattr(ingest, "_pooled_links", counting)
+    assert _run(_localize_args(path, tmp_path / "once")) == 0
+    assert len(pooled) == len(set(pooled)) == 1
+    monkeypatch.setattr(ingest.MeasurementSet, "_pooled", property(counting))
+    assert _run(_localize_args(path, tmp_path / "each")) == 0
+    # then once for the sample count and once for each of the 6 samples
+    assert len(pooled) == 1 + 7
+    positions = [(tmp_path / run / "positions.csv").read_bytes() for run in ("once", "each")]
+    assert positions[0] == positions[1]
+
+
+@pytest.mark.parametrize("kind", ["log", "field", "config"])
+def test_non_utf8_input_exit_code_2(tmp_path, capsys, kind):
+    """A byte that is not UTF-8 in a measurement log, a --field roster or
+    a --config file is an input error naming the file and the byte."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    argv = _localize_args(path, tmp_path / "o")
+    if kind == "log":
+        bad = path
+        data = path.read_bytes().replace(b"a2,anchor", b"a2\xe9,anchor")
+    elif kind == "field":
+        bad = tmp_path / "field.csv"
+        data = "id,role,x,y\n# caf\u00e9\na1,anchor,0,0\n".encode("latin-1")
+        argv += ["--field", str(bad)]
+    else:
+        bad = tmp_path / "run.cfg"
+        data = b"seed=3\n# \xff\xfe\n"
+        argv += ["--config", str(bad)]
+    bad.write_bytes(data)
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    offset = next(k for k, byte in enumerate(data) if byte >= 0x80)
+    assert f"input error: {bad}: byte {offset} is not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_localize_unsolved_column_keeps_sample_labels(monkeypatch, tmp_path):

@@ -353,7 +353,7 @@ def _dense_sums(z):
 
 
 def _tensor_scores_bytes(tensor):
-    return aggregate_proximities(tensor).values.tobytes()
+    return aggregate_proximities(tensor).tobytes()
 
 
 def _field(n, seed):
