@@ -75,10 +75,10 @@ def _quartiles(values):
     return [round(q1, 6), round(median, 6), round(q3, 6)]
 
 
-def load_rules(path=ROOT / "BENCHMARK.json"):
+def load_rules():
     """Metric name -> its ``BENCHMARK.json`` entry (``better``, and
     ``bound`` for the end-to-end metrics)."""
-    spec = json.loads(Path(path).read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
@@ -97,14 +97,14 @@ def verdicts(entry, rule):
     return out
 
 
-def summarize(runs, rules=None):
+def summarize(runs):
     """Per seed (``seed_<s>``) and end-to-end metric: both sides' [q1,
     median, q3], and in how many complete pairs the change read higher
     and in how many lower (ties count in neither), with the verdicts of
-    ``verdicts`` for each metric in ``rules`` (default: those of
-    ``BENCHMARK.json``).  ``output_sha256`` lists the distinct hashes each
-    side printed, and ``import_s`` each side's import-time quartiles."""
-    rules = load_rules() if rules is None else rules
+    ``verdicts`` for each metric that ``BENCHMARK.json`` declares.
+    ``output_sha256`` lists the distinct hashes each side printed, and
+    ``import_s`` each side's import-time quartiles."""
+    rules = load_rules()
     summary = {}
     for seed in sorted({r["seed"] for r in runs}):
         of_seed = [r for r in runs if r["seed"] == seed]

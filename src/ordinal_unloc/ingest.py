@@ -123,12 +123,6 @@ class MeasurementSet:
     def records(self) -> Sequence[MeasurementRecord]:
         return _RecordView(self)
 
-    @functools.cached_property
-    def _pooled(self):
-        """``_pooled_links`` of the set, computed once: ``localize`` reads
-        it for the sample count and again for every sample."""
-        return _pooled_links(self)
-
     def _take(self, rows: np.ndarray) -> MeasurementSet:
         columns = [getattr(self, name)[rows] for name, _ in _COLUMNS]
         return MeasurementSet._owning(self.field, columns, self.parse_errors)
@@ -396,7 +390,7 @@ def _pooled_links(ms: MeasurementSet):
 
 def min_link_sample_count(ms: MeasurementSet) -> int:
     """Smallest pooled record count over links that have any records."""
-    _, _, counts, _, _ = ms._pooled
+    _, _, counts, _, _ = _pooled_links(ms)
     return int(counts.min()) if counts.size else 0
 
 
@@ -416,7 +410,7 @@ def measurement_signal_matrix(
     if aggregator not in ("median", "mean", "sample"):
         raise InputError(f"unknown aggregator {aggregator!r}")
     n = len(ms.sensor_ids)
-    order, starts, counts, i, j = ms._pooled
+    order, starts, counts, i, j = _pooled_links(ms)
     rssi = ms.rssi_dbm[order]
     if aggregator == "sample":
         if sample_index is None or sample_index < 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import point_distances
+from .core import InputError, point_distances
 from .funclearn import EstimatedDistanceMatrix, estimate_distances
 from .rank import aggregate_proximities
 from .unfold import LocalizationResult, SolverOptions, localize_all
@@ -22,10 +22,13 @@ def localize_from_tensor(
     """Run rank aggregation, function learning and unfolding on a tensor.
 
     Returns the per-target solver results and the recalibrated
-    anchor-to-target distance estimates.  ``opts`` is accepted but not
+    anchor-to-target distance estimates.  ``anchors`` must hold one
+    position per anchor of the tensor.  ``opts`` is accepted but not
     read, because existing callers, such as perfbench's workloads, pass
     one.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    if len(anchors) != tensor.n_anchors:
+        raise InputError(f"tensor has {tensor.n_anchors} anchors, got {len(anchors)} positions")
     d_hat = estimate_distances(aggregate_proximities(tensor), point_distances(anchors))
     return localize_all(anchors, d_hat), d_hat

@@ -124,8 +124,9 @@ def test_ties_win_no_claim():
 
 
 def test_metric_without_a_rule_gets_no_verdict():
-    runs = _series("ops_per_s", PARENT, PARENT)
-    entry = bench_pairs.summarize(runs, rules={})["seed_1"]["ops_per_s"]
+    runs = _series("undeclared.metric", PARENT, PARENT)
+    assert "undeclared.metric" not in bench_pairs.load_rules()
+    entry = bench_pairs.summarize(runs)["seed_1"]["undeclared.metric"]
     assert "claim_met" not in entry and "within_bound" not in entry
 
 

@@ -665,30 +665,6 @@ def test_localize_checks_each_sample_once(monkeypatch, tmp_path):
     assert calls == [1] * 6
 
 
-def test_localize_pools_each_measurement_set_once(monkeypatch, tmp_path):
-    """The sample count and every sample's signal matrix read one pooling
-    of the kept set, and positions.csv has the bytes of a run that pools
-    the set again for each of them."""
-    path = tmp_path / "meas.csv"
-    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
-    pool = ingest._pooled_links
-    pooled = []
-
-    def counting(ms):
-        pooled.append(id(ms))
-        return pool(ms)
-
-    monkeypatch.setattr(ingest, "_pooled_links", counting)
-    assert _run(_localize_args(path, tmp_path / "once")) == 0
-    assert len(pooled) == len(set(pooled)) == 1
-    monkeypatch.setattr(ingest.MeasurementSet, "_pooled", property(counting))
-    assert _run(_localize_args(path, tmp_path / "each")) == 0
-    # then once for the sample count and once for each of the 6 samples
-    assert len(pooled) == 1 + 7
-    positions = [(tmp_path / run / "positions.csv").read_bytes() for run in ("once", "each")]
-    assert positions[0] == positions[1]
-
-
 @pytest.mark.parametrize("kind", ["log", "field", "config"])
 def test_non_utf8_input_exit_code_2(tmp_path, capsys, kind):
     """A byte that is not UTF-8 in a measurement log, a --field roster or

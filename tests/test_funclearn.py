@@ -145,7 +145,9 @@ def test_degenerate_anchor_column_clamps_without_flagging():
 def test_shape_mismatches_rejected():
     rng = np.random.default_rng(7)
     d_y, psi = _pipeline_inputs(rng, m=5, n=1)
-    # the anchor count is the anchor block's: 4 anchors of 6 sensors fit
+    # the array stage reads the anchor count from the anchor block, so 4
+    # anchors of 6 sensors fit; localize_from_tensor checks it against the
+    # tensor's (test_pipeline::test_anchor_count_must_match_the_tensor)
     assert estimate_distances(psi, d_y[:4, :4]).values.shape == (4, 2)
     for d_y_bad in (np.zeros((5, 4)), np.zeros(5), np.zeros((1, 5, 5)), np.float64(1.0)):
         with pytest.raises(InputError, match="anchor distance block"):

@@ -1,10 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field_distances
 from ordinal_unloc.bench import kendall_tau
-from ordinal_unloc.core import point_distances
+from ordinal_unloc.core import InputError, point_distances
 from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
 from ordinal_unloc.pipeline import localize_from_tensor
 from ordinal_unloc.unfold import SolverOptions
@@ -67,3 +68,15 @@ def test_noise_degrades_tau_monotonically_on_average():
             _, d_hat = localize_from_tensor(tensor, anchors, SolverOptions(seed=3))
             taus[sigma].append(kendall_tau(d_hat.values[:, 0], d.values[:8, 8]))
     assert np.mean(taus[0.0]) > np.mean(taus[1.0])
+
+
+def test_anchor_count_must_match_the_tensor():
+    """Fewer or more anchor positions than the tensor's anchors would turn
+    a target into an anchor or an anchor into a target; both are refused."""
+    rng = np.random.default_rng(21)
+    anchors, _, d = random_field_distances(rng, 5, 2)
+    tensor = tensor_from_distances(d, ComparisonNoiseModel(0.0))
+    extra = np.vstack([anchors, [[0.5, 0.5]]])
+    for bad in (anchors[:4], extra):
+        with pytest.raises(InputError, match=f"tensor has 5 anchors, got {len(bad)} positions"):
+            localize_from_tensor(tensor, bad)
