@@ -5,7 +5,8 @@
         --label large-n --change "what the change does"
 
 The change is this checkout's working tree.  The parent (default
-``HEAD~1``, or ``HEAD`` while the change is uncommitted) is checked out
+``HEAD`` while ``src`` differs from it, as when the change is not yet
+committed, else ``HEAD~1``; other files do not count) is checked out
 with ``git worktree`` into a temporary directory, unless ``--parent-dir``
 names an existing checkout; then ``--parent`` must name the commit that
 checkout holds, because the script cannot tell it from a ``git archive``
@@ -73,6 +74,13 @@ def _quartiles(values):
         return [round(values[0], 6)] * 3 if values else []
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [round(q1, 6), round(median, 6), round(q3, 6)]
+
+
+def default_parent(root):
+    """``HEAD`` if ``git diff --quiet HEAD -- src`` in ``root`` reports
+    changes, else ``HEAD~1``."""
+    src_changed = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src"], cwd=root)
+    return "HEAD" if src_changed.returncode == 1 else "HEAD~1"
 
 
 def load_rules():
@@ -158,14 +166,16 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace-pairs", type=int, default=0)
-    ap.add_argument("--parent", help="git revision of the parent (default HEAD~1)")
+    ap.add_argument(
+        "--parent", help="git revision of the parent (default HEAD if src has changes, else HEAD~1)"
+    )
     ap.add_argument("--parent-dir", help="existing checkout of the parent; skips git worktree")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--change", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
     if args.parent_dir and not args.parent:
         ap.error("--parent-dir needs --parent: the commit that checkout holds")
-    args.parent = args.parent or "HEAD~1"
+    args.parent = args.parent or default_parent(ROOT)
     seeds = [int(s) for s in args.seeds.split(",")]
     seconds = f"{args.seconds:g}"
 

@@ -35,12 +35,11 @@ from .core import (
 from .funclearn import estimate_distances_stack
 from .ingest import (
     DEFAULT_KEEP_FRACTION,
-    measurement_signal_matrix,
-    min_link_sample_count,
+    measurement_signals,
     parse_measurements,
     select_strong_links,
 )
-from .ordinal import _ranked_row_sums
+from .ordinal import signal_row_sums
 from .rank import proximity_scores
 from .unfold import SolverOptions, solve_columns
 
@@ -334,27 +333,14 @@ def cmd_localize(args) -> int:
         raise InputError(f"need at least 2 anchors, roster has {field.m}")
     ms = select_strong_links(parsed, args.keep_fraction)
 
+    values, present = measurement_signals(ms, args.aggregator)
     if args.aggregator == "sample":
-        n_samples = min_link_sample_count(ms)
-        if n_samples < 1:
-            raise InputError("no retained measurements to localize from")
-        matrices = [
-            measurement_signal_matrix(ms, "sample", sample_index=k)
-            for k in range(1, n_samples + 1)
-        ]
-        labels = [str(k) for k in range(1, n_samples + 1)]
+        labels = [str(k) for k in range(1, len(values) + 1)]
     else:
-        matrices = [measurement_signal_matrix(ms, args.aggregator)]
         labels = [args.aggregator]
-
-    # the samples share their sensors, and each was checked as it was built
-    values = np.stack([S.values for S in matrices])
-    present = ~np.stack([S.missing for S in matrices])
-    psi = proximity_scores(
-        _ranked_row_sums(values, present, matrices[0].increasing_with_distance)
-    )
+    psi = proximity_scores(signal_row_sums(values, present, False))
     estimates, _ = estimate_distances_stack(psi, point_distances(field.anchors), field.m)
-    anchors = np.broadcast_to(field.anchors, (len(matrices),) + field.anchors.shape)
+    anchors = np.broadcast_to(field.anchors, (len(values),) + field.anchors.shape)
     (solution,) = solve_columns([(anchors, estimates)])
     if not solution.solved.any(axis=0).all():
         raise OrdinalUnlocError("localization failed for at least one target")
@@ -382,7 +368,7 @@ def cmd_localize(args) -> int:
             "kept": len(ms.records),
             "pooled_links": pooled // 2,
             "missing_link_frac": (links - pooled) / links,
-            "samples": len(matrices),
+            "samples": len(values),
         },
     }
     _write_outputs(

@@ -388,22 +388,14 @@ def _pooled_links(ms: MeasurementSet):
     return order, starts, counts, lo[heads], hi[heads]
 
 
-def min_link_sample_count(ms: MeasurementSet) -> int:
-    """Smallest pooled record count over links that have any records."""
-    _, _, counts, _, _ = _pooled_links(ms)
-    return int(counts.min()) if counts.size else 0
+def measurement_signals(ms: MeasurementSet, aggregator: str = "median") -> tuple[np.ndarray, np.ndarray]:
+    """Stack of symmetric RSSI proxy matrices (dBm, decreasing with
+    distance) and their presence mask, both (S, N, N), from one pooling
+    of the records.
 
-
-def measurement_signal_matrix(
-    ms: MeasurementSet,
-    aggregator: str = "median",
-    sample_index: int | None = None,
-) -> SignalMatrix:
-    """Symmetric RSSI proxy matrix (dBm, decreasing with distance).
-
-    ``aggregator`` is "median", "mean" or "sample"; sample mode picks each
-    pooled link's ``sample_index``-th record (1-based) and errors if any
-    link has fewer.  Links without records are masked.
+    ``aggregator`` is "median" or "mean" (S = 1), or "sample": S is the
+    smallest pool's size and matrix k holds each pooled link's (k+1)-th
+    record.  Links without records, and the diagonal, are absent.
     """
     if not ms.line.size:
         raise InputError("measurement set has no records")
@@ -413,17 +405,7 @@ def measurement_signal_matrix(
     order, starts, counts, i, j = _pooled_links(ms)
     rssi = ms.rssi_dbm[order]
     if aggregator == "sample":
-        if sample_index is None or sample_index < 1:
-            raise InputError("sample mode needs a 1-based sample_index")
-        short = np.flatnonzero(counts < sample_index)
-        if short.size:
-            # name the short pool whose first record comes first in the file
-            p = short[np.argmin(np.minimum.reduceat(order, starts)[short])]
-            raise InputError(
-                f"link {ms.sensor_ids[i[p]]}-{ms.sensor_ids[j[p]]} has only "
-                f"{counts[p]} retained records, needed {sample_index}"
-            )
-        pooled = rssi[starts + (sample_index - 1)]
+        pooled = rssi[starts + np.arange(counts.min())[:, None]]
     elif aggregator == "median":
         # np.median of each pool: the mean of its one or two middle values,
         # summed as numpy sums them, from 0.0, so a -0.0 sum reads 0.0
@@ -438,12 +420,41 @@ def measurement_signal_matrix(
     else:
         # one mean per pool: a segmented sum could round differently
         pooled = [np.mean(rssi[s : s + c]) for s, c in zip(starts.tolist(), counts.tolist())]
-    values = np.zeros((n, n))
-    missing = np.ones((n, n), dtype=bool)
-    values[i, j] = values[j, i] = pooled
-    missing[i, j] = missing[j, i] = False
+    pooled = np.atleast_2d(pooled)
+    values = np.zeros((len(pooled), n, n))
+    present = np.zeros(values.shape, dtype=bool)
+    values[:, i, j] = values[:, j, i] = pooled
+    present[:, i, j] = present[:, j, i] = True
+    return values, present
+
+
+def measurement_signal_matrix(
+    ms: MeasurementSet,
+    aggregator: str = "median",
+    sample_index: int | None = None,
+) -> SignalMatrix:
+    """One matrix of ``measurement_signals`` as a ``SignalMatrix``.
+
+    Sample mode picks each pooled link's ``sample_index``-th record
+    (1-based) and errors if any link has fewer.
+    """
+    values, present = measurement_signals(ms, aggregator)
+    k = 0
+    if aggregator == "sample":
+        if sample_index is None or sample_index < 1:
+            raise InputError("sample mode needs a 1-based sample_index")
+        if sample_index > len(values):
+            # name the short pool whose first record comes first in the file
+            order, starts, counts, i, j = _pooled_links(ms)
+            short = np.flatnonzero(counts < sample_index)
+            p = short[np.argmin(np.minimum.reduceat(order, starts)[short])]
+            raise InputError(
+                f"link {ms.sensor_ids[i[p]]}-{ms.sensor_ids[j[p]]} has only "
+                f"{counts[p]} retained records, needed {sample_index}"
+            )
+        k = sample_index - 1
     return SignalMatrix(
-        values, increasing_with_distance=False, n_anchors=ms.field.m, missing=missing
+        values[k], increasing_with_distance=False, n_anchors=ms.field.m, missing=~present[k]
     )
 
 

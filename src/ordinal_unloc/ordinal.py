@@ -206,10 +206,14 @@ def distance_row_sums(
     scale = np.repeat(np.asarray(sigmas, dtype=float), n)[:, None]
     noisy = bool(scale.any())
 
+    # An overflowed sigma * z is +-inf, and the sign of a difference plus
+    # it is still the comparison's exact value.  numpy's error state is
+    # per thread, so draw sets its own.
     def draw(rows, noise):
         part = noise[: rows.stop - rows.start]
         rng.standard_normal(out=part)
-        part *= scale[rows]
+        with np.errstate(over="ignore"):
+            part *= scale[rows]
         return noise
 
     helper = None
@@ -231,11 +235,12 @@ def distance_row_sums(
             np.take(dk[rows], i, axis=1, mode="clip", out=diff)
             np.take(dk[rows], j, axis=1, mode="clip", out=spare)
             diff -= spare
-            if helper is not None:
-                free = drawn.result()
-                diff += free[: len(diff)]
-            elif noisy:
-                diff += draw(rows, spare)
+            with np.errstate(over="ignore"):
+                if helper is not None:
+                    free = drawn.result()
+                    diff += free[: len(diff)]
+                elif noisy:
+                    diff += draw(rows, spare)
             # slice s of the block sums into bins s*N + i
             base = np.arange(len(diff))[:, None] * n
             # into the spare buffer: a new array would cost an allocation
@@ -279,19 +284,19 @@ def _warn_sparse_slices(present):
             f"slice {row % n}: {missing_frac[row]:.0%} of comparisons missing; "
             "localization quality degrades",
             SliceCoverageWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
 
 
 def tensor_from_signals(S: SignalMatrix) -> ComparisonTensor:
     """Ordinal comparisons of measured proxies, as the row sums of
-    ``signal_row_sums`` for one matrix, which ``SignalMatrix`` has checked.
+    ``signal_row_sums`` for one matrix.
 
     Comparisons are oriented so +1 always means "i is farther from k than
     j" regardless of whether the proxy grows or shrinks with distance.
     Comparisons touching a missing link count as 0.
     """
-    (row_sums,) = _ranked_row_sums(S.values[None], ~S.missing[None], S.increasing_with_distance)
+    (row_sums,) = signal_row_sums(S.values[None], ~S.missing[None], S.increasing_with_distance)
     return ComparisonTensor(row_sums, S.n_anchors)
 
 
@@ -312,11 +317,6 @@ def signal_row_sums(
     than half of its comparisons.
     """
     values, present = _checked_signals(values, present)
-    return _ranked_row_sums(values, present, increasing_with_distance)
-
-
-def _ranked_row_sums(values, present, increasing_with_distance):
-    """``signal_row_sums`` of a checked stack and mask."""
     g_count, n, _ = values.shape
     rows = g_count * n
     # row g*N + k holds slice k of matrix g, whose column i is link i-k

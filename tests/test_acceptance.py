@@ -23,7 +23,7 @@ from ordinal_unloc.funclearn import DegenerateFitWarning
 from ordinal_unloc.ingest import (
     MeasurementRecord,
     measurement_signal_matrix,
-    min_link_sample_count,
+    measurement_signals,
     parse_measurements,
     select_strong_links,
     write_measurement_file,
@@ -348,7 +348,7 @@ def test_criterion_9_file_pipeline_consistency_and_averaging(tmp_path):
     ms = select_strong_links(parse_measurements(meas), 1.0)
     opts = SolverOptions(restarts=8, seed=17)
     estimates = []
-    for k in range(1, min_link_sample_count(ms) + 1):
+    for k in range(1, len(measurement_signals(ms, "sample")[0]) + 1):
         sig = measurement_signal_matrix(ms, "sample", sample_index=k)
         (res,), _ = localize_from_tensor(tensor_from_signals(sig), ms.field.anchors, opts)
         estimates.append(res.position)

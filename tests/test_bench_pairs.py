@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -157,3 +159,51 @@ def test_parent_dir_without_parent_is_an_error_before_any_run(monkeypatch, tmp_p
         bench_pairs.main(["--workload", "large-n", "--label", "x", "--parent-dir", str(tmp_path)])
     assert exit_info.value.code == 2
     assert "--parent-dir needs --parent" in capsys.readouterr().err
+
+
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        cwd=repo, check=True, capture_output=True, text=True,
+    ).stdout.strip()  # fmt: skip
+
+
+def _two_commit_repo(tmp_path):
+    """A repository of two commits, each writing ``src/a.py``, with a
+    tracked ``NOTES.md`` beside it."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    for k in range(2):
+        (repo / "src" / "a.py").write_text(f"x = {k}\n")
+        (repo / "NOTES.md").write_text(f"note {k}\n")
+        _git(repo, "add", "-A")
+        _git(repo, "commit", "-q", "-m", f"commit {k}")
+    return repo
+
+
+def test_default_parent_is_head_only_while_src_differs(tmp_path):
+    repo = _two_commit_repo(tmp_path)
+    assert bench_pairs.default_parent(repo) == "HEAD~1"
+    # a change outside src, such as a deleted NOTES.md, is not the change
+    (repo / "NOTES.md").unlink()
+    assert bench_pairs.default_parent(repo) == "HEAD~1"
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.default_parent(repo) == "HEAD"
+    _git(repo, "add", "-A")  # staged but not committed still differs from HEAD
+    assert bench_pairs.default_parent(repo) == "HEAD"
+
+
+@pytest.mark.parametrize("src_changed", [False, True])
+def test_record_names_the_default_parent(monkeypatch, tmp_path, src_changed):
+    repo = _two_commit_repo(tmp_path)
+    if src_changed:
+        (repo / "src" / "a.py").write_text("x = 2\n")
+    rules = bench_pairs.load_rules()
+    monkeypatch.setattr(bench_pairs, "load_rules", lambda: rules)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: (0, {}, {}))
+    assert bench_pairs.main(["--workload", "w", "--label", "x", "--pairs", "1"]) == 0
+    record = json.loads((repo / "BENCH_x.json").read_text())
+    expected = _git(repo, "rev-parse", "HEAD" if src_changed else "HEAD~1")
+    assert record["parent_commit"] == expected

@@ -26,7 +26,7 @@ from ordinal_unloc.core import (
 from ordinal_unloc.ingest import (
     MeasurementRecord,
     measurement_signal_matrix,
-    min_link_sample_count,
+    measurement_signals,
     parse_measurement_text,
     parse_measurements,
     select_strong_links,
@@ -623,7 +623,7 @@ def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path, dropped):
     parsed = parse_measurements(path)
     links = select_strong_links(parsed, 1.0)
     expected = []
-    for k in range(1, min_link_sample_count(links) + 1):
+    for k in range(1, len(measurement_signals(links, "sample")[0]) + 1):
         sig = measurement_signal_matrix(links, "sample", sample_index=k)
         assert sig.missing.sum() == sig.order + (0 if dropped is None else 2)
         _, d_hat = localize_from_tensor(tensor_from_signals(sig), parsed.field.anchors)
@@ -647,8 +647,7 @@ def test_localize_builds_no_comparison_tensor(monkeypatch, tmp_path, dropped):
 
 
 def test_localize_checks_each_sample_once(monkeypatch, tmp_path):
-    """Each sample's signal matrix is checked when it is built, and the
-    stack of samples is not checked again."""
+    """The samples are checked once, as one stack."""
     path = tmp_path / "meas.csv"
     _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
     checked = ordinal._checked_signals
@@ -661,8 +660,39 @@ def test_localize_checks_each_sample_once(monkeypatch, tmp_path):
     monkeypatch.setattr(ordinal, "_checked_signals", counting)
     code = _run(["localize", str(path), "--keep-fraction", "1.0", "--out", str(tmp_path / "loc")])
     assert code == 0
-    # 6 pooled records per unordered pair: 6 samples, each a stack of one
-    assert calls == [1] * 6
+    # 6 pooled records per unordered pair: one stack of 6 samples
+    assert calls == [6]
+
+
+def test_localize_pools_the_kept_records_once(monkeypatch, tmp_path):
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
+    pool = ingest._pooled_links
+    calls = []
+
+    def counting(ms):
+        calls.append(len(ms.records))
+        return pool(ms)
+
+    monkeypatch.setattr(ingest, "_pooled_links", counting)
+    assert _run(_localize_args(path, tmp_path / "loc")) == 0
+    assert calls == [60]
+
+
+@pytest.mark.parametrize("aggregator", ["sample", "median", "mean"])
+def test_localize_log_without_usable_records_exit_code_2(tmp_path, capsys, aggregator):
+    """A log whose only record row is malformed has nothing to localize
+    from, in every aggregator mode."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    text = path.read_text()
+    header = text.index("tx_id,")
+    path.write_text(text[: text.index("\n", header) + 1] + "a1,zz,1,-40.0\n")
+    assert _run(_localize_args(path, tmp_path / "o", "--aggregator", aggregator)) == 2
+    err = capsys.readouterr().err
+    assert "input error: measurement set has no records" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind", ["log", "field", "config"])

@@ -16,7 +16,7 @@ from ordinal_unloc.ingest import (
     MeasurementRecord,
     MeasurementSet,
     measurement_signal_matrix,
-    min_link_sample_count,
+    measurement_signals,
     parse_measurement_text,
     parse_measurements,
     select_strong_links,
@@ -166,7 +166,8 @@ def test_signal_matrix_mean():
 
 def test_signal_matrix_sample_mode():
     ms = parse_measurement_text(_text())
-    assert min_link_sample_count(ms) == 1
+    values, present = measurement_signals(ms, "sample")
+    assert values.shape == present.shape == (1, 4, 4)
     first = measurement_signal_matrix(ms, "sample", sample_index=1)
     # first record of the pooled a1<->a2 link by timestamp
     assert first.values[0, 1] == pytest.approx(-40.0)
@@ -333,7 +334,14 @@ def test_columnar_ingest_matches_record_oracle(roster, lead, header, body, tail)
         kept, kept_ref = select_strong_links(ms, keep), ref.select_strong_links(expected, keep)
         assert list(kept.records) == list(kept_ref.records)
         assert kept.parse_errors == kept_ref.parse_errors
-        assert min_link_sample_count(kept) == ref.min_link_sample_count(kept_ref)
+        samples = ref.min_link_sample_count(kept_ref)
+        if samples:
+            values, present = measurement_signals(kept, "sample")
+            assert len(values) == len(present) == samples
+            for k in range(samples):
+                sig = ref.measurement_signal_matrix(kept_ref, "sample", sample_index=k + 1)
+                assert values[k].tobytes() == sig.values.tobytes()
+                assert (~present[k]).tobytes() == sig.missing.tobytes()
         for aggregator in ("median", "mean"):
             assert _outcome(measurement_signal_matrix, kept, aggregator) == _outcome(
                 ref.measurement_signal_matrix, kept_ref, aggregator

@@ -528,6 +528,25 @@ def test_prefetch_draw_error_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("helper", [False, True], ids=["inline", "helper"])
+def test_huge_noise_overflows_without_a_warning(monkeypatch, helper):
+    """An overflowed sigma * z is +-inf, which gives the comparison the
+    sign of z, as a finite huge sigma does."""
+    if helper:
+        _set_block(monkeypatch, 6, 2)
+        started = _started_threads(monkeypatch)
+    d = _field(6, 705)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (huge,) = distance_row_sums(d.values[None], [1e308], np.random.default_rng(4))
+        tensor = tensor_from_distances(d, ComparisonNoiseModel(1e308), np.random.default_rng(4))
+    (large,) = distance_row_sums(d.values[None], [1e300], np.random.default_rng(4))
+    np.testing.assert_array_equal(huge, large)
+    np.testing.assert_array_equal(tensor.row_sums, large)
+    if helper:
+        assert len(started) == 3  # one helper per call
+
+
 def test_prefetch_shared_generator_matches_oracle_across_block_cut(monkeypatch):
     """Two matrices of a stack, the second of noise level 0, and a block
     holds the last slice of the first and the first slices of the second:
