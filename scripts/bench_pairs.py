@@ -187,9 +187,11 @@ def main(argv=None):
             subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
                            cwd=ROOT, check=True, capture_output=True)
         dirs = {"parent": parent_dir, "change": ROOT}
-        parent_commit = subprocess.run(
+        rev_parse = subprocess.run(
             ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True
-        ).stdout.strip()
+        )
+        # outside a git checkout, as in a ``git archive`` copy, keep the name given
+        parent_commit = rev_parse.stdout.strip() if rev_parse.returncode == 0 else args.parent
         try:
             runs, trace_runs = [], []
             for seed in seeds:

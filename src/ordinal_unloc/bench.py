@@ -19,8 +19,9 @@ times to ``signal_row_sums`` as one stack:
    toa noise;
 2. estimate: a group's comparison row sums (the ordinal kind's threshold
    noise drawn there, group by group, once every group is drawn; no N^3
-   comparison tensor built), proximities and per-anchor and per-target
-   fits are each one stacked call;
+   comparison tensor built) are one stacked call, and once every group's
+   row sums are in, ``pipeline.estimate`` of each group (its proximities
+   and per-anchor and per-target fits) is one more;
 3. solve and score: every target column of the trial, of every grid
    point and method, goes to ``unfold.solve_columns`` in one call, which
    solves them in one batch, and each group's position errors, Kendall
@@ -37,14 +38,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ConfigError, InputError, OrdinalUnlocError, point_distances
-from .funclearn import estimate_distances_stack
 from .ordinal import (
     _usable_cpus,
     distance_row_sums,
     pair_indices,
     signal_row_sums,
 )
-from .rank import proximity_scores
+from .pipeline import estimate
 from .unfold import SolverOptions, solve_columns
 
 EXPERIMENT_KINDS = ("ordinal", "rss", "toa")
@@ -179,20 +179,6 @@ def _stacked_tau(u, v):
     return (du * dv).sum(axis=(-2, -1)) / (length * (length - 1))
 
 
-def kendall_tau(u, v) -> float:
-    """Tau-a rank correlation: (concordant - discordant) / (L(L-1)/2).
-
-    Tied pairs in either vector contribute zero to the numerator.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise InputError("vectors must have equal length")
-    if u.size < 2:
-        raise InputError(f"Kendall tau undefined for length {u.size}")
-    return float(_stacked_tau(u, v))
-
-
 class _GroupDraw(NamedTuple):
     """The draws of the G grid points sharing anchor count m: layouts
     (G, m + n, 2), anchors first, their (G, N, N) true distances, the
@@ -275,12 +261,6 @@ def _toa_draw(config, m, variances, rng):
 _DRAWS = {"ordinal": _ordinal_draw, "rss": _rss_draw, "toa": _toa_draw}
 
 
-def _estimates(m, psi, draw):
-    """Every method's (G, K, m, n) anchor-to-target distance estimates."""
-    estimates, _ = estimate_distances_stack(psi, draw.d_full[:, :m, :m], m)
-    return np.stack([estimates, *draw.direct], axis=1)
-
-
 def _score(estimates, draw, solution):
     """Per grid point and method of one group: the mean squared position
     error and mean Kendall tau over the solved target columns, and whether
@@ -324,8 +304,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialOutcome:
     # every group is drawn and its comparisons checked (by the row sums)
     # before any group is fitted
     row_sums = distance_row_sums if config.kind == "ordinal" else signal_row_sums
-    psi = {m: proximity_scores(row_sums(*draws[m].comparisons)) for m in groups}
-    estimates = {m: _estimates(m, psi[m], draws[m]) for m in groups}
+    sums = {m: row_sums(*draws[m].comparisons) for m in groups}
+    # every method's (G, K, m, n) anchor-to-target distance estimates
+    estimates = {
+        m: np.stack([estimate(sums[m], draws[m].d_full[:, :m, :m])[0], *draws[m].direct], axis=1)
+        for m in groups
+    }
 
     # a target column whose squared estimates are not all finite is left
     # unsolved; for a direct method the trial raises on it instead

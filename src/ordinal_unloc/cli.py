@@ -28,11 +28,9 @@ from .core import (
     InputError,
     OrdinalUnlocError,
     SensorField,
-    point_distances,
     read_sensor_field,
     read_text,
 )
-from .funclearn import estimate_distances_stack
 from .ingest import (
     DEFAULT_KEEP_FRACTION,
     measurement_signals,
@@ -40,8 +38,8 @@ from .ingest import (
     select_strong_links,
 )
 from .ordinal import signal_row_sums
-from .rank import proximity_scores
-from .unfold import SolverOptions, solve_columns
+from .pipeline import localize
+from .unfold import SolverOptions
 
 DEFAULT_TOA_NOISE_GRID = tuple(float(v) for v in np.logspace(-2, 2, 7))
 # benchmark options that the other kind's experiment has no use for
@@ -338,10 +336,7 @@ def cmd_localize(args) -> int:
         labels = [str(k) for k in range(1, len(values) + 1)]
     else:
         labels = [args.aggregator]
-    psi = proximity_scores(signal_row_sums(values, present, False))
-    estimates, _ = estimate_distances_stack(psi, point_distances(field.anchors), field.m)
-    anchors = np.broadcast_to(field.anchors, (len(values),) + field.anchors.shape)
-    (solution,) = solve_columns([(anchors, estimates)])
+    solution = localize(field.anchors, signal_row_sums(values, present, False))
     if not solution.solved.any(axis=0).all():
         raise OrdinalUnlocError("localization failed for at least one target")
 

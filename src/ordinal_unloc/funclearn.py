@@ -149,33 +149,32 @@ def estimate_distances(psi: np.ndarray, d_y: np.ndarray) -> EstimatedDistanceMat
     d_y = np.asarray(d_y, dtype=float)
     if d_y.ndim != 2:
         raise InputError(f"anchor distance block must be m x m, got shape {d_y.shape}")
-    (estimates,), (failed,) = estimate_distances_stack(np.asarray(psi)[None], d_y, len(d_y))
+    (estimates,), (failed,) = estimate_distances_stack(np.asarray(psi)[None], d_y)
     return EstimatedDistanceMatrix(estimates, tuple(int(k) for k in np.flatnonzero(failed)))
 
 
-def estimate_distances_stack(
-    psi: np.ndarray, d_y: np.ndarray, n_anchors: int
-) -> tuple[np.ndarray, np.ndarray]:
+def estimate_distances_stack(psi: np.ndarray, d_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both stages on a stack of proximity matrices, as arrays.
 
-    ``psi[g]`` holds the values of a proximity matrix with ``n_anchors``
-    anchors, and ``d_y[g]`` its anchor-to-anchor distances (one (m, m)
-    block serves every matrix).  Each stage fits every column of every
-    matrix in one stacked call.  Returns the (G, m, n) recalibrated
-    estimates and the (G, m) mask of flagged anchors (anchors whose fit
-    failed, given the mean of the other anchors' preliminary estimates).
-    Each matrix gets the bytes, flagged anchors and warnings it gets in a
-    stack of its own, and non-finite estimates raise.
+    ``psi[g]`` holds the values of a proximity matrix whose m anchors come
+    first, and ``d_y[g]`` its (m, m) anchor-to-anchor distances (one (m, m)
+    block serves every matrix); m is read from the last axis of ``d_y``.
+    Each stage fits every column of every matrix in one stacked call.
+    Returns the (G, m, n) recalibrated estimates and the (G, m) mask of
+    flagged anchors (anchors whose fit failed, given the mean of the other
+    anchors' preliminary estimates).  Each matrix gets the bytes, flagged
+    anchors and warnings it gets in a stack of its own, and non-finite
+    estimates raise.
     """
-    m = n_anchors
     psi = np.asarray(psi, dtype=float)
+    d_y = np.asarray(d_y, dtype=float)
+    m = d_y.shape[-1] if d_y.ndim else 0
     if psi.ndim != 3 or psi.shape[1] != psi.shape[2] or psi.shape[1] < m:
         raise InputError(f"need a stack of square proximity matrices, got shape {psi.shape}")
+    if d_y.shape not in [(m, m), (len(psi), m, m)]:
+        raise InputError(f"anchor distance block must be m x m or G x m x m, got {d_y.shape}")
     if m < 2:
         raise UnderdeterminedFit(f"need at least 2 anchors, got {m}")
-    d_y = np.asarray(d_y, dtype=float)
-    if d_y.shape not in [(m, m), (len(psi), m, m)]:
-        raise InputError(f"anchor distance block must be {m}x{m}, got {d_y.shape}")
     d_y = np.broadcast_to(d_y, (len(psi), m, m))
     estimates, failed = _preliminary(psi, d_y, m)
     if not np.all(np.isfinite(estimates)):

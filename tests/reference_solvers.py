@@ -609,7 +609,8 @@ def _trial_draws(config, grid, rng):
     return [out[g] for g in range(len(grid))]
 
 
-def _kendall_tau(u, v):
+def kendall_tau(u, v):
+    """Tau-a of two vectors: (concordant - discordant) / (L(L-1)/2)."""
     du = np.sign(u[:, None] - u[None, :])
     dv = np.sign(v[:, None] - v[None, :])
     return float((du * dv).sum() / (len(u) * (len(u) - 1)))
@@ -629,7 +630,7 @@ def _position_error_and_tau(results, d_hat, targets, d_true_yx):
         if not converged:
             flagged = True
         errs.append(((position - targets[j]) ** 2).sum())
-        taus.append(_kendall_tau(d_hat[:, j], d_true_yx[:, j]))
+        taus.append(kendall_tau(d_hat[:, j], d_true_yx[:, j]))
     if not errs:
         return np.nan, np.nan, True
     return float(np.mean(errs)), float(np.mean(taus)), flagged

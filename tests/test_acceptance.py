@@ -13,7 +13,6 @@ import pytest
 
 from ordinal_unloc.bench import (
     ExperimentConfig,
-    kendall_tau,
     result_to_csv,
     run_benchmark,
 )
@@ -34,6 +33,7 @@ from ordinal_unloc.unfold import SolverOptions, unloc_localize
 from reference_solvers import (
     enumerate_pairs,
     incidence_matrix,
+    kendall_tau,
     ls_rank,
     ls_rank_pinv,
     unfolding_cost,

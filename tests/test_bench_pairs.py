@@ -207,3 +207,19 @@ def test_record_names_the_default_parent(monkeypatch, tmp_path, src_changed):
     record = json.loads((repo / "BENCH_x.json").read_text())
     expected = _git(repo, "rev-parse", "HEAD" if src_changed else "HEAD~1")
     assert record["parent_commit"] == expected
+
+
+def test_record_keeps_the_given_parent_outside_a_checkout(monkeypatch, tmp_path):
+    """With no ``.git`` to resolve ``--parent`` in, the record names the
+    revision as given, not an empty string."""
+    root, parent_dir = tmp_path / "copy", tmp_path / "parent"
+    root.mkdir()
+    parent_dir.mkdir()
+    rules = bench_pairs.load_rules()
+    monkeypatch.setattr(bench_pairs, "load_rules", lambda: rules)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: (0, {}, {}))
+    argv = ["--workload", "w", "--label", "x", "--pairs", "1",
+            "--parent", "5151c1f", "--parent-dir", str(parent_dir)]  # fmt: skip
+    assert bench_pairs.main(argv) == 0
+    assert json.loads((root / "BENCH_x.json").read_text())["parent_commit"] == "5151c1f"

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ingest import _HEADER, _LINE
 
-from ordinal_unloc import __version__, bench, cli, ingest, ordinal, unfold
+from ordinal_unloc import __version__, bench, cli, ingest, ordinal, pipeline, unfold
 from ordinal_unloc.cli import _int_list, build_parser, main
 from ordinal_unloc.core import (
     ComparisonTensor,
@@ -729,14 +729,14 @@ def test_localize_unsolved_column_keeps_sample_labels(monkeypatch, tmp_path):
     path = tmp_path / "meas.csv"
     _synthetic_measurement_file(path, repeats=3, noise_db=0.5, seed=4)
     assert _run(_localize_args(path, tmp_path / "all")) == 0
-    stack = cli.estimate_distances_stack
+    stack = pipeline.estimate_distances_stack
 
-    def overflowing(psi, d_y, m):
-        estimates, failed = stack(psi, d_y, m)
+    def overflowing(psi, d_y):
+        estimates, failed = stack(psi, d_y)
         estimates[0, :, 0] *= 1e160  # sample 1, target t1
         return estimates, failed
 
-    monkeypatch.setattr(cli, "estimate_distances_stack", overflowing)
+    monkeypatch.setattr(pipeline, "estimate_distances_stack", overflowing)
     assert _run(_localize_args(path, tmp_path / "one-unsolved")) == 3
     rows = {}
     for name in ("all", "one-unsolved"):

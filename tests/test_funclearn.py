@@ -155,7 +155,7 @@ def test_shape_mismatches_rejected():
     with pytest.raises(InputError, match="square proximity matrices"):
         estimate_distances(psi[:, :5], d_y)
     with pytest.raises(InputError, match="square proximity matrices"):
-        estimate_distances_stack(np.zeros((1, 4, 4)), d_y, 5)
+        estimate_distances_stack(np.zeros((1, 4, 4)), d_y)
 
 
 # -- column-wise fits against the per-column reference loops ---------------
@@ -258,7 +258,7 @@ def test_batch_matches_each_matrix_alone(m, n):
         psis.append(values)
         d_ys.append(d_y)
     stack, warned = _with_degenerate_warnings(
-        estimate_distances_stack, np.stack(psis), np.stack(d_ys), m
+        estimate_distances_stack, np.stack(psis), np.stack(d_ys)
     )
     expected_warned = 0
     for k, (psi, d_y) in enumerate(zip(psis, d_ys)):
@@ -275,7 +275,7 @@ def test_batch_shares_one_anchor_block():
     d_y, psi = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
     _, other = _pipeline_inputs(rng, m=6, n=2, sigma=0.5)
     stack = np.stack([psi, other])
-    got = estimate_distances_stack(stack, d_y, 6)
+    got = estimate_distances_stack(stack, d_y)
     for k, p in enumerate((psi, other)):
         _assert_stack_entry(got, k, estimate_distances(p, d_y))
 
@@ -284,23 +284,21 @@ def test_batch_shape_checks():
     rng = np.random.default_rng(46)
     d_y, psi = _pipeline_inputs(rng, m=5, n=1)
     stack = psi[None]
-    estimates, failed = estimate_distances_stack(np.empty((0, 6, 6)), np.empty((0, 5, 5)), 5)
+    estimates, failed = estimate_distances_stack(np.empty((0, 6, 6)), np.empty((0, 5, 5)))
     assert estimates.shape == (0, 5, 1) and failed.shape == (0, 5)
     with pytest.raises(InputError):
-        estimate_distances_stack(psi, d_y, 5)
+        estimate_distances_stack(psi, d_y)
     with pytest.raises(InputError):
-        estimate_distances_stack(stack, np.zeros((2, 5, 5)), 5)
-    with pytest.raises(InputError):
-        estimate_distances_stack(stack, np.zeros((4, 4)), 5)
+        estimate_distances_stack(stack, np.zeros((2, 5, 5)))
     with pytest.raises(UnderdeterminedFit):
-        estimate_distances_stack(stack, np.zeros((1, 1)), 1)
+        estimate_distances_stack(stack, np.zeros((1, 1)))
     all_failed = np.full((5, 5), np.nan)
     with pytest.raises(UnderdeterminedFit, match="every anchor fit failed"):
-        estimate_distances_stack(stack, all_failed, 5)
+        estimate_distances_stack(stack, all_failed)
     # a non-finite target score stops the batch where it stops the matrix alone
     values = psi.copy()
     values[5, 2] = np.inf
     with pytest.raises(InputError, match="must be finite"):
         estimate_distances(values, d_y)
     with pytest.raises(InputError, match="must be finite"):
-        estimate_distances_stack(np.stack([psi, values]), d_y, 5)
+        estimate_distances_stack(np.stack([psi, values]), d_y)

@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field_distances
-from ordinal_unloc.bench import kendall_tau
 from ordinal_unloc.core import InputError, point_distances
-from ordinal_unloc.ordinal import ComparisonNoiseModel, tensor_from_distances
-from ordinal_unloc.pipeline import localize_from_tensor
-from ordinal_unloc.unfold import SolverOptions
+from ordinal_unloc.funclearn import UnderdeterminedFit, estimate_distances_stack
+from ordinal_unloc.ordinal import (
+    ComparisonNoiseModel,
+    distance_row_sums,
+    signal_row_sums,
+    tensor_from_distances,
+)
+from ordinal_unloc.pipeline import estimate, localize, localize_from_tensor
+from ordinal_unloc.rank import proximity_scores
+from ordinal_unloc.unfold import SolverOptions, solve_columns
+from reference_solvers import kendall_tau
 
 
 def test_anchor_distance_block():
@@ -80,3 +87,68 @@ def test_anchor_count_must_match_the_tensor():
     for bad in (anchors[:4], extra):
         with pytest.raises(InputError, match=f"tensor has 5 anchors, got {len(bad)} positions"):
             localize_from_tensor(tensor, bad)
+
+
+# -- the stage chain, written once ------------------------------------------
+
+
+def _readme_stack():
+    """The README's example: 10 anchors, two targets, noisy arrival times,
+    and the link between anchor 0 and the first target never measured."""
+    rng = np.random.default_rng(0)
+    m = 10
+    points = rng.uniform(0, 1, (m + 2, 2))
+    d = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+    noise = rng.normal(0, 0.02, d.shape)
+    toa = d + (noise + noise.T) / 2
+    present = np.ones((1,) + d.shape, dtype=bool)
+    present[0, 0, m] = present[0, m, 0] = False
+    return points[:m], signal_row_sums(toa[None], present, increasing_with_distance=True)
+
+
+def _noisy_distance_stack():
+    """Three fields of 7 anchors and 3 targets under threshold noise."""
+    rng = np.random.default_rng(17)
+    anchors = rng.uniform(0, 1, (7, 2))
+    points = np.concatenate([np.broadcast_to(anchors, (3, 7, 2)), rng.uniform(0, 1, (3, 3, 2))], 1)
+    return anchors, distance_row_sums(point_distances(points), [0.0, 0.1, 0.4], rng)
+
+
+@pytest.mark.parametrize("stack", [_readme_stack, _noisy_distance_stack])
+def test_localize_is_the_hand_written_chain(stack):
+    anchors, row_sums = stack()
+    estimates, _ = estimate_distances_stack(proximity_scores(row_sums), point_distances(anchors))
+    layouts = np.broadcast_to(anchors, (len(row_sums),) + anchors.shape)
+    (expected,) = solve_columns([(layouts, estimates)])
+    got = localize(anchors, row_sums)
+    assert got.solved.all()
+    for name in expected._fields:
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def test_estimate_of_a_stack_of_anchor_blocks_matches_each_matrix_alone():
+    rng = np.random.default_rng(23)
+    points = rng.uniform(0, 1, (3, 9, 2))
+    d = point_distances(points)
+    row_sums = distance_row_sums(d, [0.0, 0.2, 0.5], rng)
+    estimates, flagged = estimate(row_sums, d[:, :6, :6])
+    for g in range(3):
+        alone, alone_flagged = estimate(row_sums[g : g + 1], d[g, :6, :6])
+        assert estimates[g].tobytes() == alone[0].tobytes()
+        assert flagged[g].tobytes() == alone_flagged[0].tobytes()
+
+
+def test_anchor_count_comes_from_the_anchor_block():
+    row_sums = _noisy_distance_stack()[1][:1]  # one (10, 10) matrix
+    for d_y in (np.zeros((5, 4)), np.zeros(5), np.float64(0.0), np.zeros((2, 5, 5))):
+        with pytest.raises(InputError, match="anchor distance block"):
+            estimate(row_sums, d_y)
+    with pytest.raises(UnderdeterminedFit, match="at least 2 anchors, got 1"):
+        estimate(row_sums, np.zeros((1, 1)))
+
+
+def test_localize_refuses_anchors_that_are_not_one_layout():
+    anchors, row_sums = _readme_stack()
+    for bad in (anchors[:, 0], anchors[None]):
+        with pytest.raises(InputError, match=r"anchors must be an \(m, q\) array"):
+            localize(bad, row_sums)
