@@ -336,6 +336,14 @@ def cmd_localize(args) -> int:
         labels = [str(k) for k in range(1, len(values) + 1)]
     else:
         labels = [args.aggregator]
+    # every sample holds the same links, so the first one counts them
+    linked = present[0, : field.m, field.m :].sum(axis=0).tolist()
+    needed = field.dimension + 1
+    short = [f"{t} ({c})" for t, c in zip(field.target_ids, linked) if c < needed]
+    if short:
+        raise OrdinalUnlocError(
+            f"target(s) linked to fewer than {needed} anchors: {', '.join(short)}"
+        )
     solution = localize(field.anchors, signal_row_sums(values, present, False))
     if not solution.solved.any(axis=0).all():
         raise OrdinalUnlocError("localization failed for at least one target")

@@ -1,4 +1,5 @@
-"""Sensor-field geometry and the matrix containers shared by all pipeline stages.
+"""Sensor-field geometry, the matrix containers shared by all pipeline stages,
+and the line and cell rules of the CSV file formats.
 
 Sensors are ordered anchors-first: index i < m is the i-th anchor, index
 m + j is the j-th target.  All indexing in code is 0-based.
@@ -7,7 +8,6 @@ m + j is the j-th target.  All indexing in code is 0-based.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -235,21 +235,31 @@ def _roster_to_field(entries, q):
     )
 
 
-def _iter_csv_rows(text, first_line=1):
-    """Yields (line_no, cells) for non-comment, non-blank CSV lines."""
-    for offset, line in enumerate(text.splitlines()):
+def _content_lines(lines, first_line=1):
+    """(line_no, line) for the non-blank lines that do not start with
+    ``#``, numbered from ``first_line``: the lines of a roster, a
+    ``--field`` file or a record log that hold cells."""
+    for line_no, line in enumerate(lines, first_line):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = next(csv.reader(io.StringIO(line)))
-        yield first_line + offset, cells
+        if stripped and not stripped.startswith("#"):
+            yield line_no, line
+
+
+def _cells(line):
+    """A line's cells as the csv reader gives them.  Without a quote
+    character they are the comma-separated pieces, so only quoted lines go
+    through the reader."""
+    return next(csv.reader([line])) if '"' in line else line.split(",")
 
 
 def read_text(path) -> str:
-    """A file's UTF-8 text; a byte that does not decode raises InputError
-    naming the file and the byte's offset."""
+    """A file's UTF-8 text without a leading byte-order mark; a byte that
+    does not decode raises InputError naming the file and the byte's
+    offset in it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # decoded as plain UTF-8, the mark is one U+FEFF and the offsets
+        # count its three bytes
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: byte {exc.start} is not valid UTF-8") from None
 
@@ -262,7 +272,7 @@ def read_sensor_field(path) -> SensorField:
 def parse_sensor_field(text: str) -> SensorField:
     """Parse a sensor roster: a sensor-field file, or the roster section of
     a measurement log, which starts the file."""
-    rows = list(_iter_csv_rows(text))
+    rows = [(line_no, _cells(line)) for line_no, line in _content_lines(text.splitlines())]
     if not rows:
         raise InputError("empty sensor roster: expected header id,role,x,y[,z]")
     header_line, header = rows[0]

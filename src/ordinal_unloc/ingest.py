@@ -28,7 +28,6 @@ out of scope.
 
 from __future__ import annotations
 
-import csv
 import functools
 import operator
 import os
@@ -39,7 +38,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InputError, SensorField, _frozen, parse_sensor_field, read_text
+from .core import (
+    InputError,
+    SensorField,
+    _cells,
+    _content_lines,
+    _frozen,
+    parse_sensor_field,
+    read_text,
+)
 from .ordinal import SignalMatrix
 
 SEPARATOR = "---"
@@ -167,27 +174,11 @@ def parse_measurements(path) -> MeasurementSet:
     return parse_measurement_text(read_text(path))
 
 
-def _record_lines(lines, first_line):
-    """(line_no, line) for non-blank, non-comment lines, the lines
-    ``core._iter_csv_rows`` reads."""
-    for line_no, line in enumerate(lines, first_line):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield line_no, line
-
-
-def _cells(line):
-    """A line's cells as the csv reader gives them.  Without a quote
-    character they are the comma-separated pieces, so only quoted lines go
-    through the reader."""
-    return next(csv.reader([line])) if '"' in line else line.split(",")
-
-
 def _checked_rows(lines, first_line, index, errors):
     """Record columns of ``lines`` parsed one line at a time; each malformed
     record line adds a ``RowError`` to ``errors``."""
     tx, rx, stamps, powers, line_nos = [], [], [], [], []
-    for line_no, line in _record_lines(lines, first_line):
+    for line_no, line in _content_lines(lines, first_line):
         cells = _cells(line)
         if len(cells) != 4:
             errors.append(RowError(line_no, "expected 4 fields"))
@@ -309,7 +300,7 @@ def parse_measurement_text(text: str) -> MeasurementSet:
 
     # records start after the header line; line numbers count from 1
     records_at = len(lines)
-    header_row = next(_record_lines(islice(lines, sep_at + 1, None), sep_at + 2), None)
+    header_row = next(_content_lines(islice(lines, sep_at + 1, None), sep_at + 2), None)
     if header_row is not None:
         records_at, line = header_row
         if tuple(c.strip().lower() for c in _cells(line)) != RECORD_HEADER:

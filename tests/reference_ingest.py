@@ -1,11 +1,12 @@
 """Record-at-a-time ingest kept as an oracle for the columnar one in
 ``ingest``.
 
-``parse_measurement_text`` reads one record line at a time through the csv
-module into ``MeasurementRecord`` objects; ``select_strong_links`` sorts
-each directed link's records by RSSI in Python; ``_pooled_links`` groups
-records per unordered pair in a dict and ``measurement_signal_matrix``
-reduces each pool on its own; ``write_measurement_file`` joins the whole
+``parse_measurement_text`` sends every roster and record line through the
+csv module, quoted or not, and reads the records one line at a time into
+``MeasurementRecord`` objects; ``select_strong_links`` sorts each directed
+link's records by RSSI in Python; ``_pooled_links`` groups records per
+unordered pair in a dict and ``measurement_signal_matrix`` reduces each
+pool on its own; ``write_measurement_file`` joins the whole
 file into one string before writing it.  The production code must match
 these byte for byte on finite readings (it rejects non-finite ones, which
 these accept, and ids that would not read back, which this writer
@@ -14,20 +15,16 @@ writes).
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ordinal_unloc.core import (
-    InputError,
-    SensorField,
-    _iter_csv_rows,
-    _parse_sensor_rows,
-    _roster_to_field,
-)
+from ordinal_unloc.core import InputError, SensorField, _parse_sensor_rows, _roster_to_field
 from ordinal_unloc.ingest import RECORD_HEADER, SEPARATOR, MeasurementRecord, RowError
 from ordinal_unloc.ordinal import SignalMatrix
 
@@ -41,6 +38,18 @@ class ReferenceSet:
     @property
     def sensor_ids(self) -> tuple[str, ...]:
         return self.field.anchor_ids + self.field.target_ids
+
+
+def _iter_csv_rows(text, first_line=1):
+    """Yields (line_no, cells) for non-comment, non-blank CSV lines, each
+    read by the csv module: an oracle for ``core._cells``, which sends only
+    quoted lines there."""
+    for offset, line in enumerate(text.splitlines()):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cells = next(csv.reader(io.StringIO(line)))
+        yield first_line + offset, cells
 
 
 def parse_measurement_text(text: str) -> ReferenceSet:

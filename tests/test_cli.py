@@ -722,6 +722,89 @@ def test_non_utf8_input_exit_code_2(tmp_path, capsys, kind):
     assert not (tmp_path / "o").exists()
 
 
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark spreadsheet tools write
+
+
+def test_byte_order_marked_log_reads_as_the_plain_one(tmp_path):
+    """A log saved with a leading byte-order mark gives the same columns,
+    and localize the same positions, as the log without it."""
+    plain = tmp_path / "plain.csv"
+    _synthetic_measurement_file(plain, repeats=3, noise_db=0.5, seed=4)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(_BOM + plain.read_bytes())
+    ms, ms_marked = parse_measurements(plain), parse_measurements(marked)
+    assert ms_marked.sensor_ids == ms.sensor_ids
+    for name in ("tx", "rx", "timestamp_ms", "rssi_dbm", "line"):
+        assert getattr(ms_marked, name).tobytes() == getattr(ms, name).tobytes()
+    assert _run(_localize_args(plain, tmp_path / "a")) == 0
+    assert _run(_localize_args(marked, tmp_path / "b")) == 0
+    assert (tmp_path / "b" / "positions.csv").read_bytes() == (
+        tmp_path / "a" / "positions.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["field", "config"])
+def test_byte_order_marked_field_and_config_files_are_read(tmp_path, kind):
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    assert _run(_localize_args(path, tmp_path / "plain", "--aggregator", "median")) == 0
+    if kind == "field":
+        marked = tmp_path / "field.csv"
+        content = path.read_text().split("\n---\n")[0] + "\n"
+        extra = ["--aggregator", "median", "--field", str(marked)]
+    else:
+        marked = tmp_path / "run.cfg"
+        content = "aggregator=median\n"
+        extra = ["--config", str(marked)]
+    marked.write_bytes(_BOM + content.encode())
+    out = tmp_path / "marked"
+    assert _run(_localize_args(path, out, *extra)) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["aggregator"] == "median"
+    assert (out / "positions.csv").read_bytes() == (
+        tmp_path / "plain" / "positions.csv"
+    ).read_bytes()
+
+
+def _two_under_linked_targets(path):
+    """t1 keeps 2 of its 4 anchor links and a new target t2 has none."""
+    _drop_pair_reads(path, ("a1", "t1"))
+    _drop_pair_reads(path, ("a2", "t1"))
+    path.write_text(path.read_text().replace("\nt1,target,\n", "\nt1,target,\nt2,target,\n"))
+
+
+def _two_anchor_roster(path):
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(x for x in lines if "a3," not in x and "a4," not in x))
+
+
+@pytest.mark.parametrize(
+    "edit, refused",
+    [
+        (lambda path: _drop_pair_reads(path, ("a1", "t1")), None),  # exactly q + 1 anchors
+        (_two_under_linked_targets, "t1 (2), t2 (0)"),
+        (_two_anchor_roster, "t1 (2)"),
+    ],
+    ids=["q-plus-one", "two-targets-short", "two-anchor-roster"],
+)
+def test_localize_refuses_targets_linked_to_too_few_anchors(tmp_path, capsys, edit, refused):
+    """A target linked to fewer than q + 1 anchors cannot be placed: the
+    run exits 3 before it writes anything and names each such target with
+    its count of linked anchors.  A target on exactly q + 1 is placed."""
+    path = tmp_path / "meas.csv"
+    _synthetic_measurement_file(path)
+    edit(path)
+    out = tmp_path / "o"
+    code = _run(_localize_args(path, out))
+    if refused is None:
+        assert code == 0
+        assert "t1,average," in (out / "positions.csv").read_text()
+    else:
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: target(s) linked to fewer than 3 anchors: {refused}\n" in err
+        assert not out.exists()
+
+
 def test_localize_unsolved_column_keeps_sample_labels(monkeypatch, tmp_path):
     """A sample whose estimates for a target overflow when squared is left
     out of that target's rows; every other sample keeps its own label and

@@ -12,6 +12,7 @@ from ordinal_unloc.core import (
     parse_sensor_field,
     point_distances,
     read_sensor_field,
+    read_text,
 )
 
 
@@ -93,6 +94,27 @@ def test_parse_sensor_field_with_target_coords(tmp_path):
     path.write_text("id,role,x,y\na,anchor,0,0\nb,anchor,1,0\nc,anchor,0,1\nt,target,0.5,0.5\n")
     field = read_sensor_field(path)
     np.testing.assert_allclose(field.targets, [[0.5, 0.5]])
+
+
+def test_read_text_drops_one_leading_byte_order_mark(tmp_path):
+    """A leading U+FEFF, as spreadsheet tools save CSV, is not text; a
+    second one, or one later in the file, is left as it is."""
+    path = tmp_path / "field.csv"
+    for data, text in [
+        (b"\xef\xbb\xbfab", "ab"),
+        (b"\xef\xbb\xbf\xef\xbb\xbfab", "\ufeffab"),
+        (b"ab\xef\xbb\xbfcd", "ab\ufeffcd"),
+        (b"ab", "ab"),
+    ]:
+        path.write_bytes(data)
+        assert read_text(path) == text
+
+
+def test_read_text_names_a_bad_byte_after_the_mark_at_its_file_offset(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_bytes(b"\xef\xbb\xbfab\xffcd")
+    with pytest.raises(InputError, match=r"field\.csv: byte 5 is not valid UTF-8$"):
+        read_text(path)
 
 
 def test_parse_sensor_field_bad_header():

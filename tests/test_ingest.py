@@ -243,8 +243,14 @@ def test_records_view_matches_columns():
 
 _IDS = ["a1", "a2", "a3", "t1", "t2"]
 _ROSTER = "id,role,x,y\nt1,target,,\na1,anchor,0,0\na2,anchor,4,0\nt2,target,,\na3,anchor,4,5"
+# quoted ids that hold a comma or a doubled quote, or start with '#'
+_QUOTED_IDS = ["a,4", 't"3', "#a5"]
+_QUOTED_ROSTER = _ROSTER + '\n"a,4",anchor,1,2\n"t""3",target,,\n"#a5",anchor,3,3'
 # a NUL id ahead of a1, which a U field would read as a1
-_ROSTERS = [_ROSTER] * 3 + [_ROSTER.replace("\na1,", "\na1\x00,anchor,1,1\na1,")]
+_ROSTERS = [_ROSTER] * 3 + [
+    _ROSTER.replace("\na1,", "\na1\x00,anchor,1,1\na1,"),
+    _QUOTED_ROSTER,
+]
 _NUMBERS = ["0", "1", "2.5", "1e-3", "1_0", "-0.0", "-40", "-40.0", "-4e1", "-4_0", "-41.5"]
 _BAD_NUMBERS = ["", "x", "1__0", "1,5", "-"]
 
@@ -266,7 +272,7 @@ _NUMBER = _cell(st.sampled_from(_NUMBERS))
 _GOOD = _row(_SENSOR, _SENSOR, _NUMBER, _NUMBER)
 # NULs, and cells that extend an id past the reader's field width
 _ODD_SENSORS = ["zz", "a1,a2", "A1", "", "a1\x00", "\x00a1", "\x00", "a1x", "a1a1a1a1"]
-_ANY_SENSOR = _cell(st.sampled_from(_IDS + _ODD_SENSORS))
+_ANY_SENSOR = _cell(st.sampled_from(_IDS + _ODD_SENSORS + _QUOTED_IDS))
 _ANY_NUMBER = _cell(st.sampled_from(_NUMBERS + _BAD_NUMBERS + ["1\x00", "\x00"]))
 _BAD = st.one_of(
     _row(_ANY_SENSOR, _ANY_SENSOR, _ANY_NUMBER, _ANY_NUMBER),
